@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError
+from .gcn import param_spec
 from .model import GcnChain, ModelConfig
-from .tape import param
 
 MAGIC = b"EVGC"
 VERSION = 1
@@ -114,34 +114,9 @@ def load_checkpoint(data: bytes) -> GcnChain:
 
 def _assemble(config: ModelConfig, n_global: int, tensors: dict[str, Array],
               registry: dict[int, int]) -> GcnChain:
-    d1, d2 = config.hidden_dim, config.embed_dim
-    expected: dict[str, tuple[int, int]] = {"w1/0": (n_global, d1)}
-    for i in range(config.window + 1):
-        expected[f"w2/{i}"] = (d1, d2)
-    for t in range(config.window):
-        for j in range(config.heads):
-            expected[f"attn/{t}/{j}/transform"] = (d1, d1)
-            expected[f"attn/{t}/{j}/score"] = (2 * d1, 1)
-    if set(tensors) != set(expected):
+    if set(tensors) != set(param_spec(config, n_global)):
         raise CheckpointError("checkpoint tensors do not match the header config")
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise ShapeError(f"checkpoint tensor {name!r} has shape "
-                             f"{tensors[name].shape}, config requires {shape}")
-
-    from .attention import AttentionHead, Transition
-
-    w1 = param(tensors["w1/0"], "w1/0")
-    w2 = [param(tensors[f"w2/{i}"], f"w2/{i}") for i in range(config.window + 1)]
-    transitions = []
-    for t in range(config.window):
-        heads = [AttentionHead(transform=param(tensors[f"attn/{t}/{j}/transform"],
-                                               f"attn/{t}/{j}/transform"),
-                               score_vec=param(tensors[f"attn/{t}/{j}/score"],
-                                               f"attn/{t}/{j}/score"))
-                 for j in range(config.heads)]
-        transitions.append(Transition(heads=heads))
-    return GcnChain(config, n_global, w1, w2, transitions, registry)
+    return GcnChain.from_arrays(config, n_global, tensors, registry)
 
 
 def write_checkpoint(model: GcnChain, path: str | Path) -> Path:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, EvolinkError
-from .evaluation import derive_seed, run_evaluation, sweep_gamma, sweep_hparam
+from .evaluation import SCORERS, derive_seed, evaluate_scorers, sweep_gamma, sweep_hparam
 from .eventio import (
     RunConfig,
     export_event,
@@ -164,10 +164,10 @@ def _cmd_evaluate(args) -> int:
     cfg = _load(args)
     event = resolve_event(cfg)
     k = _pick_k(cfg, len(event))
-    scorers = ["dot", "mlp"] if cfg.scorer == "both" else [cfg.scorer]
-    for scorer in scorers:
-        report = run_evaluation(event, k, cfg.teacher, cfg.student,
-                                trials=cfg.trials, scorer=scorer, seed=cfg.seed)
+    scorers = SCORERS if cfg.scorer == "both" else (cfg.scorer,)
+    reports = evaluate_scorers(event, k, cfg.teacher, cfg.student, scorers=scorers,
+                               trials=cfg.trials, seed=cfg.seed)
+    for scorer, report in reports.items():
         stem = "report" if len(scorers) == 1 else f"report_{scorer}"
         json_path, csv_path = write_report(report, cfg.out_dir, stem=stem)
         print(f"[{scorer}] teacher rmse {report.teacher_rmse_mean:.4f} "

@@ -40,6 +40,7 @@ GAMMA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 EMBED_GRID = (16, 32, 64, 128, 256)
 WINDOW_GRID = (1, 2, 3, 4, 5)
 HEAD_GRID = (1, 2, 3, 4, 5)
+SCORERS = ("dot", "mlp")
 
 
 def derive_seed(*entropy: int) -> int:
@@ -278,32 +279,66 @@ class EvalReport:
         return rows
 
 
-def _score_links(emb: Embeddings, links: LinkSet, scorer_name: str,
+def _score_links(emb: Embeddings, links: LinkSet,
                  scorer: MlpScorer | None) -> tuple[list[float], list[float]]:
-    preds, truths = [], []
-    for u, v, w in links.links:
-        if scorer_name == "dot":
-            preds.append(score_dot(emb, u, v))
-        else:
-            preds.append(score_mlp(emb, scorer, u, v))
-        truths.append(w)
-    return preds, truths
+    """Predictions (dot scorer when ``scorer`` is None) and truths of ``links``."""
+    preds = [score_dot(emb, u, v) if scorer is None else score_mlp(emb, scorer, u, v)
+             for u, v, _ in links.links]
+    return preds, [w for _, _, w in links.links]
+
+
+def _mean_std(values) -> tuple[float, float]:
+    arr = np.array(values, dtype=np.float64)
+    return float(arr.mean()), float(arr.std())
+
+
+def _prepare(event: EventSequence, k: int, window_len: int
+             ) -> tuple[list[SnapshotGraph], LinkSet, LinkSet, float]:
+    """The window, its unobserved links, the scoreable ones, the baseline.
+
+    Links touching nodes without an embedding (absent from snapshot ``k``)
+    cannot be scored and are dropped before splitting.
+    """
+    window = build_window(event, k, window_len)
+    links = unobserved_links(event, k, window_len)
+    final_nodes = set(window[-1].nodes)
+    scoreable = LinkSet(links=tuple(l for l in links.links
+                                    if l[0] in final_nodes and l[1] in final_nodes))
+    if len(scoreable) < MIN_SPLIT_LINKS:
+        raise InsufficientLinksError(
+            f"only {len(scoreable)} scoreable unobserved links at snapshot {k + 1}")
+    return window, links, scoreable, constant_baseline(window)
+
+
+def _trial_seeds(*entropy: int) -> tuple[int, int, int]:
+    """Teacher, student and split seeds of the trial drawn from ``entropy``."""
+    return derive_seed(*entropy, 0), derive_seed(*entropy, 1), derive_seed(*entropy, 2)
 
 
 def run_evaluation(event: EventSequence, k: int, teacher_cfg: ModelConfig,
                    student_cfg: ModelConfig, *, trials: int = 5,
                    scorer: str = "dot", seed: int = 0,
                    trial_seeds: list[int] | None = None) -> EvalReport:
+    """Full protocol with one scorer; see :func:`evaluate_scorers`."""
+    return evaluate_scorers(event, k, teacher_cfg, student_cfg, scorers=(scorer,),
+                            trials=trials, seed=seed, trial_seeds=trial_seeds)[scorer]
+
+
+def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
+                     student_cfg: ModelConfig, *, scorers: tuple[str, ...],
+                     trials: int = 5, seed: int = 0,
+                     trial_seeds: list[int] | None = None) -> dict[str, EvalReport]:
     """Full protocol: per trial, train teacher, distill student, score.
 
-    Trials draw their model and split seeds from ``seed`` and the trial
-    index by default; pass explicit ``trial_seeds`` to pin them (equal
-    entries reproduce identical trials). Links touching nodes without an
-    embedding (absent from snapshot ``k``) cannot be scored and are
-    dropped before splitting.
+    Each trial is trained once and its test split scored by every scorer
+    in ``scorers``; the result holds one report per scorer. Trials draw
+    their model and split seeds from ``seed`` and the trial index by
+    default; pass explicit ``trial_seeds`` to pin them (equal entries
+    reproduce identical trials).
     """
-    if scorer not in ("dot", "mlp"):
-        raise ConfigError(f"unknown scorer {scorer!r}")
+    for scorer in scorers:
+        if scorer not in SCORERS:
+            raise ConfigError(f"unknown scorer {scorer!r}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if trial_seeds is not None and len(trial_seeds) != trials:
@@ -311,23 +346,12 @@ def run_evaluation(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     if teacher_cfg.window != student_cfg.window:
         raise ConfigError("teacher and student must span the same window")
 
-    window = build_window(event, k, teacher_cfg.window)
-    links = unobserved_links(event, k, teacher_cfg.window)
-    final_nodes = set(window[-1].nodes)
-    scoreable = LinkSet(links=tuple(l for l in links.links
-                                    if l[0] in final_nodes and l[1] in final_nodes))
-    if len(scoreable) < MIN_SPLIT_LINKS:
-        raise InsufficientLinksError(
-            f"only {len(scoreable)} scoreable unobserved links at snapshot {k + 1}")
-    baseline = constant_baseline(window)
+    window, links, scoreable, baseline = _prepare(event, k, teacher_cfg.window)
     n_global = event.n_global
-
-    records: list[TrialRecord] = []
+    records: dict[str, list[TrialRecord]] = {scorer: [] for scorer in scorers}
     for t in range(trials):
         entropy = (trial_seeds[t],) if trial_seeds is not None else (seed, t)
-        t_seed = derive_seed(*entropy, 0)
-        s_seed = derive_seed(*entropy, 1)
-        split_seed = derive_seed(*entropy, 2)
+        t_seed, s_seed, split_seed = _trial_seeds(*entropy)
         teacher, _, t_emb = train_teacher(window, replace(teacher_cfg, seed=t_seed),
                                           n_global, event.registry)
         bundle = DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
@@ -336,47 +360,43 @@ def run_evaluation(event: EventSequence, k: int, teacher_cfg: ModelConfig,
         s_emb = student.embeddings(window)
 
         _, test = split_links(scoreable, split_seed)
-        t_scorer = s_scorer = None
-        if scorer == "mlp":
-            t_scorer = train_mlp_scorer(t_emb, window, derive_seed(*entropy, 3))
-            s_scorer = train_mlp_scorer(s_emb, window, derive_seed(*entropy, 4))
-        t_preds, truths = _score_links(t_emb, test, scorer, t_scorer)
-        s_preds, _ = _score_links(s_emb, test, scorer, s_scorer)
-        t_rmse, t_mae = metrics(t_preds, truths)
-        s_rmse, s_mae = metrics(s_preds, truths)
-        b_rmse, _ = metrics([baseline] * len(truths), truths)
-        records.append(TrialRecord(
-            index=t, teacher_seed=t_seed, student_seed=s_seed, split_seed=split_seed,
-            teacher_rmse=t_rmse, teacher_mae=t_mae,
-            student_rmse=s_rmse, student_mae=s_mae,
-            baseline_rmse=b_rmse,
-            n_validation=len(scoreable) - len(test), n_test=len(test)))
+        for scorer in scorers:
+            t_scorer = s_scorer = None
+            if scorer == "mlp":
+                t_scorer = train_mlp_scorer(t_emb, window, derive_seed(*entropy, 3))
+                s_scorer = train_mlp_scorer(s_emb, window, derive_seed(*entropy, 4))
+            t_preds, truths = _score_links(t_emb, test, t_scorer)
+            s_preds, _ = _score_links(s_emb, test, s_scorer)
+            t_rmse, t_mae = metrics(t_preds, truths)
+            s_rmse, s_mae = metrics(s_preds, truths)
+            b_rmse, _ = metrics([baseline] * len(truths), truths)
+            records[scorer].append(TrialRecord(
+                index=t, teacher_seed=t_seed, student_seed=s_seed, split_seed=split_seed,
+                teacher_rmse=t_rmse, teacher_mae=t_mae,
+                student_rmse=s_rmse, student_mae=s_mae,
+                baseline_rmse=b_rmse,
+                n_validation=len(scoreable) - len(test), n_test=len(test)))
 
-    def agg(values):
-        arr = np.array(values, dtype=np.float64)
-        return float(arr.mean()), float(arr.std())
-
-    t_rmse_m, t_rmse_s = agg([r.teacher_rmse for r in records])
-    t_mae_m, t_mae_s = agg([r.teacher_mae for r in records])
-    s_rmse_m, s_rmse_s = agg([r.student_rmse for r in records])
-    s_mae_m, s_mae_s = agg([r.student_mae for r in records])
     n_teacher = count_params(teacher_cfg, n_global)
     n_student = count_params(student_cfg, n_global)
     ratio = Fraction(n_student, n_teacher)
-    return EvalReport(
-        event=event.name, k=k, scorer=scorer,
-        teacher_config=teacher_cfg, student_config=student_cfg,
-        trials=tuple(records),
-        teacher_rmse_mean=t_rmse_m, teacher_rmse_std=t_rmse_s,
-        teacher_mae_mean=t_mae_m, teacher_mae_std=t_mae_s,
-        student_rmse_mean=s_rmse_m, student_rmse_std=s_rmse_s,
-        student_mae_mean=s_mae_m, student_mae_std=s_mae_s,
-        baseline_rmse_mean=float(np.mean([r.baseline_rmse for r in records])),
-        param_count_teacher=n_teacher, param_count_student=n_student,
-        compression_ratio=ratio, compression=compression_label(ratio),
-        n_links_total=len(links), n_links_scoreable=len(scoreable),
-        split_seeds=tuple(r.split_seed for r in records),
-    )
+    reports = {}
+    for scorer, recs in records.items():
+        stats = {}
+        for key in ("teacher_rmse", "teacher_mae", "student_rmse", "student_mae"):
+            values = [getattr(r, key) for r in recs]
+            stats[f"{key}_mean"], stats[f"{key}_std"] = _mean_std(values)
+        reports[scorer] = EvalReport(
+            event=event.name, k=k, scorer=scorer,
+            teacher_config=teacher_cfg, student_config=student_cfg,
+            trials=tuple(recs), **stats,
+            baseline_rmse_mean=float(np.mean([r.baseline_rmse for r in recs])),
+            param_count_teacher=n_teacher, param_count_student=n_student,
+            compression_ratio=ratio, compression=compression_label(ratio),
+            n_links_total=len(links), n_links_scoreable=len(scoreable),
+            split_seeds=tuple(r.split_seed for r in recs),
+        )
+    return reports
 
 
 @dataclass(frozen=True)
@@ -398,45 +418,34 @@ def sweep_gamma(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     student init, same test split) across every gamma, so the sweep
     isolates the blend weight. Scoring uses the dot scorer.
     """
-    window = build_window(event, k, teacher_cfg.window)
-    links = unobserved_links(event, k, teacher_cfg.window)
-    final_nodes = set(window[-1].nodes)
-    scoreable = LinkSet(links=tuple(l for l in links.links
-                                    if l[0] in final_nodes and l[1] in final_nodes))
-    if len(scoreable) < MIN_SPLIT_LINKS:
-        raise InsufficientLinksError(
-            f"only {len(scoreable)} scoreable unobserved links at snapshot {k + 1}")
+    window, _, scoreable, _ = _prepare(event, k, teacher_cfg.window)
     n_global = event.n_global
 
     per_gamma: dict[float, list[tuple[float, float]]] = {g: [] for g in gammas}
     teacher_rmses: list[float] = []
     for t in range(trials):
-        t_seed = derive_seed(seed, t, 0)
-        s_seed = derive_seed(seed, t, 1)
-        split_seed = derive_seed(seed, t, 2)
+        t_seed, s_seed, split_seed = _trial_seeds(seed, t)
         teacher, _, t_emb = train_teacher(window, replace(teacher_cfg, seed=t_seed),
                                           n_global, event.registry)
         _, test = split_links(scoreable, split_seed)
-        t_preds, truths = _score_links(t_emb, test, "dot", None)
+        t_preds, truths = _score_links(t_emb, test, None)
         teacher_rmses.append(metrics(t_preds, truths)[0])
         for gamma in gammas:
             cfg = replace(student_cfg, gamma=gamma, seed=s_seed)
             bundle = DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
                                         student_config=cfg)
             student, _ = distill_student(bundle, window, n_global, event.registry)
-            s_preds, _ = _score_links(student.embeddings(window), test, "dot", None)
+            s_preds, _ = _score_links(student.embeddings(window), test, None)
             per_gamma[gamma].append(metrics(s_preds, truths))
 
     teacher_mean = float(np.mean(teacher_rmses))
     rows = []
     for gamma in gammas:
-        rmses = np.array([r for r, _ in per_gamma[gamma]])
-        maes = np.array([m for _, m in per_gamma[gamma]])
-        rows.append(GammaSweepRow(
-            gamma=gamma,
-            student_rmse_mean=float(rmses.mean()), student_rmse_std=float(rmses.std()),
-            student_mae_mean=float(maes.mean()), student_mae_std=float(maes.std()),
-            teacher_rmse_mean=teacher_mean))
+        rmse_mean, rmse_std = _mean_std([r for r, _ in per_gamma[gamma]])
+        mae_mean, mae_std = _mean_std([m for _, m in per_gamma[gamma]])
+        rows.append(GammaSweepRow(gamma=gamma, student_rmse_mean=rmse_mean,
+                                  student_rmse_std=rmse_std, student_mae_mean=mae_mean,
+                                  student_mae_std=mae_std, teacher_rmse_mean=teacher_mean))
     return rows
 
 

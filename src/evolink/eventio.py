@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, EventFormatError
 from .evaluation import EvalReport
 from .graphs import EventSequence, RawEvent, normalize_weights
-from .model import ModelConfig
+from .model import ModelConfig, student_defaults
 from .simulate import SimConfig
 from .training import TrainingTrace
 
@@ -145,7 +145,14 @@ class RunConfig:
             raise ConfigError("teacher and student must span the same window")
 
 
+RUN_KEYS = ("teacher", "student", "data", "out", "scorer", "trials", "k", "seed")
+DATA_KEYS = ("manifest", "simulate")
+
+
 def load_run_config(path: str | Path) -> RunConfig:
+    """Parse a JSON run config; unknown keys and mistyped counts are errors.
+    Omitted model keys take the teacher or student defaults; the student's
+    window defaults to the teacher's."""
     path = Path(path)
     try:
         blob = json.loads(path.read_text())
@@ -154,18 +161,37 @@ def load_run_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
+    def check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+        for key in obj:
+            if key not in allowed:
+                raise ConfigError(f"{path}: unknown key {key!r} in {where}; "
+                                  f"expected one of {', '.join(allowed)}")
+
     def section(name) -> dict:
         value = blob.get(name, {})
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: section {name!r} must be an object")
         return dict(value)
 
+    def integer(name, default, nullable=False):
+        value = blob.get(name, default)
+        if value is None and nullable:
+            return None
+        if not isinstance(value, int) or isinstance(value, bool):
+            kind = "an integer or null" if nullable else "an integer"
+            raise ConfigError(f"{path}: {name!r} must be {kind}, got {value!r}")
+        return value
+
+    if not isinstance(blob, dict):
+        raise ConfigError(f"{path}: a run config must be a JSON object")
+    check_keys(blob, RUN_KEYS, "the run config")
     try:
         teacher = ModelConfig(role="teacher", **section("teacher"))
         student_fields = section("student")
         student_fields.setdefault("window", teacher.window)
-        student = ModelConfig(**{**student_fields, "role": "student"})
+        student = student_defaults(**{**student_fields, "role": "student"})
         data = section("data")
+        check_keys(data, DATA_KEYS, "data")
         manifest = data.get("manifest")
         sim_fields = data.get("simulate")
         sim = None
@@ -182,9 +208,9 @@ def load_run_config(path: str | Path) -> RunConfig:
             sim=sim,
             out_dir=Path(blob.get("out", "runs/out")),
             scorer=str(blob.get("scorer", "dot")),
-            trials=int(blob.get("trials", 5)),
-            k=blob.get("k"),
-            seed=int(blob.get("seed", 0)),
+            trials=integer("trials", 5),
+            k=integer("k", None, nullable=True),
+            seed=integer("seed", 0),
         )
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -1,19 +1,20 @@
 """Two-layer graph convolution and parameter accounting.
 
 The encoder for one snapshot is ``Z = A_hat relu(A_hat X W1) W2`` with the
-symmetrically normalized adjacency ``A_hat``. Events here carry no node
-attributes, so ``X`` defaults to the identity, in which case ``X W1``
-collapses to selecting the W1 rows of the snapshot's nodes; W1 is allocated
-over the whole registry so that every node owns a persistent row.
+symmetrically normalized adjacency ``A_hat``. Events carry no node
+attributes, so ``X`` is the identity restricted to the snapshot's nodes and
+``X W1`` selects their W1 rows; W1 is allocated over the whole registry so
+that every node owns a persistent row. :func:`param_spec` states a window
+model's trainable layout for init, checkpoints and the parameter count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .graphs import SnapshotGraph
 from .tape import Tensor, as_tensor, matmul, relu, rows
 
@@ -60,17 +61,18 @@ def identity_features(g: SnapshotGraph) -> IdentityFeatures:
     return IdentityFeatures(ids=g.nodes)
 
 
-def first_layer_input(features: Union[IdentityFeatures, Array, Tensor], w1: Tensor) -> Tensor:
-    """``X W1`` for dense features, or the row selection for identity ones."""
-    if isinstance(features, IdentityFeatures):
-        ids = np.asarray(features.ids, dtype=np.intp)
-        if ids.size and ids.max() >= w1.shape[0]:
-            raise ShapeError(f"node id {int(ids.max())} outside the {w1.shape[0]} W1 rows")
-        return rows(w1, ids)
-    return matmul(as_tensor(features), w1)
+def first_layer_input(features: IdentityFeatures, w1: Tensor) -> Tensor:
+    """``X W1`` for identity features: the W1 rows of the snapshot's nodes."""
+    if not isinstance(features, IdentityFeatures):
+        raise ConfigError(f"the encoder takes identity_features(g), got "
+                          f"{type(features).__name__}")
+    ids = np.asarray(features.ids, dtype=np.intp)
+    if ids.size and ids.max() >= w1.shape[0]:
+        raise ShapeError(f"node id {int(ids.max())} outside the {w1.shape[0]} W1 rows")
+    return rows(w1, ids)
 
 
-def gcn_forward(a_hat, features, params: GcnParams) -> Tensor:
+def gcn_forward(a_hat, features: IdentityFeatures, params: GcnParams) -> Tensor:
     """One snapshot encoder pass; returns the (n_k, embed_dim) output."""
     a = as_tensor(a_hat)
     if a.value.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -83,18 +85,28 @@ def gcn_forward(a_hat, features, params: GcnParams) -> Tensor:
     return matmul(matmul(a, hidden), params.w2)
 
 
-def count_params(cfg: "ModelConfig", n_global: int) -> int:
-    """Trainable scalar count for a window model over ``n_global`` nodes.
+def param_spec(cfg: "ModelConfig", n_global: int) -> dict[str, tuple[int, int]]:
+    """Name -> (rows, cols) of every trainable leaf, in training order.
 
     One global first-layer matrix, one second-layer matrix per snapshot in
     the window, and per transition ``heads`` attention heads holding a
     (hidden x hidden) transform plus a scoring vector of length 2*hidden.
     Evolved first-layer weights are derived values, not leaves, so they do
-    not count.
+    not appear.
     """
     if n_global < 1:
         raise ShapeError(f"n_global must be positive, got {n_global}")
     d1, d2 = cfg.hidden_dim, cfg.embed_dim
-    return (n_global * d1
-            + (cfg.window + 1) * d1 * d2
-            + cfg.window * cfg.heads * (d1 * d1 + 2 * d1))
+    spec = {"w1/0": (n_global, d1)}
+    for i in range(cfg.window + 1):
+        spec[f"w2/{i}"] = (d1, d2)
+    for t in range(cfg.window):
+        for j in range(cfg.heads):
+            spec[f"attn/{t}/{j}/transform"] = (d1, d1)
+            spec[f"attn/{t}/{j}/score"] = (2 * d1, 1)
+    return spec
+
+
+def count_params(cfg: "ModelConfig", n_global: int) -> int:
+    """Trainable scalar count for a window model over ``n_global`` nodes."""
+    return sum(r * c for r, c in param_spec(cfg, n_global).values())

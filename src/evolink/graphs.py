@@ -41,7 +41,6 @@ class SnapshotGraph:
     index: int
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
-    features: Array | None = None
 
     def __post_init__(self):
         if self.index < 0:
@@ -64,14 +63,6 @@ class SnapshotGraph:
                 raise MalformedGraphError(f"non-finite weight on edge ({u}, {v})")
             if not 0.0 < w <= 1.0:
                 raise MalformedGraphError(f"weight {w} on edge ({u}, {v}) outside (0, 1]")
-        if self.features is not None:
-            f = np.asarray(self.features, dtype=np.float64)
-            if f.ndim != 2 or f.shape[0] != len(self.nodes):
-                raise MalformedGraphError(f"feature matrix shape {f.shape} does not "
-                                          f"match {len(self.nodes)} nodes")
-            if not np.all(np.isfinite(f)):
-                raise MalformedGraphError("non-finite feature entries")
-            object.__setattr__(self, "features", f)
 
     @property
     def n(self) -> int:

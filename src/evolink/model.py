@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .attention import AttentionHead, Transition, evolve_weights
 from .errors import ConfigError, ShapeError
-from .gcn import Embeddings, GcnParams, gcn_forward, identity_features
+from .gcn import Embeddings, GcnParams, gcn_forward, identity_features, param_spec
 from .graphs import SnapshotGraph, normalize_adjacency
 from .tape import Tensor, add, matmul, mean, param, scale, sigmoid, sqrt, square, sub, transpose
 
@@ -96,47 +96,42 @@ class GcnChain:
         self._validate()
 
     def _validate(self) -> None:
-        cfg = self.config
-        d1, d2 = cfg.hidden_dim, cfg.embed_dim
         if self.n_global < 1:
             raise ConfigError(f"n_global must be positive, got {self.n_global}")
-        if self.w1_first.shape != (self.n_global, d1):
-            raise ShapeError(f"w1 shape {self.w1_first.shape} does not match "
-                             f"({self.n_global}, {d1})")
-        if len(self.w2) != cfg.window + 1:
-            raise ShapeError(f"expected {cfg.window + 1} second-layer matrices, "
-                             f"got {len(self.w2)}")
-        for t in self.w2:
-            if t.shape != (d1, d2):
-                raise ShapeError(f"w2 shape {t.shape} does not match ({d1}, {d2})")
-        if len(self.transitions) != cfg.window:
-            raise ShapeError(f"expected {cfg.window} transitions, got {len(self.transitions)}")
-        for tr in self.transitions:
-            if len(tr.heads) != cfg.heads:
-                raise ShapeError(f"transition with {len(tr.heads)} heads, expected {cfg.heads}")
+        spec = param_spec(self.config, self.n_global)
+        shapes = {name: leaf.shape for name, leaf in self.trainable().items()}
+        for name in {**spec, **shapes}:
+            if shapes.get(name) != spec.get(name):
+                raise ShapeError(f"leaf {name!r}: the chain has {shapes.get(name, 'none')}, "
+                                 f"the config requires {spec.get(name, 'none')}")
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, n_global: int, arrays: dict[str, Array],
+                    registry: dict[int, int] | None = None) -> "GcnChain":
+        """A chain whose leaves hold ``arrays``, keyed by :func:`param_spec` names."""
+        p = {name: param(value, name) for name, value in arrays.items()}
+        w2 = [p[f"w2/{i}"] for i in range(config.window + 1)]
+        transitions = [Transition(heads=[AttentionHead(transform=p[f"attn/{t}/{j}/transform"],
+                                                       score_vec=p[f"attn/{t}/{j}/score"])
+                                         for j in range(config.heads)])
+                       for t in range(config.window)]
+        return cls(config, n_global, p["w1/0"], w2, transitions, registry)
 
     @classmethod
     def init(cls, config: ModelConfig, n_global: int,
              registry: dict[int, int] | None = None) -> "GcnChain":
-        """Seeded uniform init: [-r, r] with r = 1/sqrt(hidden) for the
-        first layer and attention, Glorot-uniform for the output layer."""
+        """Seeded uniform init, drawn in spec order: [-r, r] with
+        r = 1/sqrt(hidden) for the first layer and attention,
+        Glorot-uniform for the output layer."""
         rng = np.random.default_rng(config.seed)
         d1, d2 = config.hidden_dim, config.embed_dim
         r = 1.0 / np.sqrt(d1)
         r_out = np.sqrt(6.0 / (d1 + d2))
-
-        def draw(shape, name, scale=r):
-            return param(rng.uniform(-scale, scale, size=shape), name)
-
-        w1 = draw((n_global, d1), "w1/0")
-        w2 = [draw((d1, d2), f"w2/{i}", r_out) for i in range(config.window + 1)]
-        transitions = []
-        for t in range(config.window):
-            heads = [AttentionHead(transform=draw((d1, d1), f"attn/{t}/{j}/transform"),
-                                   score_vec=draw((2 * d1, 1), f"attn/{t}/{j}/score"))
-                     for j in range(config.heads)]
-            transitions.append(Transition(heads=heads))
-        return cls(config, n_global, w1, w2, transitions, registry)
+        arrays = {}
+        for name, shape in param_spec(config, n_global).items():
+            bound = r_out if name.startswith("w2/") else r
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+        return cls.from_arrays(config, n_global, arrays, registry)
 
     def trainable(self) -> dict[str, Tensor]:
         """Named leaves in a fixed, reproducible order."""
@@ -165,9 +160,6 @@ class GcnChain:
         if len(window) != self.config.window + 1:
             raise ConfigError(f"window of {len(window)} snapshots for a model "
                               f"spanning {self.config.window + 1}")
-        for g in window:
-            if g.features is not None:
-                raise ConfigError("chained models require identity features")
         if a_hats is None:
             a_hats = [normalize_adjacency(g) for g in window]
         zs: list[Tensor] = []

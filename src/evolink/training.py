@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .gcn import Embeddings
+from .gcn import Embeddings, param_spec
 from .graphs import SnapshotGraph, normalize_adjacency
 from .model import (
     GcnChain,
@@ -91,12 +91,15 @@ def train_teacher(window: list[SnapshotGraph], cfg: ModelConfig, n_global: int,
                           f"spanning {cfg.window + 1}")
     chain = GcnChain.init(cfg, n_global, registry)
     if init_from is not None:
+        # Plain assignment, not a fresh leaf: a non-finite warm value must
+        # surface as divergence in the first epoch, with its trace.
         warm = init_from.param_arrays()
-        for name, leaf in chain.trainable().items():
-            if name not in warm or warm[name].shape != leaf.shape:
+        leaves = chain.trainable()
+        for name, shape in param_spec(cfg, n_global).items():
+            if name not in warm or warm[name].shape != shape:
                 raise ConfigError(f"warm-start parameters do not provide {name!r} "
-                                  f"with shape {leaf.shape}")
-            leaf.value = warm[name]
+                                  f"with shape {shape}")
+            leaves[name].value = warm[name]
     trace = _fit(chain, window, reconstruction_loss)
     return chain, trace, chain.embeddings(window)
 
@@ -122,15 +125,6 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
     if bundle.teacher_embeddings.ids != window[-1].nodes:
         raise ConfigError("teacher embeddings do not cover the window's final snapshot")
     chain = GcnChain.init(cfg, n_global, registry)
-    gamma = bundle.gamma
-    if gamma == 1.0:
-        # Pure self-supervision: identical op sequence to teacher training.
-        trace = _fit(chain, window, reconstruction_loss)
-        return chain, trace
     soft = soft_scores(bundle.teacher_embeddings.z)
-
-    def loss_fn(z, g):
-        return _distillation_from_soft(z, soft, g, gamma)
-
-    trace = _fit(chain, window, loss_fn)
+    trace = _fit(chain, window, lambda z, g: _distillation_from_soft(z, soft, g, bundle.gamma))
     return chain, trace

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from evolink import evaluation
 from evolink.checkpoint import read_checkpoint
 from evolink.cli import main
 from evolink.eventio import load_event
+from evolink.training import train_teacher
 
 
 def write_config(tmp_path, **extra):
@@ -108,6 +110,26 @@ def test_evaluate_both_scorers(tmp_path, capsys):
     for scorer in ("dot", "mlp"):
         blob = json.loads((tmp_path / "out" / f"report_{scorer}.json").read_text())
         assert blob["report"]["scorer"] == scorer
+
+
+def test_evaluate_both_trains_once_and_matches_single_scorer_runs(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, trials=1)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return train_teacher(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train_teacher", counting)
+    assert main(["evaluate", str(cfg), "--scorer", "both", "--out", str(tmp_path / "both")]) == 0
+    assert len(calls) == 1
+    for scorer in ("dot", "mlp"):
+        out = tmp_path / scorer
+        assert main(["evaluate", str(cfg), "--scorer", scorer, "--out", str(out)]) == 0
+        alone = json.loads((out / "report.json").read_text())["report"]
+        both = json.loads((tmp_path / "both" / f"report_{scorer}.json").read_text())["report"]
+        assert both == alone
+    assert len(calls) == 3
 
 
 def test_sweep_gamma_writes_nine_rows(tmp_path, capsys):

@@ -21,7 +21,7 @@ from evolink.eventio import (
 )
 from evolink.evaluation import run_evaluation
 from evolink.graphs import RawEvent, normalize_weights
-from evolink.model import ModelConfig
+from evolink.model import ModelConfig, student_defaults
 from evolink.simulate import SimConfig, simulate_event
 from evolink.training import TrainingTrace
 
@@ -181,12 +181,34 @@ def test_resolve_event_simulated():
     (lambda b: b.update(scorer="cosine"), "scorer"),
     (lambda b: b.update(trials=0), "trials"),
     (lambda b: b["student"].update(window=3), "same window"),
+    (lambda b: b.update(trails=3), "unknown key 'trails' in the run config"),
+    (lambda b: b["data"].update(path="ev"), "unknown key 'path' in data"),
+    (lambda b: b.update(k="six"), "'k' must be an integer or null, got 'six'"),
+    (lambda b: b.update(k=True), "'k' must be an integer or null, got True"),
+    (lambda b: b.update(trials="3"), "'trials' must be an integer, got '3'"),
+    (lambda b: b.update(trials=2.0), "'trials' must be an integer, got 2.0"),
+    (lambda b: b.update(trials=True), "'trials' must be an integer, got True"),
+    (lambda b: b.update(seed=False), "'seed' must be an integer, got False"),
 ])
 def test_run_config_validation(tmp_path, mutate, fragment):
     blob = make_config_blob()
     mutate(blob)
     with pytest.raises(ConfigError, match=fragment):
         load_run_config(write_config(tmp_path, blob))
+
+
+def test_omitted_student_keys_take_student_defaults(tmp_path):
+    blob = {"data": {"simulate": {"viewers": 40}}}
+    cfg = load_run_config(write_config(tmp_path, blob))
+    assert cfg.student == student_defaults(window=3)
+    partial = make_config_blob(student={"gamma": 0.3})
+    cfg = load_run_config(write_config(tmp_path, partial, "partial.json"))
+    assert cfg.student == student_defaults(window=1, gamma=0.3)
+
+
+def test_run_config_must_be_an_object(tmp_path):
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_run_config(write_config(tmp_path, [1, 2]))
 
 
 def test_run_config_missing_or_bad_file(tmp_path):

@@ -1,8 +1,8 @@
-"""Snapshot encoder: forward oracle, identity-feature shortcut, param count."""
+"""Snapshot encoder: forward oracle, identity-feature row selection, param count."""
 import numpy as np
 import pytest
 
-from evolink.errors import ShapeError
+from evolink.errors import ConfigError, ShapeError
 from evolink.gcn import (Embeddings, GcnParams, count_params, first_layer_input,
                          gcn_forward, identity_features)
 from evolink.graphs import SnapshotGraph, normalize_adjacency
@@ -35,17 +35,29 @@ def scalar_oracle(a_hat, x, w1, w2):
                      for i in range(n)])
 
 
+def one_hot(ids, n_global):
+    x = np.zeros((len(ids), n_global))
+    for r, u in enumerate(ids):
+        x[r, u] = 1.0
+    return x
+
+
 def test_forward_matches_scalar_oracle():
+    # Identity features over a snapshot that owns only some of the W1 rows:
+    # the oracle multiplies the explicit one-hot X into W1.
     rng = np.random.default_rng(2)
     for _ in range(10):
         n = int(rng.integers(2, 12))
+        n_global = n + int(rng.integers(0, 4))
+        ids = tuple(sorted(rng.choice(n_global, size=n, replace=False).tolist()))
         g = random_graph(rng, n)
+        g = SnapshotGraph(index=0, nodes=ids,
+                          edges=tuple((ids[u], ids[v], w) for u, v, w in g.edges))
         a_hat = normalize_adjacency(g)
-        x = rng.normal(size=(n, n))
-        w1 = rng.normal(size=(n, 5))
+        w1 = rng.normal(size=(n_global, 5))
         w2 = rng.normal(size=(5, 3))
-        got = gcn_forward(a_hat, Tensor(x), GcnParams(param(w1), param(w2))).value
-        expect = scalar_oracle(a_hat, x, w1, w2)
+        got = gcn_forward(a_hat, identity_features(g), GcnParams(param(w1), param(w2))).value
+        expect = scalar_oracle(a_hat, one_hot(ids, n_global), w1, w2)
         assert np.max(np.abs(got - expect)) < 1e-10
 
 
@@ -68,10 +80,7 @@ def test_identity_features_select_rows():
     gathered = first_layer_input(
         identity_features(SnapshotGraph(index=0, nodes=ids, edges=())),
         param(w1_val))
-    one_hot = np.zeros((3, 10))
-    for r, u in enumerate(ids):
-        one_hot[r, u] = 1.0
-    assert np.array_equal(gathered.value, one_hot @ w1_val)
+    assert np.array_equal(gathered.value, one_hot(ids, 10) @ w1_val)
 
 
 def test_identity_gradient_reaches_only_selected_rows():
@@ -87,13 +96,21 @@ def test_identity_gradient_reaches_only_selected_rows():
 
 def test_forward_shape_checks():
     params = GcnParams(param(np.ones((4, 2))), param(np.ones((2, 2))))
+    pair = identity_features(SnapshotGraph(index=0, nodes=(0, 1), edges=()))
     with pytest.raises(ShapeError):
-        gcn_forward(np.ones((2, 3)), Tensor(np.ones((2, 4))), params)
+        gcn_forward(np.ones((2, 3)), pair, params)
     with pytest.raises(ShapeError):
-        gcn_forward(np.eye(3), Tensor(np.ones((2, 4))), params)  # row mismatch
+        gcn_forward(np.eye(3), pair, params)  # row mismatch
     with pytest.raises(ShapeError):
         first_layer_input(identity_features(
             SnapshotGraph(index=0, nodes=(5,), edges=())), param(np.ones((4, 2))))
+
+
+def test_forward_rejects_dense_features():
+    params = GcnParams(param(np.ones((4, 2))), param(np.ones((2, 2))))
+    for dense in (np.ones((2, 4)), Tensor(np.ones((2, 4)))):
+        with pytest.raises(ConfigError, match="identity_features"):
+            gcn_forward(np.eye(2), dense, params)
 
 
 def test_embeddings_lookup():

@@ -57,11 +57,6 @@ class TestSnapshotGraph:
         with pytest.raises(MalformedGraphError):
             snap(0, nodes, edges)
 
-    def test_feature_matrix_must_match_node_count(self):
-        with pytest.raises(MalformedGraphError):
-            SnapshotGraph(index=0, nodes=(0, 1), edges=(),
-                          features=np.zeros((3, 2)))
-
 
 class TestWeightScale:
     def test_endpoints_map_exactly(self):

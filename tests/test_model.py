@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from evolink.errors import ConfigError, ShapeError
-from evolink.gcn import Embeddings, count_params
+from evolink.gcn import Embeddings, count_params, param_spec
 from evolink.graphs import SnapshotGraph
 from evolink.model import (
     GcnChain,
@@ -102,6 +102,7 @@ def test_leaf_count_matches_formula():
     chain = GcnChain.init(cfg, n_global=11)
     leaves = chain.trainable()
     assert sum(t.value.size for t in leaves.values()) == count_params(cfg, 11)
+    assert list(param_spec(cfg, 11)) == list(leaves)
     # one w1, window+1 w2, per transition heads x (transform, score)
     assert list(leaves) == (["w1/0"]
                             + [f"w2/{i}" for i in range(3)]
@@ -163,16 +164,6 @@ def test_forward_window_length_checked():
     chain = GcnChain.init(cfg, n_global=5)
     with pytest.raises(ConfigError):
         chain.forward(line_window(1))
-
-
-def test_forward_rejects_explicit_features():
-    cfg = ModelConfig(window=1, heads=1, hidden_dim=4, embed_dim=2)
-    chain = GcnChain.init(cfg, n_global=5)
-    window = line_window(1)
-    bad = SnapshotGraph(index=1, nodes=window[1].nodes, edges=window[1].edges,
-                        features=np.ones((5, 4)))
-    with pytest.raises(ConfigError):
-        chain.forward([window[0], bad])
 
 
 def test_forward_shapes_and_embeddings():
