@@ -74,6 +74,7 @@ from .graphs import (
 from .model import (
     GcnChain,
     ModelConfig,
+    WindowData,
     distillation_loss,
     reconstruction_loss,
     soft_scores,

@@ -59,23 +59,41 @@ class Transition:
     heads: list[AttentionHead]
 
 
-def _scoring_adjacency(g: SnapshotGraph) -> tuple[Array, Array]:
-    """Edge weights and neighborhood mask used for attention scores.
+@dataclass(frozen=True, eq=False)
+class AttentionInputs:
+    """The constants of a snapshot that attention reads, built once.
 
-    Isolated nodes get a self-entry of weight 1 so their softmax row is
-    defined; connected nodes attend to their graph neighbors only.
+    ``ids`` are the sorted node ids as an index array. ``weights`` are the
+    edge weights used in the scores and ``mask`` the neighborhoods. Isolated
+    nodes get a self-entry of weight 1 so their softmax row is defined;
+    connected nodes attend to their graph neighbors only.
     """
-    a = g.adjacency()
-    mask = a != 0.0
-    isolated = ~mask.any(axis=1)
-    if isolated.any():
-        idx = np.flatnonzero(isolated)
-        a[idx, idx] = 1.0
-        mask[idx, idx] = True
-    return a, mask
+
+    ids: Array
+    weights: Array
+    mask: Array
+
+    @classmethod
+    def from_adjacency(cls, ids: Array, adjacency: Array) -> "AttentionInputs":
+        """Inputs from a snapshot's dense adjacency, which is not modified."""
+        mask = adjacency != 0.0
+        isolated = np.flatnonzero(~mask.any(axis=1))
+        weights = adjacency
+        if isolated.size:
+            weights = adjacency.copy()
+            weights[isolated, isolated] = 1.0
+            mask[isolated, isolated] = True
+        return cls(ids=ids, weights=weights, mask=mask)
 
 
-def _head_attention(g: SnapshotGraph, head: AttentionHead,
+def attention_inputs(g: SnapshotGraph | AttentionInputs) -> AttentionInputs:
+    """The attention constants of ``g``; passes AttentionInputs through."""
+    if isinstance(g, AttentionInputs):
+        return g
+    return AttentionInputs.from_adjacency(np.asarray(g.nodes, dtype=np.intp), g.adjacency())
+
+
+def _head_attention(g: AttentionInputs, head: AttentionHead,
                     w_prev: Tensor) -> tuple[Tensor, Tensor]:
     """Attention coefficients and transformed rows for one head."""
     d1 = head.transform.shape[0]
@@ -86,33 +104,33 @@ def _head_attention(g: SnapshotGraph, head: AttentionHead,
                          f"(2*{d1}, 1)")
     if w_prev.shape[1] != d1:
         raise ShapeError(f"W1 width {w_prev.shape[1]} does not match head size {d1}")
-    ids = np.asarray(g.nodes, dtype=np.intp)
-    projected = matmul(rows(w_prev, ids), transpose(head.transform))
+    projected = matmul(rows(w_prev, g.ids), transpose(head.transform))
     # a . [p_u || p_v] splits into the two halves of the scoring vector.
     src_half = rows(head.score_vec, np.arange(d1))
     dst_half = rows(head.score_vec, np.arange(d1, 2 * d1))
     per_src = matmul(projected, src_half)
     per_dst = matmul(projected, dst_half)
     pair_term = add(per_src, transpose(per_dst))
-    weights, mask = _scoring_adjacency(g)
-    scores = sigmoid(mul(Tensor(weights), pair_term))
+    scores = sigmoid(mul(Tensor(g.weights), pair_term))
     if not np.all(np.isfinite(scores.value)):
         raise NumericError("non-finite attention score")
-    alpha = masked_softmax_rows(scores, mask)
+    alpha = masked_softmax_rows(scores, g.mask)
     return alpha, projected
 
 
-def attention_coefficients(g: SnapshotGraph, head: AttentionHead, w_prev) -> Tensor:
+def attention_coefficients(g: SnapshotGraph | AttentionInputs, head: AttentionHead,
+                           w_prev) -> Tensor:
     """The (n_k, n_k) coefficient matrix of one head.
 
     Each row is a distribution over the node's attention neighborhood;
     entries outside the neighborhood are exactly zero.
     """
-    alpha, _ = _head_attention(g, head, as_tensor(w_prev))
+    alpha, _ = _head_attention(attention_inputs(g), head, as_tensor(w_prev))
     return alpha
 
 
-def evolve_weights(g: SnapshotGraph, transition: Transition, w_prev) -> Tensor:
+def evolve_weights(g: SnapshotGraph | AttentionInputs, transition: Transition,
+                   w_prev) -> Tensor:
     """First-layer weights for snapshot ``g`` derived from ``w_prev``.
 
     Returns a full (n_global, hidden) matrix: rows of nodes present in
@@ -122,8 +140,8 @@ def evolve_weights(g: SnapshotGraph, transition: Transition, w_prev) -> Tensor:
     w_prev = as_tensor(w_prev)
     if not transition.heads:
         raise ShapeError("transition with no attention heads")
-    ids = np.asarray(g.nodes, dtype=np.intp)
-    if ids.size == 0:
+    g = attention_inputs(g)
+    if g.ids.size == 0:
         raise ShapeError("cannot evolve weights into an empty snapshot")
     mixed = None
     for head in transition.heads:
@@ -131,4 +149,4 @@ def evolve_weights(g: SnapshotGraph, transition: Transition, w_prev) -> Tensor:
         z = matmul(alpha, projected)
         mixed = z if mixed is None else add(mixed, z)
     new_rows = elu(scale(mixed, 1.0 / len(transition.heads)))
-    return with_rows(w_prev, ids, new_rows)
+    return with_rows(w_prev, g.ids, new_rows)

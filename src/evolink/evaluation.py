@@ -310,6 +310,11 @@ def _prepare(event: EventSequence, k: int, window_len: int
     return window, links, scoreable, constant_baseline(window)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+
+
 def _trial_seeds(*entropy: int) -> tuple[int, int, int]:
     """Teacher, student and split seeds of the trial drawn from ``entropy``."""
     return derive_seed(*entropy, 0), derive_seed(*entropy, 1), derive_seed(*entropy, 2)
@@ -339,8 +344,7 @@ def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     for scorer in scorers:
         if scorer not in SCORERS:
             raise ConfigError(f"unknown scorer {scorer!r}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if trial_seeds is not None and len(trial_seeds) != trials:
         raise ConfigError(f"{len(trial_seeds)} trial seeds for {trials} trials")
     if teacher_cfg.window != student_cfg.window:
@@ -418,6 +422,7 @@ def sweep_gamma(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     student init, same test split) across every gamma, so the sweep
     isolates the blend weight. Scoring uses the dot scorer.
     """
+    _check_trials(trials)
     window, _, scoreable, _ = _prepare(event, k, teacher_cfg.window)
     n_global = event.n_global
 

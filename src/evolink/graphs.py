@@ -205,16 +205,21 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
                          registry=registry, weight_scale=scale)
 
 
-def normalize_adjacency(g: SnapshotGraph) -> Array:
+def normalize_adjacency(g: SnapshotGraph | Array) -> Array:
     """Symmetrically normalized adjacency with self-loops.
 
-    Returns ``D^(-1/2) (A + I) D^(-1/2)`` where ``D`` holds the row sums
-    of ``A + I``. The result is exactly symmetric and every entry lies in
+    ``g`` is a snapshot or its dense adjacency, ``g.adjacency()``. Returns
+    ``D^(-1/2) (A + I) D^(-1/2)`` where ``D`` holds the row sums of
+    ``A + I``. The result is exactly symmetric and every entry lies in
     ``[0, 1]``; an isolated node gets a 1 on the diagonal.
     """
-    if g.n < 1:
+    a = g.adjacency() if isinstance(g, SnapshotGraph) else np.asarray(g, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MalformedGraphError(f"adjacency must be a square matrix, got {a.shape}")
+    n = a.shape[0]
+    if n < 1:
         raise MalformedGraphError("cannot normalize an empty snapshot")
-    a_tilde = g.adjacency() + np.eye(g.n)
+    a_tilde = a + np.eye(n)
     if not np.all(np.isfinite(a_tilde)):
         raise MalformedGraphError("non-finite adjacency entries")
     inv_root = 1.0 / np.sqrt(a_tilde.sum(axis=1))

@@ -4,21 +4,25 @@ The model over a window of ``window + 1`` consecutive snapshots holds one
 free first-layer matrix for the oldest snapshot, a second-layer matrix per
 snapshot, and ``window`` attention transitions that derive each later
 first-layer matrix from the previous one. Training reconstructs the final
-snapshot's weighted adjacency from sigmoid pair scores.
+snapshot's weighted adjacency from sigmoid pair scores. The constant
+arrays a window needs are built once into a :class:`WindowData`.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
-from .attention import AttentionHead, Transition, evolve_weights
+from .attention import AttentionHead, AttentionInputs, Transition, evolve_weights
 from .errors import ConfigError, ShapeError
-from .gcn import Embeddings, GcnParams, gcn_forward, identity_features, param_spec
+from .gcn import (Embeddings, GcnParams, IdentityFeatures, gcn_forward, identity_features,
+                  param_spec)
 from .graphs import SnapshotGraph, normalize_adjacency
-from .tape import Tensor, add, matmul, mean, param, scale, sigmoid, sqrt, square, sub, transpose
+from .tape import Tensor, add, as_tensor, param, rmse_sigmoid_gram, scale
 
 Array = np.ndarray
 
@@ -46,6 +50,14 @@ class ModelConfig:
     role: str = "teacher"
 
     def __post_init__(self):
+        for name in ("window", "heads", "hidden_dim", "embed_dim", "epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.window < 0:
             raise ConfigError(f"window must be >= 0, got {self.window}")
         if self.heads < 1:
@@ -53,8 +65,8 @@ class ModelConfig:
         if not 0 < self.embed_dim <= self.hidden_dim:
             raise ConfigError(f"need 0 < embed_dim <= hidden_dim, got "
                               f"{self.embed_dim} and {self.hidden_dim}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -74,6 +86,54 @@ def student_defaults(**overrides) -> ModelConfig:
     base = ModelConfig(heads=1, hidden_dim=8, embed_dim=4, role="student",
                        epochs=600, lr=2e-3)
     return replace(base, **overrides)
+
+
+@dataclass(frozen=True, eq=False)
+class WindowData:
+    """The constant arrays of one window, built once per fit or inference.
+
+    Per snapshot: its node ids as ``features`` and its normalized adjacency
+    ``a_hats[i]``. Per transition: the attention inputs of the snapshot it
+    leads into, ``attention[i - 1]`` for snapshot ``i``. ``target`` is the
+    final snapshot's weighted adjacency, which the losses read. Each
+    snapshot's adjacency is built once, and every array is read-only.
+    """
+
+    features: tuple[IdentityFeatures, ...]
+    a_hats: tuple[Array, ...]
+    attention: tuple[AttentionInputs, ...]
+    target: Array
+
+    @classmethod
+    def build(cls, window: list[SnapshotGraph]) -> "WindowData":
+        if not window:
+            raise ConfigError("a window needs at least one snapshot")
+        a_hats, attention = [], []
+        for i, g in enumerate(window):
+            adjacency = g.adjacency()
+            a_hats.append(normalize_adjacency(adjacency))
+            if i > 0:
+                attention.append(AttentionInputs.from_adjacency(
+                    np.asarray(g.nodes, dtype=np.intp), adjacency))
+        data = cls(features=tuple(identity_features(g) for g in window),
+                   a_hats=tuple(a_hats), attention=tuple(attention), target=adjacency)
+        for arr in (*a_hats, *(v for a in attention for v in (a.ids, a.weights, a.mask)),
+                    adjacency):
+            arr.flags.writeable = False
+        return data
+
+    def __len__(self) -> int:
+        return len(self.a_hats)
+
+    @property
+    def n(self) -> int:
+        """Node count of the final snapshot, the one the losses score."""
+        return self.target.shape[0]
+
+
+def window_data(window: list[SnapshotGraph] | WindowData) -> WindowData:
+    """The constants of ``window``; passes a WindowData through."""
+    return window if isinstance(window, WindowData) else WindowData.build(window)
 
 
 class GcnChain:
@@ -109,7 +169,13 @@ class GcnChain:
     def from_arrays(cls, config: ModelConfig, n_global: int, arrays: dict[str, Array],
                     registry: dict[int, int] | None = None) -> "GcnChain":
         """A chain whose leaves hold ``arrays``, keyed by :func:`param_spec` names."""
-        p = {name: param(value, name) for name, value in arrays.items()}
+        return cls._from_leaves(config, n_global,
+                                {name: param(value, name) for name, value in arrays.items()},
+                                registry)
+
+    @classmethod
+    def _from_leaves(cls, config: ModelConfig, n_global: int, p: dict[str, Tensor],
+                     registry: dict[int, int] | None = None) -> "GcnChain":
         w2 = [p[f"w2/{i}"] for i in range(config.window + 1)]
         transitions = [Transition(heads=[AttentionHead(transform=p[f"attn/{t}/{j}/transform"],
                                                        score_vec=p[f"attn/{t}/{j}/score"])
@@ -154,41 +220,46 @@ class GcnChain:
             h.update(arr.astype("<f8").tobytes())
         return h.hexdigest()[:16]
 
-    def forward(self, window: list[SnapshotGraph],
-                a_hats: list[Array] | None = None) -> list[Tensor]:
+    def forward(self, window: list[SnapshotGraph] | WindowData) -> list[Tensor]:
         """Embeddings for every window snapshot, recorded on the tape."""
         if len(window) != self.config.window + 1:
             raise ConfigError(f"window of {len(window)} snapshots for a model "
                               f"spanning {self.config.window + 1}")
-        if a_hats is None:
-            a_hats = [normalize_adjacency(g) for g in window]
+        data = window_data(window)
         zs: list[Tensor] = []
         w1 = self.w1_first
-        for i, g in enumerate(window):
+        for i, features in enumerate(data.features):
             if i > 0:
-                w1 = evolve_weights(g, self.transitions[i - 1], w1)
-            z = gcn_forward(a_hats[i], identity_features(g), GcnParams(w1=w1, w2=self.w2[i]))
+                w1 = evolve_weights(data.attention[i - 1], self.transitions[i - 1], w1)
+            z = gcn_forward(data.a_hats[i], features, GcnParams(w1=w1, w2=self.w2[i]))
             zs.append(z)
         return zs
 
-    def embeddings(self, window: list[SnapshotGraph]) -> Embeddings:
-        """Inference-only final-snapshot embeddings."""
-        z = self.forward(window)[-1]
-        return Embeddings(z=z.value.copy(), ids=window[-1].nodes)
+    def embeddings(self, window: list[SnapshotGraph] | WindowData) -> Embeddings:
+        """Inference-only final-snapshot embeddings.
+
+        The pass runs on constants sharing the leaves' values, so it records
+        no tape and frees each intermediate as soon as it is used.
+        """
+        data = window_data(window)
+        constants = {name: Tensor(leaf.value) for name, leaf in self.trainable().items()}
+        frozen = GcnChain._from_leaves(self.config, self.n_global, constants)
+        z = frozen.forward(data)[-1]
+        return Embeddings(z=z.value.copy(), ids=data.features[-1].ids)
 
 
-def reconstruction_loss(z, g: SnapshotGraph) -> Tensor:
+def reconstruction_loss(z, g: SnapshotGraph | WindowData) -> Tensor:
     """Root mean squared gap between sigmoid pair scores and the adjacency.
 
     The target matrix is the snapshot's weighted adjacency with a zero
-    diagonal; the mean runs over all n^2 ordered pairs.
+    diagonal (for a WindowData, the final snapshot's); the mean runs over
+    all n^2 ordered pairs.
     """
-    zt = z if isinstance(z, Tensor) else Tensor(z)
+    zt = as_tensor(z)
     if zt.value.ndim != 2 or zt.shape[0] != g.n:
         raise ShapeError(f"embeddings with {zt.shape} rows for a {g.n}-node snapshot")
-    target = Tensor(g.adjacency())
-    scores = sigmoid(matmul(zt, transpose(zt)))
-    return sqrt(mean(square(sub(scores, target))))
+    target = g.target if isinstance(g, WindowData) else g.adjacency()
+    return rmse_sigmoid_gram(zt, target)
 
 
 def soft_scores(z: Array) -> Array:
@@ -197,7 +268,8 @@ def soft_scores(z: Array) -> Array:
     return expit(z @ z.T)
 
 
-def distillation_loss(z_student, z_teacher, g: SnapshotGraph, gamma: float) -> Tensor:
+def distillation_loss(z_student, z_teacher, g: SnapshotGraph | WindowData,
+                      gamma: float) -> Tensor:
     """Blend of matching the teacher's soft scores and fitting the data.
 
     ``(1 - gamma)`` weights the root mean squared deviation between the
@@ -212,9 +284,9 @@ def distillation_loss(z_student, z_teacher, g: SnapshotGraph, gamma: float) -> T
     return _distillation_from_soft(z_student, soft_scores(z_t), g, gamma)
 
 
-def _distillation_from_soft(z_student, soft_target: Array, g: SnapshotGraph,
+def _distillation_from_soft(z_student, soft_target: Array, g: SnapshotGraph | WindowData,
                             gamma: float) -> Tensor:
-    zs = z_student if isinstance(z_student, Tensor) else Tensor(z_student)
+    zs = as_tensor(z_student)
     if zs.value.ndim != 2 or zs.shape[0] != g.n:
         raise ShapeError(f"student embeddings with {zs.shape} rows for a "
                          f"{g.n}-node snapshot")
@@ -223,8 +295,7 @@ def _distillation_from_soft(z_student, soft_target: Array, g: SnapshotGraph,
     if soft_target.shape != (g.n, g.n):
         raise ShapeError(f"soft target shape {soft_target.shape} does not match "
                          f"({g.n}, {g.n})")
-    student_scores = sigmoid(matmul(zs, transpose(zs)))
-    teacher_term = sqrt(mean(square(sub(student_scores, Tensor(soft_target)))))
+    teacher_term = rmse_sigmoid_gram(zs, soft_target)
     if gamma == 0.0:
         return teacher_term
     return add(scale(teacher_term, 1.0 - gamma), scale(reconstruction_loss(zs, g), gamma))

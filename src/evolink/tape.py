@@ -1,10 +1,14 @@
 """Recorded dense-array computations with reverse-mode gradients.
 
-Every operation returns a new Tensor that remembers its parents and how to
-push a gradient back to them, so a forward pass implicitly records an
+A tensor requires a gradient if it is a :func:`param` leaf or is computed
+from one; a plain ``Tensor(...)`` is a constant. Every operation returns a
+new Tensor, and one that requires a gradient remembers its parents and how
+to push a gradient back to them, so a forward pass implicitly records an
 acyclic operation log. Calling :func:`backward` on a scalar result walks
-that log once in reverse topological order and fills ``.grad`` on every
-tensor the result depends on. All storage is float64.
+that log once in reverse topological order. A gradient is allocated at
+its first contribution, and an interior node's gradient is dropped as
+soon as it has been passed on, so after the call ``.grad`` is set on the
+reached ``param`` leaves only. All storage is float64.
 """
 from __future__ import annotations
 
@@ -19,14 +23,17 @@ Array = np.ndarray
 class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("value", "grad", "name", "_parents", "_backward")
+    __slots__ = ("value", "grad", "name", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, *, name: str | None = None, _parents=(), _backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
         self.name = name
-        self._parents: tuple[Tensor, ...] = _parents
-        self._backward = _backward
+        # Only a tensor that needs a gradient keeps its parents and backward
+        # closure, so constant intermediates are freed as soon as unused.
+        self.requires_grad = any(p.requires_grad for p in _parents)
+        self._parents: tuple[Tensor, ...] = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,13 +76,20 @@ def param(value, name: str | None = None) -> Tensor:
     t = Tensor(value, name=name)
     if not np.all(np.isfinite(t.value)):
         raise NumericError(f"non-finite entries in parameter {name!r}")
+    t.requires_grad = True
     return t
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every ancestor of loss."""
+    """Set ``t.grad`` to d(loss)/d(t) on every ``param`` leaf that loss reaches.
+
+    Only tensors that require a gradient are walked. Interior gradients are
+    released once passed on; a reached leaf's previous gradient is replaced.
+    """
     if loss.value.shape != ():
         raise ShapeError(f"backward requires a scalar, got shape {loss.value.shape}")
+    if not loss.requires_grad:
+        return
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -89,14 +103,28 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     for t in order:
-        t.grad = np.zeros_like(t.value)
+        t.grad = None
     loss.grad = np.ones((), dtype=np.float64)
     for t in reversed(order):
         if t._backward is not None:
             t._backward(t.grad)
+            t.grad = None
+
+
+def _accumulate(t: Tensor, g: Array, fresh: bool = False) -> None:
+    """Add the contribution ``g`` to ``t.grad``.
+
+    The first contribution becomes the gradient: as it is when ``fresh``
+    (a new array of ``t``'s shape that nothing else holds), otherwise as a
+    copy broadcast to ``t``'s shape.
+    """
+    if t.grad is None:
+        t.grad = np.asarray(g) if fresh else np.array(np.broadcast_to(g, t.shape))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -125,79 +153,76 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = Tensor(a.value @ b.value, _parents=(a, b))
 
     def bw(g: Array) -> None:
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        if a.requires_grad:
+            _accumulate(a, g @ b.value.T, fresh=True)
+        if b.requires_grad:
+            _accumulate(b, a.value.T @ g, fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value @ b.value, _parents=(a, b), _backward=bw)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcastable(a, b, "add")
-    out = Tensor(a.value + b.value, _parents=(a, b))
 
     def bw(g: Array) -> None:
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad += _unbroadcast(g, b.shape)
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.shape)
+                _accumulate(t, gt, fresh=gt is not g)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value + b.value, _parents=(a, b), _backward=bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcastable(a, b, "sub")
-    out = Tensor(a.value - b.value, _parents=(a, b))
 
     def bw(g: Array) -> None:
-        a.grad += _unbroadcast(g, a.shape)
-        b.grad -= _unbroadcast(g, b.shape)
+        if a.requires_grad:
+            ga = _unbroadcast(g, a.shape)
+            _accumulate(a, ga, fresh=ga is not g)
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(g, b.shape), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value - b.value, _parents=(a, b), _backward=bw)
 
 
 def mul(a, b) -> Tensor:
     """Hadamard (elementwise) product with numpy broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
     _broadcastable(a, b, "mul")
-    out = Tensor(a.value * b.value, _parents=(a, b))
 
     def bw(g: Array) -> None:
-        a.grad += _unbroadcast(g * b.value, a.shape)
-        b.grad += _unbroadcast(g * a.value, b.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.value, a.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.value, b.shape), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value * b.value, _parents=(a, b), _backward=bw)
 
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    out = Tensor(a.value * c, _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += g * c
+        _accumulate(a, g * c, fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value * c, _parents=(a,), _backward=bw)
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.value.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d operand, got {a.shape}")
-    out = Tensor(a.value.T, _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += g.T
+        _accumulate(a, g.T)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value.T, _parents=(a,), _backward=bw)
 
 
 def concat_cols(a, b) -> Tensor:
@@ -206,14 +231,14 @@ def concat_cols(a, b) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
     p = a.shape[1]
-    out = Tensor(np.concatenate([a.value, b.value], axis=1), _parents=(a, b))
 
     def bw(g: Array) -> None:
-        a.grad += g[:, :p]
-        b.grad += g[:, p:]
+        if a.requires_grad:
+            _accumulate(a, g[:, :p])
+        if b.requires_grad:
+            _accumulate(b, g[:, p:])
 
-    out._backward = bw
-    return out
+    return Tensor(np.concatenate([a.value, b.value], axis=1), _parents=(a, b), _backward=bw)
 
 
 def rows(a, idx) -> Tensor:
@@ -226,13 +251,13 @@ def rows(a, idx) -> Tensor:
         raise ShapeError("rows: index must be one-dimensional")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"rows: index out of range for {a.shape[0]} rows")
-    out = Tensor(a.value[idx], _parents=(a,))
 
     def bw(g: Array) -> None:
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
         np.add.at(a.grad, idx, g)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value[idx], _parents=(a,), _backward=bw)
 
 
 def with_rows(base, idx, new) -> Tensor:
@@ -250,27 +275,25 @@ def with_rows(base, idx, new) -> Tensor:
         raise ShapeError("with_rows: duplicate row indices")
     value = base.value.copy()
     value[idx] = new.value
-    out = Tensor(value, _parents=(base, new))
 
     def bw(g: Array) -> None:
-        gb = g.copy()
-        gb[idx] = 0.0
-        base.grad += gb
-        new.grad += g[idx]
+        if base.requires_grad:
+            gb = g.copy()
+            gb[idx] = 0.0
+            _accumulate(base, gb, fresh=True)
+        if new.requires_grad:
+            _accumulate(new, g[idx], fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(value, _parents=(base, new), _backward=bw)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.value, 0.0), _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += g * (a.value > 0.0)
+        _accumulate(a, g * (a.value > 0.0), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(np.maximum(a.value, 0.0), _parents=(a,), _backward=bw)
 
 
 def elu(a) -> Tensor:
@@ -281,25 +304,21 @@ def elu(a) -> Tensor:
     # the spurious overflow warning that can generate.
     with np.errstate(over="ignore"):
         value = np.where(pos, a.value, np.expm1(a.value))
-    out = Tensor(value, _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += g * np.where(pos, 1.0, np.exp(np.minimum(a.value, 0.0)))
+        _accumulate(a, g * np.where(pos, 1.0, np.exp(np.minimum(a.value, 0.0))), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(value, _parents=(a,), _backward=bw)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     s = expit(a.value)
-    out = Tensor(s, _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += g * s * (1.0 - s)
+        _accumulate(a, g * s * (1.0 - s), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(s, _parents=(a,), _backward=bw)
 
 
 def masked_softmax_rows(a, mask) -> Tensor:
@@ -315,32 +334,30 @@ def masked_softmax_rows(a, mask) -> Tensor:
         raise ShapeError(f"masked_softmax_rows: mask {mask.shape} does not match {a.shape}")
     if not mask.any(axis=1).all():
         raise DegenerateSoftmaxError("softmax row with every entry masked")
-    z = np.where(mask, a.value, -np.inf)
-    m = z.max(axis=1, keepdims=True)
+    # One n x n buffer holds the masked scores, then their exponentials,
+    # then the result.
+    out_val = np.where(mask, a.value, -np.inf)
+    m = out_val.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
-        e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    out_val = e / s
-    out = Tensor(out_val, _parents=(a,))
+        np.subtract(out_val, m, out=out_val)
+        np.exp(out_val, out=out_val)
+    np.divide(out_val, out_val.sum(axis=1, keepdims=True), out=out_val)
 
     def bw(g: Array) -> None:
         inner = (g * out_val).sum(axis=1, keepdims=True)
-        a.grad += out_val * (g - inner)
+        _accumulate(a, out_val * (g - inner), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(out_val, _parents=(a,), _backward=bw)
 
 
 def tsum(a) -> Tensor:
     """Reduce to a scalar by summing every entry."""
     a = as_tensor(a)
-    out = Tensor(a.value.sum(), _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += g
+        _accumulate(a, g)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value.sum(), _parents=(a,), _backward=bw)
 
 
 def mean(a) -> Tensor:
@@ -348,24 +365,20 @@ def mean(a) -> Tensor:
     n = a.value.size
     if n == 0:
         raise ShapeError("mean of an empty tensor")
-    out = Tensor(a.value.mean(), _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += g / n
+        _accumulate(a, g / n)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value.mean(), _parents=(a,), _backward=bw)
 
 
 def square(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.value * a.value, _parents=(a,))
 
     def bw(g: Array) -> None:
-        a.grad += 2.0 * a.value * g
+        _accumulate(a, 2.0 * a.value * g, fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(a.value * a.value, _parents=(a,), _backward=bw)
 
 
 def sqrt(a) -> Tensor:
@@ -374,11 +387,39 @@ def sqrt(a) -> Tensor:
     if np.any(a.value < 0.0):
         raise NumericError("sqrt of a negative value")
     root = np.sqrt(a.value)
-    out = Tensor(root, _parents=(a,))
 
     def bw(g: Array) -> None:
         safe = np.where(root > 0.0, root, 1.0)
-        a.grad += g * np.where(root > 0.0, 0.5 / safe, 0.0)
+        _accumulate(a, g * np.where(root > 0.0, 0.5 / safe, 0.0), fresh=True)
 
-    out._backward = bw
-    return out
+    return Tensor(root, _parents=(a,), _backward=bw)
+
+
+def rmse_sigmoid_gram(z, target) -> Tensor:
+    """``sqrt(mean((sigmoid(z z^T) - target)^2))`` as one recorded op.
+
+    ``target`` is a constant (n, n) array for the (n, d) matrix ``z``. The
+    value and the gradient are bit-identical to the composed chain
+    ``sqrt(mean(square(sub(sigmoid(matmul(z, transpose(z))), target))))``:
+    the backward repeats that chain's float operations in the tape's order,
+    without recording its n x n intermediates.
+    """
+    z = as_tensor(z)
+    target = np.asarray(target, dtype=np.float64)
+    if z.value.ndim != 2 or target.shape != (z.shape[0], z.shape[0]):
+        raise ShapeError(f"rmse_sigmoid_gram: target {target.shape} does not match "
+                         f"embeddings {z.shape}")
+    zv = z.value
+    s = expit(zv @ zv.T)
+    diff = s - target
+    root = np.sqrt((diff * diff).mean())
+
+    def bw(g: Array) -> None:
+        # sqrt, mean, square, sub, sigmoid, then the two halves of z z^T.
+        safe = np.where(root > 0.0, root, 1.0)
+        g_mean = g * np.where(root > 0.0, 0.5 / safe, 0.0)
+        g_gram = 2.0 * diff * (g_mean / diff.size) * s * (1.0 - s)
+        _accumulate(z, g_gram @ zv, fresh=True)
+        z.grad += (zv.T @ g_gram).T
+
+    return Tensor(root, _parents=(z,), _backward=bw)

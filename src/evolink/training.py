@@ -1,9 +1,9 @@
 """Training loops for teacher and distilled student models.
 
-Both loops rebuild the forward tape every epoch over a fixed window,
-backpropagate a scalar loss, and apply one full-batch Adam update. All
-randomness comes from the model config seed, so a (seed, window) pair
-reproduces training bit for bit.
+Both loops build the window's constants once, rebuild the forward tape
+every epoch over them, backpropagate a scalar loss, and apply one
+full-batch Adam update. All randomness comes from the model config seed,
+so a (seed, window) pair reproduces training bit for bit.
 """
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
 from .gcn import Embeddings, param_spec
-from .graphs import SnapshotGraph, normalize_adjacency
+from .graphs import SnapshotGraph
 from .model import (
     GcnChain,
     ModelConfig,
+    WindowData,
     _distillation_from_soft,
     reconstruction_loss,
     soft_scores,
@@ -50,19 +51,18 @@ class DistillationBundle:
         return self.student_config.gamma
 
 
-def _fit(chain: GcnChain, window: list[SnapshotGraph], loss_fn) -> TrainingTrace:
-    a_hats = [normalize_adjacency(g) for g in window]
+def _fit(chain: GcnChain, data: WindowData, loss_fn) -> TrainingTrace:
     opt = Adam(chain.trainable(), lr=chain.config.lr)
     trace = TrainingTrace()
     for _ in range(chain.config.epochs):
         t0 = time.perf_counter()
-        z_final = chain.forward(window, a_hats)[-1]
-        loss = loss_fn(z_final, window[-1])
+        loss = loss_fn(chain.forward(data)[-1], data)
         loss_value = float(loss.value)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(f"loss became {loss_value} at epoch "
                                         f"{len(trace.losses)}", trace=trace)
         backward(loss)
+        del loss  # release this epoch's tape before the next forward pass
         try:
             opt.step()
         except TrainingDivergedError as exc:
@@ -100,8 +100,9 @@ def train_teacher(window: list[SnapshotGraph], cfg: ModelConfig, n_global: int,
                 raise ConfigError(f"warm-start parameters do not provide {name!r} "
                                   f"with shape {shape}")
             leaves[name].value = warm[name]
-    trace = _fit(chain, window, reconstruction_loss)
-    return chain, trace, chain.embeddings(window)
+    data = WindowData.build(window)
+    trace = _fit(chain, data, reconstruction_loss)
+    return chain, trace, chain.embeddings(data)
 
 
 def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
@@ -126,5 +127,6 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
         raise ConfigError("teacher embeddings do not cover the window's final snapshot")
     chain = GcnChain.init(cfg, n_global, registry)
     soft = soft_scores(bundle.teacher_embeddings.z)
-    trace = _fit(chain, window, lambda z, g: _distillation_from_soft(z, soft, g, bundle.gamma))
+    trace = _fit(chain, WindowData.build(window),
+                 lambda z, data: _distillation_from_soft(z, soft, data, bundle.gamma))
     return chain, trace

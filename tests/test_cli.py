@@ -163,3 +163,11 @@ def test_errors_exit_one_with_message(tmp_path, capsys):
     manifest_cfg = write_config(tmp_path, data={"manifest": "nowhere/manifest.json"})
     assert main(["simulate", str(manifest_cfg)]) == 1
     assert "data.simulate" in capsys.readouterr().err
+
+
+def test_non_integer_model_field_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, teacher={"window": 1, "heads": 2.5, "hidden_dim": 6,
+                                          "embed_dim": 3, "epochs": 6, "lr": 0.01})
+    assert main(["train-teacher", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "heads must be an integer" in err

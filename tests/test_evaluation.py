@@ -296,6 +296,11 @@ def test_sweep_gamma_rows():
     assert rows[0].student_rmse_mean != rows[1].student_rmse_mean
 
 
+def test_sweep_gamma_rejects_no_trials():
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        sweep_gamma(make_event(), 1, tiny_teacher(), tiny_student(), trials=0)
+
+
 def test_gamma_grid_is_the_nine_tenths():
     assert GAMMA_GRID == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 

@@ -157,6 +157,14 @@ class TestNormalizeAdjacency:
     def test_single_node(self):
         assert np.array_equal(normalize_adjacency(snap(0, [0], [])), np.eye(1))
 
+    def test_takes_the_dense_adjacency(self):
+        g = snap(0, [0, 1, 2], [(0, 1, 0.5), (1, 2, 0.25)])
+        dense = g.adjacency()
+        assert np.array_equal(normalize_adjacency(dense), normalize_adjacency(g))
+        assert np.array_equal(dense, g.adjacency())  # the input is not modified
+        with pytest.raises(MalformedGraphError):
+            normalize_adjacency(np.zeros((2, 3)))
+
 
 def small_event(num_snapshots=6) -> EventSequence:
     rng = np.random.default_rng(3)

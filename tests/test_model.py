@@ -14,6 +14,7 @@ from evolink.graphs import SnapshotGraph
 from evolink.model import (
     GcnChain,
     ModelConfig,
+    WindowData,
     distillation_loss,
     reconstruction_loss,
     soft_scores,
@@ -79,10 +80,29 @@ def recon_oracle(z, g):
     dict(gamma=-0.1),
     dict(gamma=1.2),
     dict(role="critic"),
+    dict(heads=2.5),
+    dict(window=True),
+    dict(epochs=True),
+    dict(hidden_dim="32"),
+    dict(embed_dim=4.0),
+    dict(seed=1.5),
+    dict(seed=False),
+    dict(lr="0.01"),
+    dict(lr=True),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
+    dict(gamma=None),
+    dict(gamma="0.5"),
+    dict(gamma=True),
 ])
 def test_config_rejects(bad):
     with pytest.raises(ConfigError):
         ModelConfig(**bad)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ModelConfig(window=np.int64(2), heads=np.int32(2), gamma=np.float64(0.25))
+    assert count_params(cfg, 5) == count_params(ModelConfig(window=2, heads=2), 5)
 
 
 def test_default_helpers():
@@ -176,6 +196,29 @@ def test_forward_shapes_and_embeddings():
     emb = chain.embeddings(window)
     assert emb.ids == window[-1].nodes
     np.testing.assert_array_equal(emb.z, zs[-1].value)
+
+
+def test_window_data_gives_the_snapshot_path_bits():
+    """The constants of a window whose last snapshot has an isolated node:
+    the same embeddings and losses as the snapshots themselves, the
+    attention self-entry only in the attention weights, and read-only
+    arrays."""
+    cfg = ModelConfig(window=2, heads=2, hidden_dim=6, embed_dim=3, seed=2)
+    chain = GcnChain.init(cfg, n_global=7)
+    window = line_window(1, n=6) + [make_snapshot(2, range(7), [(0, 1, 0.4), (2, 3, 0.6),
+                                                                (3, 4, 0.3), (4, 5, 0.8)])]
+    data = WindowData.build(window)
+    assert len(data) == 3 and data.n == 7
+    np.testing.assert_array_equal(chain.forward(data)[-1].value,
+                                  chain.forward(window)[-1].value)
+    z = np.random.default_rng(4).normal(size=(7, 3))
+    assert reconstruction_loss(z, data).value == reconstruction_loss(z, window[-1]).value
+    assert (distillation_loss(z, z[:, :2], data, 0.3).value
+            == distillation_loss(z, z[:, :2], window[-1], 0.3).value)
+    np.testing.assert_array_equal(data.target, window[-1].adjacency())
+    assert data.attention[-1].weights[6, 6] == 1.0 and data.attention[-1].mask[6, 6]
+    with pytest.raises(ValueError):
+        data.a_hats[0][0, 0] = 0.0
 
 
 # -- reconstruction loss ----------------------------------------------------

@@ -7,12 +7,13 @@ to keep near-zero coordinates from blowing up the ratio.
 """
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from evolink.errors import DegenerateSoftmaxError, NumericError, ShapeError
 from evolink.tape import (Tensor, add, backward, concat_cols, elu,
                           masked_softmax_rows, matmul, mean, mul, param, relu,
-                          rows, scale, sigmoid, sqrt, square, sub, tsum,
-                          transpose, with_rows)
+                          rmse_sigmoid_gram, rows, scale, sigmoid, sqrt, square,
+                          sub, tsum, transpose, with_rows)
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -171,6 +172,65 @@ def test_single_unmasked_entry_is_exactly_one():
     out = masked_softmax_rows(a, mask).value
     assert out[0, 1] == 1.0
     assert out[0, 0] == 0.0 and out[0, 2] == 0.0
+
+
+def test_rmse_sigmoid_gram_gradient(rng):
+    z = param(rng.normal(0, 0.6, size=(5, 3)), "z")
+    target = rng.uniform(0.0, 1.0, size=(5, 5))
+    fd_check(lambda: rmse_sigmoid_gram(z, target), [z])
+
+
+def composed_rmse(z, target):
+    return sqrt(mean(square(sub(sigmoid(matmul(z, transpose(z))), Tensor(target)))))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rmse_sigmoid_gram_is_the_composed_chain(exact, rng):
+    """Value and gradient equal the seven-op chain bit for bit, under a
+    non-unit incoming gradient and two consumers of z. ``exact`` makes the
+    target the scores themselves, so the root is 0 and its derivative is
+    pinned to 0."""
+    z0 = rng.normal(0, 0.7, size=(6, 3))
+    target = expit(z0 @ z0.T) if exact else rng.uniform(0.0, 1.0, size=(6, 6))
+    other = rng.uniform(0.0, 1.0, size=(6, 6))
+    results = []
+    for rmse in (composed_rmse, rmse_sigmoid_gram):
+        z = param(z0, "z")
+        loss = add(scale(rmse(z, target), 0.3), scale(rmse(z, other), 0.7))
+        backward(loss)
+        results.append((loss.value, z.grad))
+    (chain_value, chain_grad), (fused_value, fused_grad) = results
+    assert np.array_equal(fused_value, chain_value)
+    assert np.array_equal(fused_grad, chain_grad)
+    if exact:
+        plain = param(z0, "z")
+        backward(rmse_sigmoid_gram(plain, target))
+        assert np.array_equal(plain.grad, np.zeros_like(z0))
+
+
+def test_rmse_sigmoid_gram_shape_check():
+    with pytest.raises(ShapeError):
+        rmse_sigmoid_gram(Tensor(np.zeros((3, 2))), np.zeros((2, 2)))
+
+
+def test_gradients_are_kept_on_reached_params_only(rng):
+    a = param(rng.normal(size=(3, 2)), "a")
+    b = param(rng.normal(size=(2, 2)), "b")
+    unreached = param(rng.normal(size=(2, 2)), "unreached")
+    const = Tensor(rng.normal(size=(3, 2)))
+    hidden = sigmoid(matmul(a, b))
+    mixed = mul(hidden, const)
+    loss = tsum(sub(mixed, Tensor(np.ones((3, 2)))))
+    backward(loss)
+    assert a.grad is not None and b.grad is not None
+    assert unreached.grad is None
+    for t in (const, hidden, mixed, loss):
+        assert t.grad is None
+    assert not const.requires_grad and hidden.requires_grad
+
+    constant_loss = tsum(const)
+    backward(constant_loss)
+    assert constant_loss.grad is None and const.grad is None
 
 
 def test_backward_requires_scalar():

@@ -1,12 +1,17 @@
-"""Training-loop tests: reproducibility, warm starts, and the distillation
-boundary where gamma = 1 collapses onto plain reconstruction training."""
+"""Training-loop tests: reproducibility, warm starts, the distillation
+boundary where gamma = 1 collapses onto plain reconstruction training, and
+the cost of a fit: adjacency builds and peak memory."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from evolink.errors import ConfigError, NumericError, TrainingDivergedError
 from evolink.gcn import Embeddings
-from evolink.graphs import SnapshotGraph
-from evolink.model import GcnChain, ModelConfig, reconstruction_loss
+from evolink.graphs import SnapshotGraph, build_window, normalize_weights
+from evolink.model import (GcnChain, ModelConfig, reconstruction_loss, student_defaults,
+                           teacher_defaults)
+from evolink.simulate import SimConfig, simulate_event
 from evolink.training import DistillationBundle, distill_student, train_teacher
 
 N = 8
@@ -187,3 +192,64 @@ def test_registry_carried_onto_trained_models():
     bundle = DistillationBundle(teacher, emb, tiny_student())
     student, _ = distill_student(bundle, window, N, registry=registry)
     assert student.registry == registry
+
+
+def count_adjacency_builds(monkeypatch):
+    calls = []
+    build = SnapshotGraph.adjacency
+
+    def counting(g):
+        calls.append(g.index)
+        return build(g)
+
+    monkeypatch.setattr(SnapshotGraph, "adjacency", counting)
+    return calls
+
+
+def test_each_snapshot_adjacency_is_built_once_per_fit(monkeypatch):
+    window = make_window(window=3)
+    calls = count_adjacency_builds(monkeypatch)
+    builds = {}
+    for epochs in (1, 5):
+        calls.clear()
+        teacher, _, emb = train_teacher(window, tiny_teacher(window=3, heads=2,
+                                                             epochs=epochs), N)
+        builds["teacher", epochs] = len(calls)
+        calls.clear()
+        distill_student(DistillationBundle(teacher, emb, tiny_student(window=3, epochs=epochs)),
+                        window, N)
+        builds["student", epochs] = len(calls)
+    # One build per snapshot: the teacher's final embeddings reuse its fit's.
+    assert builds["teacher", 1] == builds["teacher", 5] == len(window)
+    assert builds["student", 1] == builds["student", 5] == len(window)
+    calls.clear()
+    teacher.embeddings(window)
+    assert len(calls) <= len(window)
+
+
+def test_fit_peak_memory_is_bounded():
+    """Peak traced memory of a 3-epoch fit at 320 viewers (n = 302), in
+    units of one n x n float64 array. Constants take no gradient, interior
+    gradients are released once passed on, and an epoch's tape is released
+    before the next forward pass: the teacher peaks near 50 units and the
+    student near 26, against 155 and 75 when every tape node kept a
+    gradient until the next epoch."""
+    event = normalize_weights(simulate_event(SimConfig(
+        offices=4, viewers=320, snapshots=8, arrival="front_loaded", seed=0)))
+    window = build_window(event, 6, 3)
+    unit = window[-1].n ** 2 * 8
+
+    def peak(fit):
+        tracemalloc.start()
+        try:
+            result = fit()
+            return result, tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    (teacher, _, emb), teacher_peak = peak(lambda: train_teacher(
+        window, teacher_defaults(epochs=3), event.n_global))
+    bundle = DistillationBundle(teacher, emb, student_defaults(epochs=3))
+    _, student_peak = peak(lambda: distill_student(bundle, window, event.n_global))
+    assert teacher_peak <= 80
+    assert student_peak <= 45
