@@ -20,22 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
-from .graphs import SnapshotGraph
-from .tape import (
-    Tensor,
-    add,
-    as_tensor,
-    elu,
-    masked_softmax_rows,
-    matmul,
-    mul,
-    rows,
-    scale,
-    sigmoid,
-    transpose,
-    with_rows,
-)
+from .errors import ShapeError
+from .graphs import NeighbourLists, SnapshotGraph
+from .tape import Tensor, add, as_tensor, edge_attention, edge_softmax, elu, rows, scale, with_rows
 
 Array = np.ndarray
 
@@ -63,70 +50,43 @@ class Transition:
 class AttentionInputs:
     """The constants of a snapshot that attention reads, built once.
 
-    ``ids`` are the sorted node ids as an index array. ``weights`` are the
-    edge weights used in the scores and ``mask`` the neighborhoods. Isolated
-    nodes get a self-entry of weight 1 so their softmax row is defined;
-    connected nodes attend to their graph neighbors only.
+    ``ids`` are the sorted node ids as an index array. ``edges`` are the
+    neighbourhoods as neighbour lists weighted by the edge weights used in
+    the scores: connected nodes attend to their graph neighbours only, and
+    an isolated node gets a self-entry of weight 1 so its softmax row is
+    defined.
     """
 
     ids: Array
-    weights: Array
-    mask: Array
+    edges: NeighbourLists
 
     @classmethod
-    def from_adjacency(cls, ids: Array, adjacency: Array) -> "AttentionInputs":
-        """Inputs from a snapshot's dense adjacency, which is not modified."""
-        mask = adjacency != 0.0
-        isolated = np.flatnonzero(~mask.any(axis=1))
-        weights = adjacency
-        if isolated.size:
-            weights = adjacency.copy()
-            weights[isolated, isolated] = 1.0
-            mask[isolated, isolated] = True
-        return cls(ids=ids, weights=weights, mask=mask)
+    def build(cls, g: SnapshotGraph) -> "AttentionInputs":
+        rows, cols, weights = g.edge_arrays
+        degree = np.bincount(rows, minlength=g.n) + np.bincount(cols, minlength=g.n)
+        ids = np.asarray(g.nodes, dtype=np.intp)
+        ids.flags.writeable = False
+        return cls(ids=ids, edges=NeighbourLists.symmetric(g.n, rows, cols, weights,
+                                                           np.flatnonzero(degree == 0)))
 
 
 def attention_inputs(g: SnapshotGraph | AttentionInputs) -> AttentionInputs:
     """The attention constants of ``g``; passes AttentionInputs through."""
-    if isinstance(g, AttentionInputs):
-        return g
-    return AttentionInputs.from_adjacency(np.asarray(g.nodes, dtype=np.intp), g.adjacency())
-
-
-def _head_attention(g: AttentionInputs, head: AttentionHead,
-                    w_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """Attention coefficients and transformed rows for one head."""
-    d1 = head.transform.shape[0]
-    if head.transform.shape != (d1, d1):
-        raise ShapeError(f"head transform must be square, got {head.transform.shape}")
-    if head.score_vec.shape != (2 * d1, 1):
-        raise ShapeError(f"score vector shape {head.score_vec.shape} does not match "
-                         f"(2*{d1}, 1)")
-    if w_prev.shape[1] != d1:
-        raise ShapeError(f"W1 width {w_prev.shape[1]} does not match head size {d1}")
-    projected = matmul(rows(w_prev, g.ids), transpose(head.transform))
-    # a . [p_u || p_v] splits into the two halves of the scoring vector.
-    src_half = rows(head.score_vec, np.arange(d1))
-    dst_half = rows(head.score_vec, np.arange(d1, 2 * d1))
-    per_src = matmul(projected, src_half)
-    per_dst = matmul(projected, dst_half)
-    pair_term = add(per_src, transpose(per_dst))
-    scores = sigmoid(mul(Tensor(g.weights), pair_term))
-    if not np.all(np.isfinite(scores.value)):
-        raise NumericError("non-finite attention score")
-    alpha = masked_softmax_rows(scores, g.mask)
-    return alpha, projected
+    return g if isinstance(g, AttentionInputs) else AttentionInputs.build(g)
 
 
 def attention_coefficients(g: SnapshotGraph | AttentionInputs, head: AttentionHead,
                            w_prev) -> Tensor:
-    """The (n_k, n_k) coefficient matrix of one head.
+    """The (n_k, n_k) coefficient matrix of one head, as a constant.
 
     Each row is a distribution over the node's attention neighborhood;
-    entries outside the neighborhood are exactly zero.
+    entries outside the neighborhood are exactly zero. A diagnostic: the
+    model itself never forms this matrix.
     """
-    alpha, _ = _head_attention(attention_inputs(g), head, as_tensor(w_prev))
-    return alpha
+    g = attention_inputs(g)
+    x = rows(as_tensor(w_prev), g.ids).value
+    _, _, alpha = edge_softmax(x, head.transform.value, head.score_vec.value, g.edges)
+    return Tensor(g.edges.matrix(alpha).toarray())
 
 
 def evolve_weights(g: SnapshotGraph | AttentionInputs, transition: Transition,
@@ -143,10 +103,10 @@ def evolve_weights(g: SnapshotGraph | AttentionInputs, transition: Transition,
     g = attention_inputs(g)
     if g.ids.size == 0:
         raise ShapeError("cannot evolve weights into an empty snapshot")
+    x = rows(w_prev, g.ids)
     mixed = None
     for head in transition.heads:
-        alpha, projected = _head_attention(g, head, w_prev)
-        z = matmul(alpha, projected)
+        z = edge_attention(x, head.transform, head.score_vec, g.edges)
         mixed = z if mixed is None else add(mixed, z)
     new_rows = elu(scale(mixed, 1.0 / len(transition.heads)))
     return with_rows(w_prev, g.ids, new_rows)

@@ -35,7 +35,7 @@ class OutOfRangeError(EvolinkError):
 
 
 class DegenerateSoftmaxError(EvolinkError):
-    """A softmax row has every entry masked out."""
+    """A softmax row has no entry to distribute over."""
 
 
 class TrainingDivergedError(EvolinkError):

@@ -141,6 +141,8 @@ class RunConfig:
             raise ConfigError(f"scorer must be dot, mlp, or both, got {self.scorer!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.teacher.window != self.student.window:
             raise ConfigError("teacher and student must span the same window")
 

@@ -10,13 +10,14 @@ model's trainable layout for init, checkpoints and the parameter count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .graphs import SnapshotGraph
-from .tape import Tensor, as_tensor, matmul, relu, rows
+from .tape import Tensor, constant_matmul, matmul, relu, rows
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -50,10 +51,14 @@ class Embeddings:
     z: Array
     ids: tuple[int, ...]
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {u: i for i, u in enumerate(self.ids)}
+
     def row(self, u: int) -> Array:
         try:
-            return self.z[self.ids.index(u)]
-        except ValueError:
+            return self.z[self._positions[u]]
+        except KeyError:
             raise KeyError(f"node {u} has no embedding") from None
 
 
@@ -73,16 +78,20 @@ def first_layer_input(features: IdentityFeatures, w1: Tensor) -> Tensor:
 
 
 def gcn_forward(a_hat, features: IdentityFeatures, params: GcnParams) -> Tensor:
-    """One snapshot encoder pass; returns the (n_k, embed_dim) output."""
-    a = as_tensor(a_hat)
-    if a.value.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"normalized adjacency must be square, got {a.shape}")
+    """One snapshot encoder pass; returns the (n_k, embed_dim) output.
+
+    ``a_hat`` is the snapshot's normalized adjacency, a dense array such as
+    ``normalize_adjacency(g)`` or a sparse one such as
+    ``normalize_adjacency_csr(g)``.
+    """
+    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
+        raise ShapeError(f"normalized adjacency must be square, got {a_hat.shape}")
     xw = first_layer_input(features, params.w1)
-    if xw.shape[0] != a.shape[0]:
+    if xw.shape[0] != a_hat.shape[0]:
         raise ShapeError(f"first-layer input has {xw.shape[0]} rows for "
-                         f"{a.shape[0]} nodes")
-    hidden = relu(matmul(a, xw))
-    return matmul(matmul(a, hidden), params.w2)
+                         f"{a_hat.shape[0]} nodes")
+    hidden = relu(constant_matmul(a_hat, xw))
+    return matmul(constant_matmul(a_hat, hidden), params.w2)
 
 
 def param_spec(cfg: "ModelConfig", n_global: int) -> dict[str, tuple[int, int]]:

@@ -10,8 +10,10 @@ are comparable with sigmoid outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import (
     EmptyEventError,
@@ -72,18 +74,87 @@ class SnapshotGraph:
         """Global node id -> row index in this snapshot's matrices."""
         return {u: i for i, u in enumerate(self.nodes)}
 
+    @cached_property
+    def edge_arrays(self) -> tuple[Array, Array, Array]:
+        """``(rows, cols, weights)``: each edge's matrix positions and weight.
+
+        Built from ``edges`` on first use and kept, read-only, so every
+        later window over this snapshot reuses them.
+        """
+        return _edge_arrays(self)
+
     def adjacency(self) -> Array:
         """Dense symmetric weight matrix with a zero diagonal."""
-        pos = self.position()
+        rows, cols, weights = self.edge_arrays
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v, w in self.edges:
-            i, j = pos[u], pos[v]
-            a[i, j] = w
-            a[j, i] = w
+        a[rows, cols] = weights
+        a[cols, rows] = weights
         return a
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
+
+
+def _edge_arrays(g: SnapshotGraph) -> tuple[Array, Array, Array]:
+    pos = g.position()
+    m = len(g.edges)
+    rows = np.fromiter((pos[u] for u, _, _ in g.edges), dtype=np.intp, count=m)
+    cols = np.fromiter((pos[v] for _, v, _ in g.edges), dtype=np.intp, count=m)
+    weights = np.fromiter((w for _, _, w in g.edges), dtype=np.float64, count=m)
+    for arr in (rows, cols, weights):
+        arr.flags.writeable = False
+    return rows, cols, weights
+
+
+@dataclass(frozen=True, eq=False)
+class NeighbourLists:
+    """A symmetric sparsity pattern over ``n`` nodes in CSR order.
+
+    Row ``u`` holds the entries ``indptr[u]:indptr[u + 1]``, columns
+    ascending; entry ``e`` links ``rows[e]`` to ``cols[e]`` with
+    ``weights[e]``. Every entry's mirror ``(cols[e], rows[e])`` is an entry
+    too. Index arrays are int32, which scipy.sparse takes without a copy.
+    All arrays are read-only.
+    """
+
+    indptr: Array
+    rows: Array
+    cols: Array
+    weights: Array
+
+    @classmethod
+    def symmetric(cls, n: int, rows: Array, cols: Array, weights: Array,
+                  loops: Array) -> "NeighbourLists":
+        """Each edge ``(rows[k], cols[k], weights[k])`` in both directions,
+        plus a unit self-entry at every position in ``loops``."""
+        r = np.concatenate([rows, cols, loops]).astype(np.int32)
+        c = np.concatenate([cols, rows, loops]).astype(np.int32)
+        w = np.concatenate([weights, weights, np.ones(len(loops))])
+        order = np.lexsort((c, r))
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
+        lists = cls(indptr=indptr, rows=r[order], cols=c[order], weights=w[order])
+        for arr in (lists.indptr, lists.rows, lists.cols, lists.weights):
+            arr.flags.writeable = False
+        return lists
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    @cached_property
+    def transpose(self) -> Array:
+        """``transpose[e]`` is the position of entry ``e``'s mirror, so
+        ``data[transpose]`` lays out the transposed matrix on this pattern."""
+        # The pattern is symmetric, so the k-th entry in (col, row) order
+        # is the mirror of the k-th entry in (row, col) order.
+        order = np.lexsort((self.rows, self.cols))
+        order.flags.writeable = False
+        return order
+
+    def matrix(self, data: Array) -> csr_matrix:
+        """The (n, n) CSR matrix holding ``data[e]`` at entry ``e``."""
+        return csr_matrix((data, self.cols, self.indptr), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -205,15 +276,35 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
                          registry=registry, weight_scale=scale)
 
 
+def _normalized(n: int, rows: Array, cols: Array, weights: Array) -> Array:
+    """``D^(-1/2) (A + I) D^(-1/2)`` at the given entries of ``A + I``,
+    where ``D`` holds the row sums of ``A + I``."""
+    inv_root = 1.0 / np.sqrt(np.bincount(rows, weights, minlength=n))
+    # The product of the two factors is the same in either order, so the
+    # result is bitwise symmetric.
+    return weights * (inv_root[rows] * inv_root[cols])
+
+
+def normalize_adjacency_csr(g: SnapshotGraph) -> csr_matrix:
+    """The normalized adjacency of :func:`normalize_adjacency` as a CSR matrix."""
+    if g.n < 1:
+        raise MalformedGraphError("cannot normalize an empty snapshot")
+    rows, cols, weights = g.edge_arrays
+    lists = NeighbourLists.symmetric(g.n, rows, cols, weights, np.arange(g.n))
+    return lists.matrix(_normalized(g.n, lists.rows, lists.cols, lists.weights))
+
+
 def normalize_adjacency(g: SnapshotGraph | Array) -> Array:
-    """Symmetrically normalized adjacency with self-loops.
+    """Symmetrically normalized adjacency with self-loops, dense.
 
     ``g`` is a snapshot or its dense adjacency, ``g.adjacency()``. Returns
     ``D^(-1/2) (A + I) D^(-1/2)`` where ``D`` holds the row sums of
     ``A + I``. The result is exactly symmetric and every entry lies in
     ``[0, 1]``; an isolated node gets a 1 on the diagonal.
     """
-    a = g.adjacency() if isinstance(g, SnapshotGraph) else np.asarray(g, dtype=np.float64)
+    if isinstance(g, SnapshotGraph):
+        return normalize_adjacency_csr(g).toarray()
+    a = np.asarray(g, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MalformedGraphError(f"adjacency must be a square matrix, got {a.shape}")
     n = a.shape[0]
@@ -222,10 +313,10 @@ def normalize_adjacency(g: SnapshotGraph | Array) -> Array:
     a_tilde = a + np.eye(n)
     if not np.all(np.isfinite(a_tilde)):
         raise MalformedGraphError("non-finite adjacency entries")
-    inv_root = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    # outer() keeps the scaling factor exactly symmetric, so the product
-    # is bitwise symmetric as well.
-    return a_tilde * np.outer(inv_root, inv_root)
+    rows, cols = np.nonzero(a_tilde)
+    out = np.zeros((n, n), dtype=np.float64)
+    out[rows, cols] = _normalized(n, rows, cols, a_tilde[rows, cols])
+    return out
 
 
 def build_window(event: EventSequence, k: int, length: int) -> list[SnapshotGraph]:

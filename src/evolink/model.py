@@ -15,13 +15,14 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from .attention import AttentionHead, AttentionInputs, Transition, evolve_weights
 from .errors import ConfigError, ShapeError
 from .gcn import (Embeddings, GcnParams, IdentityFeatures, gcn_forward, identity_features,
                   param_spec)
-from .graphs import SnapshotGraph, normalize_adjacency
+from .graphs import SnapshotGraph, normalize_adjacency_csr
 from .tape import Tensor, add, as_tensor, param, rmse_sigmoid_gram, scale
 
 Array = np.ndarray
@@ -58,6 +59,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.window < 0:
             raise ConfigError(f"window must be >= 0, got {self.window}")
         if self.heads < 1:
@@ -93,14 +96,15 @@ class WindowData:
     """The constant arrays of one window, built once per fit or inference.
 
     Per snapshot: its node ids as ``features`` and its normalized adjacency
-    ``a_hats[i]``. Per transition: the attention inputs of the snapshot it
-    leads into, ``attention[i - 1]`` for snapshot ``i``. ``target`` is the
-    final snapshot's weighted adjacency, which the losses read. Each
-    snapshot's adjacency is built once, and every array is read-only.
+    ``a_hats[i]`` as a CSR matrix. Per transition: the attention inputs of
+    the snapshot it leads into, ``attention[i - 1]`` for snapshot ``i``,
+    whose neighbour lists carry the edge weights. ``target`` is the final
+    snapshot's dense weighted adjacency, which the losses read; it is the
+    only (n, n) array. Every array is read-only.
     """
 
     features: tuple[IdentityFeatures, ...]
-    a_hats: tuple[Array, ...]
+    a_hats: tuple[csr_matrix, ...]
     attention: tuple[AttentionInputs, ...]
     target: Array
 
@@ -108,19 +112,13 @@ class WindowData:
     def build(cls, window: list[SnapshotGraph]) -> "WindowData":
         if not window:
             raise ConfigError("a window needs at least one snapshot")
-        a_hats, attention = [], []
-        for i, g in enumerate(window):
-            adjacency = g.adjacency()
-            a_hats.append(normalize_adjacency(adjacency))
-            if i > 0:
-                attention.append(AttentionInputs.from_adjacency(
-                    np.asarray(g.nodes, dtype=np.intp), adjacency))
-        data = cls(features=tuple(identity_features(g) for g in window),
-                   a_hats=tuple(a_hats), attention=tuple(attention), target=adjacency)
-        for arr in (*a_hats, *(v for a in attention for v in (a.ids, a.weights, a.mask)),
-                    adjacency):
+        a_hats = tuple(normalize_adjacency_csr(g) for g in window)
+        target = window[-1].adjacency()
+        for arr in (*(a.data for a in a_hats), target):
             arr.flags.writeable = False
-        return data
+        return cls(features=tuple(identity_features(g) for g in window), a_hats=a_hats,
+                   attention=tuple(AttentionInputs.build(g) for g in window[1:]),
+                   target=target)
 
     def __len__(self) -> int:
         return len(self.a_hats)

@@ -12,10 +12,15 @@ reached ``param`` leaves only. All storage is float64.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateSoftmaxError, NumericError, ShapeError
+
+if TYPE_CHECKING:
+    from .graphs import NeighbourLists
 
 Array = np.ndarray
 
@@ -145,6 +150,21 @@ def _broadcastable(a: Tensor, b: Tensor, opname: str) -> None:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as exc:
         raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+
+
+def constant_matmul(a, x) -> Tensor:
+    """``a @ x`` for a constant (n, n) matrix ``a``, dense or scipy.sparse.
+
+    Only ``x`` is recorded; its gradient is ``a.T @ g``.
+    """
+    x = as_tensor(x)
+    if a.ndim != 2 or x.value.ndim != 2 or a.shape[1] != x.shape[0]:
+        raise ShapeError(f"constant_matmul: shapes {a.shape} and {x.shape} do not chain")
+
+    def bw(g: Array) -> None:
+        _accumulate(x, a.T @ g, fresh=True)
+
+    return Tensor(a @ x.value, _parents=(x,), _backward=bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -321,35 +341,6 @@ def sigmoid(a) -> Tensor:
     return Tensor(s, _parents=(a,), _backward=bw)
 
 
-def masked_softmax_rows(a, mask) -> Tensor:
-    """Row-wise softmax over the entries where ``mask`` is True.
-
-    Masked entries are exactly zero in the output. Every row must keep at
-    least one unmasked entry. Stable under large scores: the row maximum
-    is subtracted before exponentiation.
-    """
-    a = as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    if a.value.ndim != 2 or mask.shape != a.shape:
-        raise ShapeError(f"masked_softmax_rows: mask {mask.shape} does not match {a.shape}")
-    if not mask.any(axis=1).all():
-        raise DegenerateSoftmaxError("softmax row with every entry masked")
-    # One n x n buffer holds the masked scores, then their exponentials,
-    # then the result.
-    out_val = np.where(mask, a.value, -np.inf)
-    m = out_val.max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        np.subtract(out_val, m, out=out_val)
-        np.exp(out_val, out=out_val)
-    np.divide(out_val, out_val.sum(axis=1, keepdims=True), out=out_val)
-
-    def bw(g: Array) -> None:
-        inner = (g * out_val).sum(axis=1, keepdims=True)
-        _accumulate(a, out_val * (g - inner), fresh=True)
-
-    return Tensor(out_val, _parents=(a,), _backward=bw)
-
-
 def tsum(a) -> Tensor:
     """Reduce to a scalar by summing every entry."""
     a = as_tensor(a)
@@ -393,6 +384,73 @@ def sqrt(a) -> Tensor:
         _accumulate(a, g * np.where(root > 0.0, 0.5 / safe, 0.0), fresh=True)
 
     return Tensor(root, _parents=(a,), _backward=bw)
+
+
+def edge_softmax(x: Array, transform: Array, score_vec: Array,
+                 edges: "NeighbourLists") -> tuple[Array, Array, Array]:
+    """The coefficients of one attention head over neighbour lists.
+
+    ``x`` is (n, d), ``transform`` (d, d), ``score_vec`` (2d, 1) and
+    ``edges`` the symmetric neighbour lists of the n rows, every row
+    non-empty. With ``p = x transform^T``, the entry from ``u`` to ``v``
+    scores ``s = sigmoid(w_uv (p_u . score_vec[:d] + p_v . score_vec[d:]))``
+    and its coefficient ``alpha`` is the softmax of ``s`` over row ``u``'s
+    entries. Returns ``(p, s, alpha)``, the last two per entry. Records
+    nothing.
+    """
+    d = transform.shape[0]
+    if transform.shape != (d, d):
+        raise ShapeError(f"head transform must be square, got {transform.shape}")
+    if score_vec.shape != (2 * d, 1):
+        raise ShapeError(f"score vector shape {score_vec.shape} does not match (2*{d}, 1)")
+    if x.ndim != 2 or x.shape != (edges.n, d):
+        raise ShapeError(f"edge_softmax: rows {x.shape} do not match ({edges.n}, {d})")
+    if np.any(edges.indptr[1:] == edges.indptr[:-1]):
+        raise DegenerateSoftmaxError("softmax row with no neighbour entry")
+    p = x @ transform.T
+    pair = (p @ score_vec[:d, 0])[edges.rows] + (p @ score_vec[d:, 0])[edges.cols]
+    s = expit(edges.weights * pair)
+    if not np.all(np.isfinite(s)):
+        raise NumericError("non-finite attention score")
+    # Scores lie in [0, 1], so their exponentials need no shift.
+    e = np.exp(s)
+    alpha = e / np.bincount(edges.rows, e, minlength=edges.n)[edges.rows]
+    return p, s, alpha
+
+
+def edge_attention(x, transform, score_vec, edges: "NeighbourLists") -> Tensor:
+    """One attention head over neighbour lists as one recorded op.
+
+    Row ``u`` of the (n, d) result is ``sum_v alpha_uv p_v`` with ``p`` and
+    ``alpha`` from :func:`edge_softmax`. The backward is derived by hand,
+    so the tape holds per-entry vectors and (n, d) matrices, never an
+    (n, n) one.
+    """
+    x, transform, score_vec = as_tensor(x), as_tensor(transform), as_tensor(score_vec)
+    p, s, alpha = edge_softmax(x.value, transform.value, score_vec.value, edges)
+    value = edges.matrix(alpha) @ p
+    u, v, n, d = edges.rows, edges.cols, edges.n, p.shape[1]
+
+    def bw(g: Array) -> None:
+        dp = edges.matrix(alpha[edges.transpose]) @ g
+        # Through the softmax: a row's sum of alpha * d_alpha is g_u . value_u.
+        d_alpha = np.einsum("ij,ij->i", g[u], p[v])
+        d_s = alpha * (d_alpha - np.einsum("ij,ij->i", g, value)[u])
+        d_pair = d_s * s * (1.0 - s) * edges.weights
+        d_src = np.bincount(u, d_pair, minlength=n)
+        d_dst = np.bincount(v, d_pair, minlength=n)
+        a = score_vec.value[:, 0]
+        dp += np.outer(d_src, a[:d])
+        dp += np.outer(d_dst, a[d:])
+        if score_vec.requires_grad:
+            _accumulate(score_vec, np.concatenate([p.T @ d_src, p.T @ d_dst])[:, None],
+                        fresh=True)
+        if transform.requires_grad:
+            _accumulate(transform, dp.T @ x.value, fresh=True)
+        if x.requires_grad:
+            _accumulate(x, dp @ transform.value, fresh=True)
+
+    return Tensor(value, _parents=(x, transform, score_vec), _backward=bw)
 
 
 def rmse_sigmoid_gram(z, target) -> Tensor:

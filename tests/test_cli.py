@@ -171,3 +171,16 @@ def test_non_integer_model_field_exits_one(tmp_path, capsys):
     assert main(["train-teacher", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "heads must be an integer" in err
+
+
+@pytest.mark.parametrize("where", ["run", "teacher"])
+def test_negative_seed_exits_one(tmp_path, capsys, where):
+    if where == "run":
+        cfg = write_config(tmp_path, seed=-1)
+    else:
+        cfg = write_config(tmp_path, teacher={"window": 1, "heads": 1, "hidden_dim": 6,
+                                              "embed_dim": 3, "epochs": 6, "lr": 0.01,
+                                              "seed": -1})
+    assert main(["train-teacher", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0" in err

@@ -120,6 +120,24 @@ def test_embeddings_lookup():
         emb.row(3)
 
 
+def test_embeddings_lookup_is_a_position_map():
+    """Rows are found through a map built once, not a scan of the ids:
+    the same rows and the same KeyError as ``ids.index``."""
+    ids = tuple(range(0, 3000, 3))
+    emb = Embeddings(z=np.random.default_rng(0).normal(size=(len(ids), 4)), ids=ids)
+    for u in (0, 1497, 2997):
+        assert np.array_equal(emb.row(u), emb.z[ids.index(u)])
+    with pytest.raises(KeyError, match="node 5 has no embedding"):
+        emb.row(5)
+
+    class NoScan(tuple):
+        def index(self, *args):
+            raise AssertionError("row() scanned the ids")
+
+    scanless = Embeddings(z=emb.z, ids=NoScan(ids))
+    assert np.array_equal(scanless.row(2997), emb.z[-1])
+
+
 class TestCountParams:
     def test_documented_example(self):
         cfg = ModelConfig(window=2, heads=2, hidden_dim=32, embed_dim=16)

@@ -87,6 +87,7 @@ def recon_oracle(z, g):
     dict(embed_dim=4.0),
     dict(seed=1.5),
     dict(seed=False),
+    dict(seed=-1),
     dict(lr="0.01"),
     dict(lr=True),
     dict(lr=float("nan")),
@@ -201,8 +202,8 @@ def test_forward_shapes_and_embeddings():
 def test_window_data_gives_the_snapshot_path_bits():
     """The constants of a window whose last snapshot has an isolated node:
     the same embeddings and losses as the snapshots themselves, the
-    attention self-entry only in the attention weights, and read-only
-    arrays."""
+    attention self-entry only in the attention neighbour lists, and
+    read-only arrays."""
     cfg = ModelConfig(window=2, heads=2, hidden_dim=6, embed_dim=3, seed=2)
     chain = GcnChain.init(cfg, n_global=7)
     window = line_window(1, n=6) + [make_snapshot(2, range(7), [(0, 1, 0.4), (2, 3, 0.6),
@@ -216,7 +217,9 @@ def test_window_data_gives_the_snapshot_path_bits():
     assert (distillation_loss(z, z[:, :2], data, 0.3).value
             == distillation_loss(z, z[:, :2], window[-1], 0.3).value)
     np.testing.assert_array_equal(data.target, window[-1].adjacency())
-    assert data.attention[-1].weights[6, 6] == 1.0 and data.attention[-1].mask[6, 6]
+    edges = data.attention[-1].edges
+    lonely = slice(edges.indptr[6], edges.indptr[7])
+    assert edges.cols[lonely].tolist() == [6] and edges.weights[lonely].tolist() == [1.0]
     with pytest.raises(ValueError):
         data.a_hats[0][0, 0] = 0.0
 

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from evolink.attention import AttentionInputs
 from evolink.errors import DegenerateSoftmaxError, NumericError, ShapeError
-from evolink.tape import (Tensor, add, backward, concat_cols, elu,
-                          masked_softmax_rows, matmul, mean, mul, param, relu,
-                          rmse_sigmoid_gram, rows, scale, sigmoid, sqrt, square,
+from evolink.graphs import NeighbourLists, SnapshotGraph
+from evolink.tape import (Tensor, add, backward, concat_cols, constant_matmul,
+                          edge_attention, edge_softmax, elu, matmul, mean, mul, param,
+                          relu, rmse_sigmoid_gram, rows, scale, sigmoid, sqrt, square,
                           sub, tsum, transpose, with_rows)
 
 FD_STEP = 1e-5
@@ -136,42 +138,121 @@ def test_reduction_gradients(rng):
     fd_check(lambda: tsum(a), [a])
 
 
-def test_masked_softmax_gradients_and_structure(rng):
-    a = param(rng.normal(size=(4, 4)), "a")
-    mask = rng.random((4, 4)) < 0.6
-    mask[np.arange(4), rng.integers(0, 4, size=4)] = True  # keep rows alive
-    read = Tensor(rng.normal(size=(4, 4)))
-    fd_check(lambda: tsum(mul(masked_softmax_rows(a, mask), read)), [a])
-
-    out = masked_softmax_rows(a, mask).value
-    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(out[~mask] == 0.0)
+def neighbour_lists(n, edges):
+    """The attention neighbour lists the model builds for ``edges`` over
+    nodes 0..n-1, with a unit self-entry on every isolated node."""
+    g = SnapshotGraph(index=0, nodes=tuple(range(n)), edges=tuple(sorted(edges)))
+    return AttentionInputs.build(g).edges
 
 
-def test_masked_softmax_is_shift_stable():
-    a = Tensor(np.array([[1000.0, 1001.0], [-1000.0, -1001.0]]))
-    out = masked_softmax_rows(a, np.ones((2, 2), dtype=bool)).value
-    assert np.all(np.isfinite(out))
-    assert np.allclose(out.sum(axis=1), 1.0)
-    # Shifting a row by a constant must not change its softmax.
-    b = masked_softmax_rows(Tensor(np.array([[0.0, 1.0], [-0.0, -1.0]])),
-                            np.ones((2, 2), dtype=bool)).value
-    assert np.allclose(out, b, atol=1e-12)
+def dense_head(x, transform, score_vec, n, edges):
+    """The per-head formula on dense (n, n) arrays: masked score matrix,
+    row softmax over the neighbourhood, then the mixture of rows."""
+    weights = np.zeros((n, n))
+    for u, v, w in edges:
+        weights[u, v] = weights[v, u] = w
+    mask = weights != 0.0
+    lonely = ~mask.any(axis=1)
+    weights[lonely, lonely] = 1.0
+    mask[lonely, lonely] = True
+    d = transform.shape[0]
+    p = x @ transform.T
+    pair = (p @ score_vec[:d]) + (p @ score_vec[d:]).T
+    scores = np.where(mask, expit(weights * pair), -np.inf)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    return alpha, alpha @ p
 
 
-def test_masked_softmax_rejects_dead_rows():
-    a = Tensor(np.zeros((2, 3)))
-    mask = np.array([[True, False, True], [False, False, False]])
+def hub_graph():
+    """Node 0 links to nodes 1-16 (degree 16), nodes 17 and 18 only to
+    each other (single neighbours), node 19 to nothing."""
+    edges = [(0, v, 0.05 + 0.05 * v) for v in range(1, 17)]
+    edges += [(1, 2, 0.7), (3, 4, 0.2), (17, 18, 0.6)]
+    return 20, edges
+
+
+def test_edge_attention_gradients_and_structure(rng):
+    """Finite differences through one fused head, on a graph with a
+    degree-16 node, single-neighbour rows and an isolated node, with
+    pre-sigmoid scores reaching about +-10."""
+    n, edges = hub_graph()
+    lists = neighbour_lists(n, edges)
+    x = param(rng.normal(0, 1.5, size=(n, 3)), "x")
+    transform = param(rng.normal(0, 1.5, size=(3, 3)), "transform")
+    score_vec = param(rng.normal(0, 1.5, size=(6, 1)), "score_vec")
+    read = Tensor(rng.normal(size=(n, 3)))
+    fd_check(lambda: tsum(mul(edge_attention(x, transform, score_vec, lists), read)),
+             [x, transform, score_vec])
+
+    p, s, alpha = edge_softmax(x.value, transform.value, score_vec.value, lists)
+    pair = lists.weights * ((p @ score_vec.value[:3, 0])[lists.rows]
+                            + (p @ score_vec.value[3:, 0])[lists.cols])
+    assert np.abs(pair).max() > 8.0
+    dense = lists.matrix(alpha).toarray()
+    assert np.allclose(dense.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.count_nonzero(dense[0]) == 16
+    assert dense[17, 18] == dense[18, 17] == 1.0  # exact, not approximate
+    assert dense[19, 19] == 1.0 and np.count_nonzero(dense[19]) == 1
+
+
+def test_edge_attention_matches_the_dense_formula(rng):
+    for trial in range(20):
+        n = int(rng.integers(2, 30))
+        edges = [(u, v, float(rng.uniform(0.05, 0.95)))
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        d = int(rng.integers(1, 6))
+        x = rng.normal(size=(n, d))
+        transform = rng.normal(size=(d, d))
+        score_vec = rng.normal(size=(2 * d, 1))
+        lists = neighbour_lists(n, edges)
+        alpha, mixed = dense_head(x, transform, score_vec, n, edges)
+        _, _, got_alpha = edge_softmax(x, transform, score_vec, lists)
+        got = edge_attention(Tensor(x), Tensor(transform), Tensor(score_vec), lists).value
+        assert np.max(np.abs(lists.matrix(got_alpha).toarray() - alpha)) < 1e-12, trial
+        assert np.max(np.abs(got - mixed)) < 1e-12, trial
+
+
+def test_edge_attention_stays_finite_under_large_scores():
+    n, edges = hub_graph()
+    lists = neighbour_lists(n, edges)
+    x = np.full((n, 2), 1e3)
+    x[::2] *= -1.0
+    transform = np.eye(2)
+    score_vec = np.array([[1.0], [2.0], [-3.0], [0.5]])
+    alpha, mixed = dense_head(x, transform, score_vec, n, edges)
+    _, s, got_alpha = edge_softmax(x, transform, score_vec, lists)
+    assert np.all(np.minimum(s, 1.0 - s) < 1e-12)  # every score saturated
+    assert np.allclose(lists.matrix(got_alpha).toarray(), alpha, rtol=0.0, atol=1e-12)
+    got = edge_attention(Tensor(x), Tensor(transform), Tensor(score_vec), lists).value
+    assert np.allclose(got, mixed, rtol=1e-12, atol=0.0)
+
+
+def test_edge_attention_rejects_an_empty_row():
+    lists = NeighbourLists.symmetric(3, np.array([0]), np.array([1]), np.array([0.5]),
+                                     np.array([], dtype=np.intp))
     with pytest.raises(DegenerateSoftmaxError):
-        masked_softmax_rows(a, mask)
+        edge_attention(Tensor(np.ones((3, 2))), Tensor(np.eye(2)), Tensor(np.ones((4, 1))),
+                       lists)
+    with pytest.raises(ShapeError):
+        edge_attention(Tensor(np.ones((2, 2))), Tensor(np.eye(2)), Tensor(np.ones((4, 1))),
+                       neighbour_lists(3, [(0, 1, 0.5)]))
 
 
-def test_single_unmasked_entry_is_exactly_one():
-    a = Tensor(np.array([[3.7, -2.0, 0.4]]))
-    mask = np.array([[False, True, False]])
-    out = masked_softmax_rows(a, mask).value
-    assert out[0, 1] == 1.0
-    assert out[0, 0] == 0.0 and out[0, 2] == 0.0
+def test_constant_matmul_takes_dense_and_sparse(rng):
+    n, edges = hub_graph()
+    lists = neighbour_lists(n, edges)
+    x = param(rng.normal(size=(n, 3)), "x")
+    read = Tensor(rng.normal(size=(n, 3)))
+    for a in (lists.matrix(lists.weights), lists.matrix(lists.weights).toarray()):
+        fd_check(lambda: tsum(mul(constant_matmul(a, x), read)), [x])
+    grads = []
+    for a in (lists.matrix(lists.weights), lists.matrix(lists.weights).toarray()):
+        backward(tsum(mul(constant_matmul(a, x), read)))
+        grads.append(x.grad)
+    assert np.allclose(grads[0], grads[1], rtol=1e-14, atol=0.0)
+    with pytest.raises(ShapeError):
+        constant_matmul(np.eye(3), x)
 
 
 def test_rmse_sigmoid_gram_gradient(rng):

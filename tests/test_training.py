@@ -1,16 +1,17 @@
 """Training-loop tests: reproducibility, warm starts, the distillation
 boundary where gamma = 1 collapses onto plain reconstruction training, and
-the cost of a fit: adjacency builds and peak memory."""
+the cost of a fit: edge-array builds, peak memory and what the tape holds."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from evolink import graphs
 from evolink.errors import ConfigError, NumericError, TrainingDivergedError
 from evolink.gcn import Embeddings
 from evolink.graphs import SnapshotGraph, build_window, normalize_weights
-from evolink.model import (GcnChain, ModelConfig, reconstruction_loss, student_defaults,
-                           teacher_defaults)
+from evolink.model import (GcnChain, ModelConfig, WindowData, reconstruction_loss,
+                           student_defaults, teacher_defaults)
 from evolink.simulate import SimConfig, simulate_event
 from evolink.training import DistillationBundle, distill_student, train_teacher
 
@@ -194,55 +195,59 @@ def test_registry_carried_onto_trained_models():
     assert student.registry == registry
 
 
-def count_adjacency_builds(monkeypatch):
+def count_edge_array_builds(monkeypatch):
     calls = []
-    build = SnapshotGraph.adjacency
+    build = graphs._edge_arrays
 
     def counting(g):
         calls.append(g.index)
         return build(g)
 
-    monkeypatch.setattr(SnapshotGraph, "adjacency", counting)
+    monkeypatch.setattr(graphs, "_edge_arrays", counting)
     return calls
 
 
 def test_each_snapshot_adjacency_is_built_once_per_fit(monkeypatch):
-    window = make_window(window=3)
-    calls = count_adjacency_builds(monkeypatch)
-    builds = {}
+    """A snapshot's edge arrays are built on first use and kept: once per
+    snapshot, not per epoch, and not again for the student or for repeated
+    inference."""
+    calls = count_edge_array_builds(monkeypatch)
     for epochs in (1, 5):
+        window = make_window(window=3)
         calls.clear()
         teacher, _, emb = train_teacher(window, tiny_teacher(window=3, heads=2,
                                                              epochs=epochs), N)
-        builds["teacher", epochs] = len(calls)
-        calls.clear()
+        assert sorted(calls) == [g.index for g in window]
         distill_student(DistillationBundle(teacher, emb, tiny_student(window=3, epochs=epochs)),
                         window, N)
-        builds["student", epochs] = len(calls)
-    # One build per snapshot: the teacher's final embeddings reuse its fit's.
-    assert builds["teacher", 1] == builds["teacher", 5] == len(window)
-    assert builds["student", 1] == builds["student", 5] == len(window)
-    calls.clear()
-    teacher.embeddings(window)
-    assert len(calls) <= len(window)
+        teacher.embeddings(window)
+        teacher.embeddings(window)
+        assert sorted(calls) == [g.index for g in window]
 
 
-def test_fit_peak_memory_is_bounded():
-    """Peak traced memory of a 3-epoch fit at 320 viewers (n = 302), in
-    units of one n x n float64 array. Constants take no gradient, interior
-    gradients are released once passed on, and an epoch's tape is released
-    before the next forward pass: the teacher peaks near 50 units and the
-    student near 26, against 155 and 75 when every tape node kept a
-    gradient until the next epoch."""
+@pytest.fixture(scope="module")
+def viewers_320():
+    """The window ending at snapshot 6 of a 320-viewer event (n = 302)."""
     event = normalize_weights(simulate_event(SimConfig(
         offices=4, viewers=320, snapshots=8, arrival="front_loaded", seed=0)))
-    window = build_window(event, 6, 3)
+    return event, build_window(event, 6, 3)
+
+
+def test_fit_peak_memory_is_bounded(viewers_320):
+    """Peak traced memory of a 3-epoch fit and of one inference at 320
+    viewers (n = 302), in units of one n x n float64 array. Attention and
+    propagation run over neighbour lists, so only the loss holds n x n
+    arrays: the teacher fit peaks near 14 units, the student fit near 10
+    and an inference near 2.5, against 49, 26 and 11 with dense attention.
+    Fits peaked near 155 and 75 when every tape node also kept a gradient
+    until the next epoch."""
+    event, window = viewers_320
     unit = window[-1].n ** 2 * 8
 
-    def peak(fit):
+    def peak(run):
         tracemalloc.start()
         try:
-            result = fit()
+            result = run()
             return result, tracemalloc.get_traced_memory()[1] / unit
         finally:
             tracemalloc.stop()
@@ -251,5 +256,55 @@ def test_fit_peak_memory_is_bounded():
         window, teacher_defaults(epochs=3), event.n_global))
     bundle = DistillationBundle(teacher, emb, student_defaults(epochs=3))
     _, student_peak = peak(lambda: distill_student(bundle, window, event.n_global))
-    assert teacher_peak <= 80
-    assert student_peak <= 45
+    _, inference_peak = peak(lambda: teacher.embeddings(window))
+    assert teacher_peak <= 24
+    assert student_peak <= 14
+    assert inference_peak <= 4
+
+
+def test_no_n_by_n_value_is_recorded_outside_the_loss(viewers_320):
+    """Walk the tape of one teacher forward pass plus its loss: no value a
+    tape node holds, nor any array its backward keeps, is (n, n) for a
+    window snapshot's n, except inside the loss op itself."""
+    event, window = viewers_320
+    chain = GcnChain.init(teacher_defaults(), event.n_global)
+    data = WindowData.build(window)
+    loss = reconstruction_loss(chain.forward(data)[-1], data)
+    sizes = {g.n for g in window}
+    seen, stack, kept = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        stack.extend(t._parents)
+        if t is loss:
+            continue
+        kept.append(t.value)
+        cells = t._backward.__closure__ if t._backward is not None else None
+        kept += [c.cell_contents for c in cells or ()
+                 if isinstance(c.cell_contents, np.ndarray)]
+    square = [a.shape for a in kept
+              if a.ndim == 2 and a.shape[0] in sizes and a.shape[1] in sizes]
+    assert len(seen) > 50
+    assert square == []
+
+
+def test_window_data_grows_with_edges_not_with_n_squared(viewers_320):
+    """Every WindowData array but the loss target has one entry per edge
+    direction and node at most."""
+    _, window = viewers_320
+    data = WindowData.build(window)
+    for g, a_hat, features in zip(window, data.a_hats, data.features):
+        entries = 2 * len(g.edges) + g.n
+        assert entries < g.n ** 2 / 10
+        assert a_hat.nnz == entries
+        for arr in (a_hat.data, a_hat.indices, a_hat.indptr, features.ids):
+            assert len(arr) <= entries + 1
+    for g, inputs in zip(window[1:], data.attention):
+        entries = 2 * len(g.edges) + g.n
+        edges = inputs.edges
+        for arr in (inputs.ids, edges.indptr, edges.rows, edges.cols, edges.weights,
+                    edges.transpose):
+            assert arr.size <= entries + 1
+    assert data.target.shape == (data.n, data.n)
