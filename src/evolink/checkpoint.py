@@ -13,9 +13,14 @@ Layout (all integers little-endian):
     per entry:     raw_id uint64, dense_id uint64
 
 Values are stored as raw little-endian float64, so a save/load round trip
-is bit-exact. Anything structurally off (bad magic, unknown version,
-truncation, trailing bytes, name mismatches) raises CheckpointError;
-tensor shapes that contradict the header's config raise ShapeError.
+is bit-exact. Anything structurally off raises CheckpointError: bad magic,
+an unknown version, truncation, trailing bytes, a tensor name that is not
+UTF-8, a missing, unexpected or repeated tensor, non-finite values, or a
+registry that is not empty and does not map raw ids one to one onto
+0..n_global-1. Tensor shapes that contradict the header's config raise
+ShapeError. Each stored shape is checked before its values are read, so a
+corrupt length field cannot make the reader allocate more than the blob
+holds.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ShapeError
 from .gcn import param_spec
 from .model import GcnChain, ModelConfig
 
@@ -87,35 +92,50 @@ def load_checkpoint(data: bytes) -> GcnChain:
     try:
         header = json.loads(r.take(header_len).decode("utf-8"))
         config = ModelConfig(**header["config"])
-        n_global = int(header["n_global"])
+        n_global = header["n_global"]
+        if not isinstance(n_global, int) or isinstance(n_global, bool):
+            raise CheckpointError(f"n_global must be an integer, got {n_global!r}")
+        spec = param_spec(config, n_global)
     except CheckpointError:
         raise
     except Exception as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
 
     (tensor_count,) = r.unpack("<I")
+    if tensor_count != len(spec):
+        raise CheckpointError(f"checkpoint tensors do not match the header config: "
+                              f"{tensor_count} stored, {len(spec)} expected")
     tensors: dict[str, Array] = {}
     for _ in range(tensor_count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
-        rows_, cols = r.unpack("<QQ")
-        raw = r.take(rows_ * cols * 8)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(rows_, cols).copy()
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("a checkpoint tensor name is not UTF-8") from None
+        if name not in spec or name in tensors:
+            raise CheckpointError(f"checkpoint tensors do not match the header config: "
+                                  f"{'repeated' if name in tensors else 'unexpected'} {name!r}")
+        shape = r.unpack("<QQ")
+        if shape != spec[name]:
+            raise ShapeError(f"leaf {name!r}: the checkpoint has {shape}, "
+                             f"the config requires {spec[name]}")
+        values = np.frombuffer(r.take(shape[0] * shape[1] * 8), dtype="<f8")
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"non-finite values in checkpoint tensor {name!r}")
+        tensors[name] = values.reshape(shape).copy()
     (registry_len,) = r.unpack("<I")
     registry: dict[int, int] = {}
     for _ in range(registry_len):
         raw_id, dense_id = r.unpack("<QQ")
+        if raw_id in registry:
+            raise CheckpointError(f"raw node id {raw_id} registered twice")
         registry[raw_id] = dense_id
+    if registry and not (len(registry) == n_global == len(set(registry.values()))
+                         and max(registry.values()) == n_global - 1):
+        raise CheckpointError(f"the checkpoint registry does not map {n_global} raw ids "
+                              f"one to one onto dense ids 0..{n_global - 1}")
     if r.pos != len(data):
         raise CheckpointError(f"{len(data) - r.pos} trailing bytes after checkpoint")
-
-    return _assemble(config, n_global, tensors, registry)
-
-
-def _assemble(config: ModelConfig, n_global: int, tensors: dict[str, Array],
-              registry: dict[int, int]) -> GcnChain:
-    if set(tensors) != set(param_spec(config, n_global)):
-        raise CheckpointError("checkpoint tensors do not match the header config")
     return GcnChain.from_arrays(config, n_global, tensors, registry)
 
 

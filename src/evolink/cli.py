@@ -26,7 +26,7 @@ from .eventio import (
 )
 from .graphs import build_window
 from .simulate import describe_event, simulate_event
-from .training import DistillationBundle, distill_student, train_teacher
+from .training import DistillationBundle, check_same_event, distill_student, train_teacher
 
 TEACHER_TAG = 1
 STUDENT_TAG = 2
@@ -144,6 +144,7 @@ def _cmd_distill(args) -> int:
     window = build_window(event, k, cfg.teacher.window)
     teacher_path = Path(args.teacher) if args.teacher else Path(cfg.out_dir) / "teacher.ckpt"
     teacher = read_checkpoint(teacher_path)
+    check_same_event(teacher, event.n_global, event.registry, f"the teacher {teacher_path}")
     student_cfg = replace(cfg.student, seed=derive_seed(cfg.seed, STUDENT_TAG))
     if args.gamma is not None:
         student_cfg = replace(student_cfg, gamma=args.gamma)

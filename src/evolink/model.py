@@ -218,20 +218,31 @@ class GcnChain:
             h.update(arr.astype("<f8").tobytes())
         return h.hexdigest()[:16]
 
-    def forward(self, window: list[SnapshotGraph] | WindowData) -> list[Tensor]:
-        """Embeddings for every window snapshot, recorded on the tape."""
+    def _first_layers(self, window: list[SnapshotGraph] | WindowData
+                      ) -> tuple[WindowData, list[Tensor]]:
+        """The window's constants and each snapshot's first-layer weights,
+        carried forward through the transitions."""
         if len(window) != self.config.window + 1:
             raise ConfigError(f"window of {len(window)} snapshots for a model "
                               f"spanning {self.config.window + 1}")
         data = window_data(window)
-        zs: list[Tensor] = []
-        w1 = self.w1_first
-        for i, features in enumerate(data.features):
-            if i > 0:
-                w1 = evolve_weights(data.attention[i - 1], self.transitions[i - 1], w1)
-            z = gcn_forward(data.a_hats[i], features, GcnParams(w1=w1, w2=self.w2[i]))
-            zs.append(z)
-        return zs
+        w1s = [self.w1_first]
+        for inputs, transition in zip(data.attention, self.transitions):
+            w1s.append(evolve_weights(inputs, transition, w1s[-1]))
+        return data, w1s
+
+    def forward(self, window: list[SnapshotGraph] | WindowData) -> list[Tensor]:
+        """Embeddings for every window snapshot, recorded on the tape."""
+        data, w1s = self._first_layers(window)
+        return [gcn_forward(a_hat, features, GcnParams(w1=w1, w2=w2))
+                for a_hat, features, w1, w2 in zip(data.a_hats, data.features, w1s, self.w2)]
+
+    def final(self, window: list[SnapshotGraph] | WindowData) -> Tensor:
+        """The final snapshot's embeddings, ``forward(window)[-1]``, without
+        encoding the earlier snapshots, whose outputs no loss reads."""
+        data, w1s = self._first_layers(window)
+        return gcn_forward(data.a_hats[-1], data.features[-1],
+                           GcnParams(w1=w1s[-1], w2=self.w2[-1]))
 
     def embeddings(self, window: list[SnapshotGraph] | WindowData) -> Embeddings:
         """Inference-only final-snapshot embeddings.
@@ -242,8 +253,7 @@ class GcnChain:
         data = window_data(window)
         constants = {name: Tensor(leaf.value) for name, leaf in self.trainable().items()}
         frozen = GcnChain._from_leaves(self.config, self.n_global, constants)
-        z = frozen.forward(data)[-1]
-        return Embeddings(z=z.value.copy(), ids=data.features[-1].ids)
+        return Embeddings(z=frozen.final(data).value.copy(), ids=data.features[-1].ids)
 
 
 def reconstruction_loss(z, g: SnapshotGraph | WindowData) -> Tensor:

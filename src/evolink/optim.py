@@ -1,95 +1,56 @@
-"""Adam optimizer over named float64 arrays.
+"""Adam optimizer over the tape leaves of a model.
 
-The functional core (:func:`adam_step`) is pure: it takes parameter and
-gradient dicts plus the current state and returns fresh dicts, which keeps
-updates reproducible and easy to test. :class:`Adam` is a thin stateful
-wrapper that drives tape Tensors with it.
+:class:`Adam` keeps one first- and one second-moment array per leaf and
+updates them and the leaf values in place, so a step allocates only its
+temporaries. A leaf whose ``.grad`` is ``None`` (it did not reach the
+loss) is skipped, as ``torch.optim.Adam`` skips it. Gradients are checked
+before any leaf moves: a wrong shape raises ShapeError and a non-finite
+entry raises TrainingDivergedError, leaving every leaf and moment as it was.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergedError
 from .tape import Tensor
 
-Array = np.ndarray
-
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators and the shared step counter."""
-
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
-    step: int = 0
-
-
-def adam_init(params: dict[str, Array]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        step=0,
-    )
-
-
-def adam_step(
-    params: dict[str, Array],
-    grads: dict[str, Array],
-    state: AdamState,
-    lr: float,
-    beta1: float = BETA1,
-    beta2: float = BETA2,
-    eps: float = EPS,
-) -> tuple[dict[str, Array], AdamState]:
-    """One bias-corrected Adam update. Returns new params and new state."""
-    if set(params) != set(grads):
-        raise ShapeError("adam_step: parameter and gradient names differ")
-    t = state.step + 1
-    new_params: dict[str, Array] = {}
-    new_m: dict[str, Array] = {}
-    new_v: dict[str, Array] = {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: gradient shape {g.shape} for {name!r} "
-                             f"does not match parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(m=new_m, v=new_v, step=t)
-
-
 class Adam:
-    """Stateful Adam over a dict of tape Tensors (leaves of a model)."""
+    """Stateful bias-corrected Adam over a dict of tape Tensors."""
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = float(lr)
-        self.state = adam_init({k: t.value for k, t in params.items()})
+        self.m = {k: np.zeros_like(t.value) for k, t in params.items()}
+        self.v = {k: np.zeros_like(t.value) for k, t in params.items()}
+        self.t = 0
 
     def step(self) -> None:
-        """Apply one update using the ``.grad`` currently on each leaf.
-
-        Leaves that did not reach the loss (grad still None) are stepped
-        with a zero gradient, which leaves them unchanged while keeping
-        the moment bookkeeping uniform.
-        """
-        values = {k: t.value for k, t in self.params.items()}
-        grads = {}
-        for k, t in self.params.items():
-            grads[k] = np.zeros_like(t.value) if t.grad is None else t.grad
-        new_values, self.state = adam_step(values, grads, self.state, self.lr)
-        for k, t in self.params.items():
-            t.value = new_values[k]
+        """Apply one update using the ``.grad`` currently on each leaf."""
+        reached = {k: t for k, t in self.params.items() if t.grad is not None}
+        for name, leaf in reached.items():
+            if leaf.grad.shape != leaf.value.shape:
+                raise ShapeError(f"Adam: gradient shape {leaf.grad.shape} for {name!r} "
+                                 f"does not match parameter shape {leaf.value.shape}")
+            if not np.all(np.isfinite(leaf.grad)):
+                raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
+        self.t += 1
+        bias1, bias2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+        for name, leaf in reached.items():
+            g, m, v = leaf.grad, self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            # value -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            denom = v / bias2
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            update = m / bias1
+            update *= self.lr
+            update /= denom
+            leaf.value -= update

@@ -48,28 +48,6 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor(shape={self.value.shape}{tag})"
 
-    # Light operator sugar; every operator defers to the module-level ops.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap ``x`` in a constant Tensor unless it already is one."""
@@ -243,22 +221,6 @@ def transpose(a) -> Tensor:
         _accumulate(a, g.T)
 
     return Tensor(a.value.T, _parents=(a,), _backward=bw)
-
-
-def concat_cols(a, b) -> Tensor:
-    """Concatenate two matrices with equal row counts along columns."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
-    p = a.shape[1]
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, g[:, :p])
-        if b.requires_grad:
-            _accumulate(b, g[:, p:])
-
-    return Tensor(np.concatenate([a.value, b.value], axis=1), _parents=(a, b), _backward=bw)
 
 
 def rows(a, idx) -> Tensor:

@@ -51,12 +51,24 @@ class DistillationBundle:
         return self.student_config.gamma
 
 
+def check_same_event(chain: GcnChain, n_global: int, registry: dict[int, int] | None,
+                     what: str) -> None:
+    """Refuse a trained chain whose node rows belong to another event: its
+    ``n_global`` or its registry differs from the event's."""
+    if chain.n_global != n_global:
+        raise ConfigError(f"{what} covers {chain.n_global} nodes, the event {n_global}: "
+                          f"it was trained on another event")
+    if chain.registry != dict(registry or {}):
+        raise ConfigError(f"{what} was trained on another event: its node registry "
+                          f"differs from the event's")
+
+
 def _fit(chain: GcnChain, data: WindowData, loss_fn) -> TrainingTrace:
     opt = Adam(chain.trainable(), lr=chain.config.lr)
     trace = TrainingTrace()
     for _ in range(chain.config.epochs):
         t0 = time.perf_counter()
-        loss = loss_fn(chain.forward(data)[-1], data)
+        loss = loss_fn(chain.final(data), data)
         loss_value = float(loss.value)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(f"loss became {loss_value} at epoch "
@@ -82,7 +94,8 @@ def train_teacher(window: list[SnapshotGraph], cfg: ModelConfig, n_global: int,
     Returns the trained model, its trace, and the final snapshot
     embeddings from one inference pass after the last update. Pass a
     previously trained chain as ``init_from`` to warm-start instead of
-    drawing fresh seeded parameters.
+    drawing fresh seeded parameters; it must come from the same event
+    (``n_global`` and ``registry``), or ConfigError is raised.
     """
     if cfg.role != "teacher":
         raise ConfigError(f"train_teacher needs a teacher config, got role {cfg.role!r}")
@@ -91,6 +104,7 @@ def train_teacher(window: list[SnapshotGraph], cfg: ModelConfig, n_global: int,
                           f"spanning {cfg.window + 1}")
     chain = GcnChain.init(cfg, n_global, registry)
     if init_from is not None:
+        check_same_event(init_from, n_global, registry, "the warm-start model")
         # Plain assignment, not a fresh leaf: a non-finite warm value must
         # surface as divergence in the first epoch, with its trace.
         warm = init_from.param_arrays()
@@ -113,6 +127,8 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
     The teacher's sigmoid pair-score matrix is computed once from the
     bundle's embeddings and cached as a constant for every epoch; no
     gradient reaches the teacher and its parameters are never touched.
+    A teacher trained on another event (``n_global`` or ``registry``
+    differ) raises ConfigError.
     """
     cfg = bundle.student_config
     if cfg.role != "student":
@@ -125,6 +141,7 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
                           f"spanning {cfg.window + 1}")
     if bundle.teacher_embeddings.ids != window[-1].nodes:
         raise ConfigError("teacher embeddings do not cover the window's final snapshot")
+    check_same_event(bundle.teacher, n_global, registry, "the teacher")
     chain = GcnChain.init(cfg, n_global, registry)
     soft = soft_scores(bundle.teacher_embeddings.z)
     trace = _fit(chain, WindowData.build(window),

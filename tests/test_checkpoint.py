@@ -7,9 +7,12 @@ the module docstring is accurate.
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolink.checkpoint import (
     load_checkpoint,
@@ -30,7 +33,13 @@ def small_config(**overrides):
 
 
 def craft(config, n_global, tensors, registry):
-    """Assemble checkpoint bytes following the documented layout."""
+    """Assemble checkpoint bytes following the documented layout.
+
+    ``tensors`` and ``registry`` are dicts, or lists of pairs when a test
+    needs a repeated name or raw id.
+    """
+    tensors = list(tensors.items()) if isinstance(tensors, dict) else tensors
+    registry = list(registry.items()) if isinstance(registry, dict) else registry
     header = json.dumps({"config": dataclasses.asdict(config),
                          "n_global": n_global}, sort_keys=True).encode()
     out = bytearray(b"EVGC")
@@ -38,14 +47,14 @@ def craft(config, n_global, tensors, registry):
     out += struct.pack("<I", len(header))
     out += header
     out += struct.pack("<I", len(tensors))
-    for name, arr in tensors.items():
+    for name, arr in tensors:
         enc = name.encode()
         out += struct.pack("<H", len(enc))
         out += enc
         out += struct.pack("<QQ", *arr.shape)
         out += arr.astype("<f8").tobytes()
     out += struct.pack("<I", len(registry))
-    for raw_id, dense_id in registry.items():
+    for raw_id, dense_id in registry:
         out += struct.pack("<QQ", raw_id, dense_id)
     return bytes(out)
 
@@ -152,3 +161,106 @@ def test_header_config_validated():
     poisoned = blob.replace(b'"heads": 2', b'"heads": 0')
     with pytest.raises(CheckpointError):
         load_checkpoint(poisoned)
+
+
+@pytest.mark.parametrize("n_global", [3.0, 3.9, True, "3", None])
+def test_header_node_count_must_be_an_integer(n_global):
+    tensors = GcnChain.init(small_config(), 3).param_arrays()
+    with pytest.raises(CheckpointError, match="n_global"):
+        load_checkpoint(craft(small_config(), n_global, tensors, {}))
+
+
+def test_tensor_name_that_is_not_utf8_rejected():
+    data = save_checkpoint(GcnChain.init(small_config(), 3))
+    at = data.index(b"w2/0")
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(data[:at] + b"\xff" + data[at + 1:])
+
+
+def test_repeated_tensor_record_rejected():
+    cfg = small_config()
+    records = list(GcnChain.init(cfg, 3).param_arrays().items())
+    twice = records + [(records[1][0], np.zeros_like(records[1][1]))]
+    with pytest.raises(CheckpointError, match="do not match"):
+        load_checkpoint(craft(cfg, 3, twice, {}))  # one record too many
+    in_place = records[:2] + [(records[1][0], records[2][1])] + records[3:]
+    with pytest.raises(CheckpointError, match="repeated 'w2/0'"):
+        load_checkpoint(craft(cfg, 3, in_place, {}))  # the count still fits
+
+
+def test_registry_must_map_onto_the_dense_ids():
+    cfg = small_config()
+    tensors = GcnChain.init(cfg, 3).param_arrays()
+    with pytest.raises(CheckpointError, match="raw node id 7"):
+        load_checkpoint(craft(cfg, 3, tensors, [(7, 0), (8, 1), (7, 2)]))
+    for pairs in ([(7, 0), (8, 0), (9, 2)], [(7, 0), (8, 1), (9, 3)], [(7, 0), (8, 1)],
+                  [(6, 0), (7, 1), (8, 2), (9, 3)]):
+        with pytest.raises(CheckpointError, match="one to one"):
+            load_checkpoint(craft(cfg, 3, tensors, pairs))
+    assert load_checkpoint(craft(cfg, 3, tensors, [(9, 2), (7, 0), (8, 1)])).registry == {
+        9: 2, 7: 0, 8: 1}
+
+
+def test_non_finite_tensor_value_rejected():
+    cfg = small_config()
+    tensors = GcnChain.init(cfg, 3).param_arrays()
+    tensors["w2/1"][1, 0] = np.inf
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(craft(cfg, 3, tensors, {}))
+
+
+FUZZ_BLOB = save_checkpoint(GcnChain.init(small_config(), 3, {5: 0, 9: 1, 2: 2}))
+
+
+def length_fields(blob):
+    """(offset, struct format) of every length and count field of a
+    well-formed blob, found by walking the documented layout."""
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    fields = [(8, "<I"), (12 + header_len, "<I")]
+    (count,) = struct.unpack_from("<I", blob, 12 + header_len)
+    pos = 16 + header_len
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        fields.append((pos, "<H"))
+        pos += 2 + name_len
+        rows, cols = struct.unpack_from("<QQ", blob, pos)
+        fields += [(pos, "<Q"), (pos + 8, "<Q")]
+        pos += 16 + 8 * rows * cols
+    return fields + [(pos, "<I")]
+
+
+FUZZ_FIELDS = length_fields(FUZZ_BLOB)
+
+
+@st.composite
+def corrupted(draw):
+    blob = bytearray(FUZZ_BLOB)
+    kind = draw(st.sampled_from(["flip", "truncate", "field"]))
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    else:
+        offset, fmt = draw(st.sampled_from(FUZZ_FIELDS))
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        value = draw(st.one_of(st.integers(0, 64), st.integers(0, top)))
+        struct.pack_into(fmt, blob, offset, value)
+    return bytes(blob)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted())
+def test_corrupted_blobs_raise_only_checkpoint_or_shape_errors(blob):
+    """Byte flips, truncations and edited length or count fields either
+    load or raise CheckpointError or ShapeError, and the reader never
+    allocates much beyond the blob it was given."""
+    tracemalloc.start()
+    try:
+        load_checkpoint(blob)
+    except (CheckpointError, ShapeError):
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 64 * len(FUZZ_BLOB) + 2 ** 16

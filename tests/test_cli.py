@@ -67,6 +67,44 @@ def test_distill_uses_teacher_checkpoint(tmp_path, capsys):
     assert "gamma=0.8" in capsys.readouterr().out
 
 
+# Another event whose checkpoints fit the default config's shapes or not:
+# the same 14 viewers drawn from another seed (same n_global, another
+# registry), and 12 viewers (another n_global).
+OTHER_EVENTS = [{"offices": 2, "viewers": 14, "snapshots": 4, "seed": 2},
+                {"offices": 2, "viewers": 12, "snapshots": 4, "seed": 1}]
+
+
+def other_event_teacher(tmp_path, simulate):
+    """A teacher checkpoint trained on another event."""
+    other = tmp_path / "other"
+    other.mkdir()
+    cfg = write_config(other, data={"simulate": simulate})
+    assert main(["train-teacher", str(cfg)]) == 0
+    return str(other / "out" / "teacher.ckpt")
+
+
+@pytest.mark.parametrize("simulate", OTHER_EVENTS, ids=["registry", "n_global"])
+def test_warm_start_from_another_event_exits_one(tmp_path, capsys, simulate):
+    ckpt = other_event_teacher(tmp_path, simulate)
+    cfg = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["train-teacher", str(cfg), "--init-checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "another event" in err
+    assert not (tmp_path / "out" / "teacher.ckpt").exists()
+
+
+@pytest.mark.parametrize("simulate", OTHER_EVENTS, ids=["registry", "n_global"])
+def test_distill_from_another_event_exits_one(tmp_path, capsys, simulate):
+    ckpt = other_event_teacher(tmp_path, simulate)
+    cfg = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["distill", str(cfg), "--teacher", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "another event" in err
+    assert not (tmp_path / "out" / "student.ckpt").exists()
+
+
 def test_distill_without_teacher_fails_cleanly(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["distill", str(cfg)]) == 1

@@ -185,6 +185,8 @@ def test_forward_window_length_checked():
     chain = GcnChain.init(cfg, n_global=5)
     with pytest.raises(ConfigError):
         chain.forward(line_window(1))
+    with pytest.raises(ConfigError):
+        chain.final(line_window(1))
 
 
 def test_forward_shapes_and_embeddings():
@@ -197,6 +199,28 @@ def test_forward_shapes_and_embeddings():
     emb = chain.embeddings(window)
     assert emb.ids == window[-1].nodes
     np.testing.assert_array_equal(emb.z, zs[-1].value)
+
+
+def test_final_is_the_last_forward_output():
+    """The final-snapshot pass gives ``forward(window)[-1]`` bit for bit,
+    and the same gradient on every leaf; the earlier second-layer leaves
+    get none either way."""
+    cfg = ModelConfig(window=3, heads=2, hidden_dim=6, embed_dim=3, seed=5)
+    window = line_window(3, n=6, d_seed=1)
+    results = []
+    for run in (lambda c: c.forward(window)[-1], lambda c: c.final(window)):
+        chain = GcnChain.init(cfg, n_global=7)
+        z = run(chain)
+        backward(reconstruction_loss(z, window[-1]))
+        results.append((z.value, {k: t.grad for k, t in chain.trainable().items()}))
+    (z_all, grads_all), (z_final, grads_final) = results
+    np.testing.assert_array_equal(z_final, z_all)
+    assert list(grads_final) == list(grads_all)
+    for name, g in grads_all.items():
+        if name in ("w2/0", "w2/1", "w2/2"):
+            assert g is None and grads_final[name] is None
+        else:
+            np.testing.assert_array_equal(grads_final[name], g)
 
 
 def test_window_data_gives_the_snapshot_path_bits():

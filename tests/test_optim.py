@@ -1,22 +1,29 @@
-"""Adam update rule: analytic first step, bias correction, divergence."""
+"""Adam update rule: analytic first step, bias correction, divergence,
+in-place updates."""
 import numpy as np
 import pytest
 
 from evolink.errors import ShapeError, TrainingDivergedError
-from evolink.optim import BETA1, BETA2, EPS, Adam, AdamState, adam_init, adam_step
+from evolink.optim import BETA1, BETA2, EPS, Adam
 from evolink.tape import backward, param, square, tsum
+
+
+def grad_step(opt: Adam, **grads) -> None:
+    """Put ``grads`` on the named leaves of ``opt`` and take one step."""
+    for name, g in grads.items():
+        opt.params[name].grad = np.asarray(g, dtype=np.float64)
+    opt.step()
 
 
 def test_first_step_magnitude():
     # With g = 1 everywhere, bias correction cancels exactly on step one and
     # the update is lr / (1 + eps/|g_hat|) = lr / (1 + eps) elementwise.
-    params = {"w": np.zeros((2, 2))}
-    grads = {"w": np.ones((2, 2))}
-    state = adam_init(params)
-    new, state = adam_step(params, grads, state, lr=1e-3)
+    w = param(np.zeros((2, 2)), "w")
+    opt = Adam({"w": w}, lr=1e-3)
+    grad_step(opt, w=np.ones((2, 2)))
     expected = -1e-3 / (1.0 + EPS)
-    assert np.allclose(new["w"], expected, rtol=0, atol=1e-18)
-    assert state.step == 1
+    assert np.allclose(w.value, expected, rtol=0, atol=1e-18)
+    assert opt.t == 1
 
 
 def test_two_steps_match_scalar_reference():
@@ -32,36 +39,61 @@ def test_two_steps_match_scalar_reference():
         w = w - lr * m_hat / (np.sqrt(v_hat) + EPS)
         ws.append(w)
 
-    params = {"w": np.array([[1.0]])}
-    state = adam_init(params)
-    params, state = adam_step(params, {"w": np.array([[g1]])}, state, lr)
-    assert params["w"][0, 0] == pytest.approx(ws[0], abs=1e-15)
-    params, state = adam_step(params, {"w": np.array([[g2]])}, state, lr)
-    assert params["w"][0, 0] == pytest.approx(ws[1], abs=1e-15)
+    leaf = param(np.array([[1.0]]), "w")
+    opt = Adam({"w": leaf}, lr)
+    grad_step(opt, w=[[g1]])
+    assert leaf.value[0, 0] == pytest.approx(ws[0], abs=1e-15)
+    grad_step(opt, w=[[g2]])
+    assert leaf.value[0, 0] == pytest.approx(ws[1], abs=1e-15)
 
 
-def test_pure_step_does_not_mutate_inputs():
-    params = {"w": np.ones(3)}
-    grads = {"w": np.full(3, 2.0)}
-    state = adam_init(params)
-    adam_step(params, grads, state, lr=0.1)
-    assert np.array_equal(params["w"], np.ones(3))
-    assert np.array_equal(state.m["w"], np.zeros(3))
-    assert state.step == 0
-
-
-def test_name_and_shape_checks():
-    state = adam_init({"w": np.ones(2)})
+def test_gradient_shape_check():
+    w = param(np.ones(2), "w")
+    opt = Adam({"w": w}, 0.1)
     with pytest.raises(ShapeError):
-        adam_step({"w": np.ones(2)}, {"x": np.ones(2)}, state, 0.1)
-    with pytest.raises(ShapeError):
-        adam_step({"w": np.ones(2)}, {"w": np.ones(3)}, state, 0.1)
+        grad_step(opt, w=np.ones(3))
+    assert np.array_equal(w.value, np.ones(2))
+    assert opt.t == 0
 
 
 def test_non_finite_gradient_diverges():
-    state = adam_init({"w": np.ones(2)})
-    with pytest.raises(TrainingDivergedError):
-        adam_step({"w": np.ones(2)}, {"w": np.array([1.0, np.nan])}, state, 0.1)
+    # The check runs before any leaf moves, so a finite leaf listed first
+    # is left as it was too.
+    ok = param(np.ones(2), "ok")
+    w = param(np.ones(2), "w")
+    opt = Adam({"ok": ok, "w": w}, 0.1)
+    with pytest.raises(TrainingDivergedError, match="'w'"):
+        grad_step(opt, ok=np.ones(2), w=[1.0, np.nan])
+    assert np.array_equal(ok.value, np.ones(2))
+    assert np.array_equal(opt.m["ok"], np.zeros(2))
+    assert opt.t == 0
+
+
+def test_step_updates_in_place():
+    w = param(np.array([[2.0, -1.5]]), "w")
+    opt = Adam({"w": w}, lr=0.01)
+    arrays = (w.value, opt.m["w"], opt.v["w"])
+    for _ in range(3):
+        backward(tsum(square(w)))
+        opt.step()
+    assert w.value is arrays[0] and opt.m["w"] is arrays[1] and opt.v["w"] is arrays[2]
+    assert not np.array_equal(w.value, [[2.0, -1.5]])
+
+
+def test_step_matches_the_out_of_place_formula():
+    # The in-place update repeats the textbook statement's float operations
+    # in the same order, so the bits agree over many steps.
+    rng = np.random.default_rng(7)
+    w = param(rng.normal(size=(5, 3)), "w")
+    opt = Adam({"w": w}, lr=3e-3)
+    p, m, v = w.value.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+    for t in range(1, 40):
+        g = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-6, 3)
+        grad_step(opt, w=g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
+        p = p - 3e-3 * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
+        assert np.array_equal(w.value, p)
 
 
 def test_wrapper_drives_tensors_to_minimum():
@@ -86,12 +118,13 @@ def test_wrapper_is_deterministic():
 
 
 def test_wrapper_leaves_unreached_params_untouched():
-    # A leaf that never enters the loss keeps grad None; the step must be
-    # a no-op for it rather than an error.
+    # A leaf that never enters the loss keeps grad None; the step skips it,
+    # moments included, rather than failing.
     w = param(np.array([1.0]), "w")
     dead = param(np.array([7.0]), "dead")
     opt = Adam({"w": w, "dead": dead}, lr=0.1)
     backward(tsum(square(w)))
     opt.step()
     assert dead.value[0] == 7.0
+    assert np.array_equal(opt.m["dead"], [0.0])
     assert w.value[0] != 1.0

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evolink import graphs
+from evolink import graphs, model
 from evolink.errors import ConfigError, NumericError, TrainingDivergedError
 from evolink.gcn import Embeddings
 from evolink.graphs import SnapshotGraph, build_window, normalize_weights
@@ -119,6 +119,22 @@ def test_nan_first_layer_caught_by_attention_guard():
         train_teacher(window, tiny_teacher(), N, init_from=poisoned)
 
 
+def test_a_model_from_another_event_is_refused():
+    """Shapes alone do not tie a trained chain to an event: a chain over
+    the same node count but another registry, or over another node count,
+    is refused for a warm start and as a teacher."""
+    window = make_window()
+    registry = {10 + i: i for i in range(N)}
+    teacher, _, emb = train_teacher(window, tiny_teacher(epochs=2), N, registry)
+    shuffled = {raw: (dense + 1) % N for raw, dense in registry.items()}
+    for n_global, other in ((N, shuffled), (N, None), (N + 1, {**registry, 99: N})):
+        with pytest.raises(ConfigError, match="another event"):
+            train_teacher(window, tiny_teacher(epochs=1), n_global, other, init_from=teacher)
+        bundle = DistillationBundle(teacher, emb, tiny_student(epochs=1))
+        with pytest.raises(ConfigError, match="another event"):
+            distill_student(bundle, window, n_global, other)
+
+
 def make_bundle(window, student_cfg, teacher_cfg=None):
     teacher, _, emb = train_teacher(window, teacher_cfg or tiny_teacher(), N)
     return DistillationBundle(teacher=teacher, teacher_embeddings=emb,
@@ -223,6 +239,33 @@ def test_each_snapshot_adjacency_is_built_once_per_fit(monkeypatch):
         teacher.embeddings(window)
         teacher.embeddings(window)
         assert sorted(calls) == [g.index for g in window]
+
+
+def test_one_encoder_pass_per_epoch_and_per_inference(monkeypatch):
+    """Only the final snapshot's embeddings enter a loss or an inference,
+    so the encoder runs once per fit epoch and once per ``embeddings`` call,
+    not once per window snapshot."""
+    calls = []
+    encode = model.gcn_forward
+
+    def counting(a_hat, features, params):
+        calls.append(features.ids)
+        return encode(a_hat, features, params)
+
+    monkeypatch.setattr(model, "gcn_forward", counting)
+    window = make_window(window=3)
+    teacher, _, emb = train_teacher(window, tiny_teacher(window=3, heads=2, epochs=5), N)
+    assert len(calls) == 5 + 1  # five epochs, then the returned embeddings
+    calls.clear()
+    distill_student(DistillationBundle(teacher, emb, tiny_student(window=3, epochs=4)),
+                    window, N)
+    assert len(calls) == 4
+    calls.clear()
+    teacher.embeddings(window)
+    assert calls == [window[-1].nodes]
+    calls.clear()
+    teacher.forward(window)
+    assert len(calls) == len(window)
 
 
 @pytest.fixture(scope="module")
