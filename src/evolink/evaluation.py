@@ -75,12 +75,15 @@ class MlpScorer:
     """Small trained decoder over Hadamard pair features.
 
     One ReLU hidden layer of ceil(embed/2) units and a sigmoid output.
+    ``n_positives`` and ``n_negatives`` count the pairs it was trained on.
     """
 
     w_hidden: Array
     b_hidden: Array
     w_out: Array
     b_out: Array
+    n_positives: int
+    n_negatives: int
 
 
 def _mlp_dims(embed_dim: int) -> int:
@@ -93,7 +96,9 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
 
     Positive pairs take the weight of their latest window occurrence; an
     equal number of seeded non-link pairs (absent from every window
-    snapshot, both endpoints embedded) takes the low target 0.05.
+    snapshot, both endpoints embedded) takes the low target 0.05. A dense
+    window can run out of non-links before that number is reached; the
+    scorer then trains on fewer negatives and records how many.
     """
     pos_weight: dict[tuple[int, int], float] = {}
     for g in window:
@@ -144,7 +149,8 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
     return MlpScorer(w_hidden=params["w_hidden"].value.copy(),
                      b_hidden=params["b_hidden"].value.copy(),
                      w_out=params["w_out"].value.copy(),
-                     b_out=params["b_out"].value.copy())
+                     b_out=params["b_out"].value.copy(),
+                     n_positives=len(positives), n_negatives=len(negatives))
 
 
 def score_mlp(emb: Embeddings, scorer: MlpScorer, u: int, v: int) -> float:
@@ -210,6 +216,12 @@ class TrialRecord:
     baseline_rmse: float
     n_validation: int
     n_test: int
+    # Pairs the trial's MLP scorers trained on (mlp reports only): the
+    # window's links, which both scorers share, and the non-links sampled
+    # for each. Fewer negatives than positives means the window ran short.
+    mlp_positives: int | None = None
+    teacher_mlp_negatives: int | None = None
+    student_mlp_negatives: int | None = None
 
 
 @dataclass(frozen=True)
@@ -266,7 +278,9 @@ class EvalReport:
             "n_links_total": self.n_links_total,
             "n_links_scoreable": self.n_links_scoreable,
             "split_seeds": list(self.split_seeds),
-            "trials": [asdict(t) for t in self.trials],
+            # A field a scorer does not fill (None) is left out of its trials.
+            "trials": [{key: value for key, value in asdict(t).items() if value is not None}
+                       for t in self.trials],
         }
 
     def csv_rows(self) -> list[tuple]:
@@ -366,9 +380,13 @@ def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
         _, test = split_links(scoreable, split_seed)
         for scorer in scorers:
             t_scorer = s_scorer = None
+            samples = {}
             if scorer == "mlp":
                 t_scorer = train_mlp_scorer(t_emb, window, derive_seed(*entropy, 3))
                 s_scorer = train_mlp_scorer(s_emb, window, derive_seed(*entropy, 4))
+                samples = dict(mlp_positives=t_scorer.n_positives,
+                               teacher_mlp_negatives=t_scorer.n_negatives,
+                               student_mlp_negatives=s_scorer.n_negatives)
             t_preds, truths = _score_links(t_emb, test, t_scorer)
             s_preds, _ = _score_links(s_emb, test, s_scorer)
             t_rmse, t_mae = metrics(t_preds, truths)
@@ -379,7 +397,7 @@ def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
                 teacher_rmse=t_rmse, teacher_mae=t_mae,
                 student_rmse=s_rmse, student_mae=s_mae,
                 baseline_rmse=b_rmse,
-                n_validation=len(scoreable) - len(test), n_test=len(test)))
+                n_validation=len(scoreable) - len(test), n_test=len(test), **samples))
 
     n_teacher = count_params(teacher_cfg, n_global)
     n_student = count_params(student_cfg, n_global)

@@ -53,31 +53,52 @@ def export_event(raw: RawEvent, out_dir: str | Path,
     return path
 
 
+def _read_text(path: Path, what: str) -> str:
+    """A UTF-8 text file, or an ``EventFormatError`` naming ``what`` failed."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise EventFormatError(f"no {what} at {path}") from None
+    except UnicodeDecodeError as exc:
+        raise EventFormatError(f"{path}: {what} is not UTF-8 text ({exc.reason} at "
+                               f"byte {exc.start})") from None
+    except ValueError as exc:  # a NUL or an unencodable character in the name
+        raise EventFormatError(f"cannot open {what} {path!r}: {exc}") from None
+    except OSError as exc:
+        raise EventFormatError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
 def load_raw_event(manifest_path: str | Path) -> RawEvent:
-    """Parse an event directory without normalizing."""
+    """Parse an event directory without normalizing.
+
+    Anything wrong with the manifest or a snapshot file raises
+    ``EventFormatError`` naming the file (and line) at fault.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        raise EventFormatError(f"no manifest at {manifest_path}") from None
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(_read_text(manifest_path, "manifest"))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise EventFormatError(f"{manifest_path}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise EventFormatError(f"{manifest_path}: a manifest must be a JSON object")
     for key in ("name", "num_snapshots", "files"):
         if key not in manifest:
             raise EventFormatError(f"{manifest_path}: missing key {key!r}")
-    files = manifest["files"]
-    if len(files) != manifest["num_snapshots"]:
+    files, count = manifest["files"], manifest["num_snapshots"]
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise EventFormatError(f"{manifest_path}: num_snapshots must be an integer, "
+                               f"got {count!r}")
+    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+        raise EventFormatError(f"{manifest_path}: files must be a list of file names")
+    if len(files) != count:
         raise EventFormatError(f"{manifest_path}: {len(files)} files listed for "
-                               f"{manifest['num_snapshots']} snapshots")
+                               f"{count} snapshots")
     snapshots = []
     for fname in files:
         fpath = manifest_path.parent / fname
-        try:
-            lines = fpath.read_text().splitlines()
-        except FileNotFoundError:
-            raise EventFormatError(f"missing snapshot file {fpath}") from None
+        lines = _read_text(fpath, "snapshot file").splitlines()
         edges = []
         seen: set[tuple[int, int]] = set()
         for lineno, line in enumerate(lines, start=1):

@@ -9,6 +9,7 @@ are comparable with sigmoid outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,7 +62,7 @@ class SnapshotGraph:
             if (u, v) in seen:
                 raise MalformedGraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            if not np.isfinite(w):
+            if not math.isfinite(w):
                 raise MalformedGraphError(f"non-finite weight on edge ({u}, {v})")
             if not 0.0 < w <= 1.0:
                 raise MalformedGraphError(f"weight {w} on edge ({u}, {v}) outside (0, 1]")
@@ -248,7 +249,7 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     if not weights:
         raise EmptyEventError(f"event {raw.name!r} has no edges")
     for w in weights:
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise MalformedGraphError("non-finite raw weight")
     scale = WeightScale(float(min(weights)), float(max(weights)))
 

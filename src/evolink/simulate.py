@@ -131,70 +131,87 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
             pair_weight[key] = max(float(rng.normal(loc, spread)), MIN_RAW_WEIGHT)
         return pair_weight[key]
 
+    # State kept across the whole run, so that a pick never rescans the
+    # viewers: who is present, each viewer's degree (always len(adj[u])),
+    # and which viewers sit in each office.
     adj: dict[int, dict[int, float]] = {u: {} for u in range(v)}
-    present: set[int] = set()
+    present = np.zeros(v, dtype=bool)
+    degree = np.zeros(v, dtype=np.intp)
+    in_office = [office == o for o in range(cfg.offices)]
 
-    def pick_partner(u: int, pool_filter) -> int | None:
-        """Choose a partner for u with the same-office preference."""
-        same, other = [], []
-        for w in sorted(present):
-            if w == u or w in adj[u] or not pool_filter(w):
-                continue
-            (same if office[w] == office[u] else other).append(w)
-        if same and (not other or rng.random() < cfg.same_office_bias):
+    def link(u: int, w: int) -> None:
+        wt = weight_of(u, w)
+        adj[u][w] = wt
+        adj[w][u] = wt
+        degree[u] += 1
+        degree[w] += 1
+
+    def unlink(u: int, w: int) -> None:
+        del adj[u][w]
+        del adj[w][u]
+        degree[u] -= 1
+        degree[w] -= 1
+
+    def pick_partner(u: int, capped: bool) -> int | None:
+        """Choose a partner for u with the same-office preference: any
+        present viewer other than u and its neighbours, and, if ``capped``,
+        only one still under the degree cap. Candidates are taken in
+        ascending id order."""
+        eligible = present & (degree < cfg.degree_cap) if capped else present.copy()
+        eligible[u] = False
+        eligible[np.fromiter(adj[u], dtype=np.intp, count=len(adj[u]))] = False
+        mine = eligible & in_office[office[u]]
+        same = np.flatnonzero(mine)
+        other = np.flatnonzero(eligible ^ mine)
+        if same.size and (not other.size or rng.random() < cfg.same_office_bias):
             pool = same
-        elif other:
+        elif other.size:
             pool = other
         else:
             return None
-        return pool[rng.integers(0, len(pool))]
+        return int(pool[rng.integers(0, len(pool))])
 
     snapshots: list[tuple[tuple[int, int, float], ...]] = []
     for k in range(cfg.snapshots):
-        present.update(np.flatnonzero(joins_at == k).tolist())
+        present[joins_at == k] = True
 
         if cfg.departure_prob > 0.0 and k > 0:
-            leaving = [u for u in sorted(present)
+            leaving = [u for u in np.flatnonzero(present).tolist()
                        if joins_at[u] < k and rng.random() < cfg.departure_prob]
             for u in leaving:
                 for w in list(adj[u]):
-                    del adj[w][u]
-                adj[u].clear()
-                present.discard(u)
+                    unlink(u, w)
+                present[u] = False
 
         # Rewiring: swap the weakest link for a strictly stronger candidate.
         if cfg.rewire_prob > 0.0:
-            for u in sorted(present):
+            for u in np.flatnonzero(present).tolist():
                 if not adj[u] or rng.random() >= cfg.rewire_prob:
                     continue
                 weakest, w_min = min(adj[u].items(), key=lambda kv: (kv[1], kv[0]))
-                cand = pick_partner(u, lambda w: len(adj[w]) < cfg.degree_cap)
+                cand = pick_partner(u, capped=True)
                 if cand is not None and weight_of(u, cand) > w_min:
-                    del adj[u][weakest]
-                    del adj[weakest][u]
-                    wt = weight_of(u, cand)
-                    adj[u][cand] = wt
-                    adj[cand][u] = wt
+                    unlink(u, weakest)
+                    link(u, cand)
 
         # Growth: each viewer initiates at most growth_rate new links per
         # snapshot, staying within the degree cap, so the mesh densifies
         # over the whole event instead of saturating at arrival. A
         # completely unconnected viewer may ignore partners' caps so that
         # no present viewer stays isolated (when at least two are present).
-        for u in sorted(present):
+        for u in np.flatnonzero(present).tolist():
             budget = cfg.growth_rate
-            while budget > 0 and len(adj[u]) < cfg.degree_cap:
-                cand = pick_partner(u, lambda w: len(adj[w]) < cfg.degree_cap)
+            while budget > 0 and degree[u] < cfg.degree_cap:
+                cand = pick_partner(u, capped=True)
                 if cand is None and not adj[u]:
-                    cand = pick_partner(u, lambda w: True)
+                    cand = pick_partner(u, capped=False)
                 if cand is None:
                     break
-                wt = weight_of(u, cand)
-                adj[u][cand] = wt
-                adj[cand][u] = wt
+                link(u, cand)
                 budget -= 1
 
-        edges = sorted((u, w, adj[u][w]) for u in present for w in adj[u] if u < w)
+        edges = sorted((u, w, adj[u][w]) for u in np.flatnonzero(present).tolist()
+                       for w in adj[u] if u < w)
         snapshots.append(tuple(edges))
 
     pattern = cfg.arrival.replace("_", "-")

@@ -150,6 +150,17 @@ def test_evaluate_both_scorers(tmp_path, capsys):
         assert blob["report"]["scorer"] == scorer
 
 
+def test_mlp_report_records_the_negative_shortfall(tmp_path):
+    """The 14-viewer event's window leaves only 12 non-links for 66 links,
+    so each MLP scorer trains on 12 negatives, and the report says so."""
+    cfg = write_config(tmp_path)
+    assert main(["evaluate", str(cfg), "--scorer", "mlp"]) == 0
+    trials = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["trials"]
+    for trial in trials:
+        assert (trial["mlp_positives"], trial["teacher_mlp_negatives"],
+                trial["student_mlp_negatives"]) == (66, 12, 12)
+
+
 def test_evaluate_both_trains_once_and_matches_single_scorer_runs(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, trials=1)
     calls = []
@@ -222,3 +233,19 @@ def test_negative_seed_exits_one(tmp_path, capsys, where):
     assert main(["train-teacher", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("manifest,csv,fragment", [
+    (b"7", b"0,1,5.0\n", "JSON object"),
+    (b'{"name": "x", "num_snapshots": 1, "files": 5}', b"0,1,5.0\n", "list of file names"),
+    (b'{"name": "x", "num_snapshots": 1, "files": ["s.csv"]}', b"\xff0,1,5.0\n", "not UTF-8"),
+], ids=["not-an-object", "files-not-a-list", "csv-not-utf8"])
+def test_evaluate_on_a_malformed_event_exits_one(tmp_path, capsys, manifest, csv, fragment):
+    event = tmp_path / "event"
+    event.mkdir()
+    (event / "manifest.json").write_bytes(manifest)
+    (event / "s.csv").write_bytes(csv)
+    cfg = write_config(tmp_path, data={"manifest": "event"})
+    assert main(["evaluate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err

@@ -141,6 +141,21 @@ def test_mlp_scorer_properties():
     assert s == score_mlp(emb, scorer, 3, 0)
     assert 0.0 < s < 1.0
     assert scorer.w_hidden.shape == (4, 2)
+    assert (scorer.n_positives, scorer.n_negatives) == (4, 4)
+
+
+@pytest.mark.parametrize("missing,negatives", [((), 0), (((0, 4),), 1), (((0, 4), (1, 3)), 2)])
+def test_mlp_scorer_records_a_negative_shortfall(missing, negatives):
+    """On a window that is complete but for ``missing`` pairs, only those
+    pairs can be negatives: the scorer trains on them and counts them."""
+    rng = np.random.default_rng(4)
+    emb = Embeddings(z=rng.normal(0, 0.8, size=(5, 4)), ids=tuple(range(5)))
+    edges = tuple((u, v, 0.6) for u in range(5) for v in range(u + 1, 5)
+                  if (u, v) not in missing)
+    window = [SnapshotGraph(index=0, nodes=tuple(range(5)), edges=edges)]
+    scorer = train_mlp_scorer(emb, window, seed=1, epochs=5)
+    assert (scorer.n_positives, scorer.n_negatives) == (10 - len(missing), negatives)
+    assert np.all(np.isfinite(scorer.w_out))
 
 
 def test_mlp_scorer_requires_training_and_positives():
@@ -261,6 +276,19 @@ def test_run_evaluation_mlp_path():
     assert report.scorer == "mlp"
     assert np.isfinite(report.teacher_rmse_mean)
     assert np.isfinite(report.student_rmse_mean)
+    trial = report.to_payload()["trials"][0]
+    assert [trial[key] for key in ("mlp_positives", "teacher_mlp_negatives",
+                                   "student_mlp_negatives")] == [11, 11, 11]
+
+
+def test_dot_report_trials_carry_no_mlp_counts():
+    report = run_evaluation(make_event(), 1, tiny_teacher(), tiny_student(),
+                            trials=1, scorer="dot", seed=0)
+    assert report.trials[0].mlp_positives is None
+    assert sorted(report.to_payload()["trials"][0]) == sorted(
+        ["index", "teacher_seed", "student_seed", "split_seed", "teacher_rmse",
+         "teacher_mae", "student_rmse", "student_mae", "baseline_rmse",
+         "n_validation", "n_test"])
 
 
 def test_run_evaluation_validation():

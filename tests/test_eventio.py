@@ -4,10 +4,14 @@ Snapshot CSVs write weights with repr, so export -> load is an exact
 float round trip, not an approximate one.
 """
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evolink.errors import ConfigError, EventFormatError
+from evolink.errors import ConfigError, EventFormatError, EvolinkError
 from evolink.eventio import (
     RunConfig,
     export_event,
@@ -119,6 +123,107 @@ def test_duplicate_edge_detected_across_orientations(tmp_path):
     path = write_lines(tmp_path, ["0,1,5.0", "1,0,6.0"])
     with pytest.raises(EventFormatError, match="duplicate"):
         load_raw_event(path)
+
+
+
+def write_manifest(tmp_path, manifest) -> Path:
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("manifest,fragment", [
+    (7, "JSON object"),
+    ([], "JSON object"),
+    ({"name": "x", "num_snapshots": 1, "files": 5}, "list of file names"),
+    ({"name": "x", "num_snapshots": 1, "files": "s.csv"}, "list of file names"),
+    ({"name": "x", "num_snapshots": 1, "files": [3]}, "list of file names"),
+    ({"name": "x", "num_snapshots": 1.0, "files": ["s.csv"]}, "integer"),
+    ({"name": "x", "num_snapshots": "1", "files": ["s.csv"]}, "integer"),
+    ({"name": "x", "num_snapshots": True, "files": ["s.csv"]}, "integer"),
+])
+def test_malformed_manifest_rejected(tmp_path, manifest, fragment):
+    (tmp_path / "s.csv").write_text("0,1,5.0\n")
+    with pytest.raises(EventFormatError, match=fragment):
+        load_raw_event(write_manifest(tmp_path, manifest))
+
+
+@pytest.mark.parametrize("fname", ["snapshots", "", "."])
+def test_listed_file_that_is_a_directory(tmp_path, fname):
+    (tmp_path / "snapshots").mkdir()
+    path = write_manifest(tmp_path, {"name": "x", "num_snapshots": 1, "files": [fname]})
+    with pytest.raises(EventFormatError, match="cannot read snapshot file"):
+        load_raw_event(path)
+
+
+def test_listed_file_name_with_a_nul_byte(tmp_path):
+    path = write_manifest(tmp_path, {"name": "x", "num_snapshots": 1, "files": ["s\x00.csv"]})
+    with pytest.raises(EventFormatError, match="cannot open snapshot file"):
+        load_raw_event(path)
+
+
+def test_files_that_are_not_utf8(tmp_path):
+    (tmp_path / "s.csv").write_bytes(b"\xff\xfe0,1,5.0\n")
+    path = write_manifest(tmp_path, {"name": "x", "num_snapshots": 1, "files": ["s.csv"]})
+    with pytest.raises(EventFormatError, match="s.csv: snapshot file is not UTF-8"):
+        load_raw_event(path)
+    path.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(EventFormatError, match="manifest is not UTF-8"):
+        load_raw_event(path)
+
+
+def test_deeply_nested_manifest_rejected(tmp_path):
+    (tmp_path / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(EventFormatError, match="invalid JSON"):
+        load_raw_event(tmp_path)
+
+
+VALID_MANIFEST = {"name": "fuzz", "num_snapshots": 1, "files": ["s.csv"]}
+
+# File names hold no path separator, so every listed name resolves inside
+# the fuzzed event directory ("", "." and ".." are directories).
+file_names = st.sampled_from(["s.csv", "sub", "", ".", "..", "absent.csv", "s\x00"]) | \
+    st.text(alphabet="s.csv\x00\ud800 ", max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                              max_size=3),
+    max_leaves=6)
+manifest_objects = st.fixed_dictionaries({}, optional={
+    "name": json_values,
+    "num_snapshots": st.integers(-1, 3) | json_values,
+    "files": st.lists(file_names, max_size=3) | json_values,
+})
+manifest_bytes = st.one_of(
+    st.just(json.dumps(VALID_MANIFEST).encode()),
+    (manifest_objects | json_values).map(lambda obj: json.dumps(obj).encode()),
+    st.binary(max_size=48))
+
+csv_fields = st.sampled_from(["0", "1", "2", "-1", "12", "5.0", "0.0", "1e400", "5e-324", "nan",
+                              "-inf", "1_0", "x", " 3 ", "", "\u0663", "9" * 5000])
+csv_text = st.lists(st.lists(csv_fields, max_size=4).map(",".join), max_size=6).map(
+    lambda lines: "\n".join(lines).encode())
+csv_bytes = st.one_of(
+    csv_text,
+    st.tuples(csv_text, st.binary(min_size=1, max_size=4), st.integers(0, 64)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
+    st.binary(max_size=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest=manifest_bytes, csv=csv_bytes)
+def test_fuzzed_event_directories_raise_only_evolink_errors(manifest, csv):
+    """Whatever the manifest and snapshot bytes, loading either gives an
+    event or raises an ``EvolinkError``, never a raw Python exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "sub").mkdir()
+        (root / "s.csv").write_bytes(csv)
+        (root / "manifest.json").write_bytes(manifest)
+        try:
+            load_event(root)
+        except EvolinkError:
+            pass
 
 
 # -- run configs --------------------------------------------------------------

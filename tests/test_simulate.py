@@ -1,4 +1,7 @@
-"""Simulator tests: determinism, arrival contracts, structural invariants."""
+"""Simulator tests: determinism, arrival contracts, structural invariants,
+and golden digests that pin every generated event bit for bit."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -204,3 +207,82 @@ def test_describe_event_raw_and_rejects_junk():
     assert len(rows) == 3
     with pytest.raises(ConfigError):
         describe_event([("not", "an", "event")])
+
+
+# -- golden output -----------------------------------------------------------
+#
+# sha256 of repr(simulate_event(cfg)). The digests were taken from the
+# rescanning simulator that sorted the present viewers on every pick; any
+# change to the draws, their order or the candidate order changes them.
+
+def event_digest(cfg: SimConfig) -> str:
+    return hashlib.sha256(repr(simulate_event(cfg)).encode()).hexdigest()
+
+
+GOLDEN = {
+    "desk": (SimConfig(offices=4, viewers=80, snapshots=8, arrival="front_loaded", seed=3),
+             "78369e1986851650763d20bc5975fe41a647e186219bd529b830d8cd0e9aaa9c"),
+    "cli-pipeline": (SimConfig(offices=4, viewers=320, snapshots=8, seed=0),
+                     "5deb3ad9e8d08b2028289f41b86aff06f7b87421d1134501d757e9d25370042c"),
+    "viewers-1000": (SimConfig(offices=4, viewers=1000, snapshots=8, seed=0),
+                     "9d8ab900f4815c90d00756b54372abf9e33979a4c5a8052ffefc1c19f13b955f"),
+    "departures": (SimConfig(viewers=60, snapshots=8, departure_prob=0.3, seed=5),
+                   "6d138ea05112fe0f355621e2c1234cf7731a418e8b060c3ff8fde0b00d4bf452"),
+    "no-rewire": (SimConfig(viewers=50, snapshots=6, arrival="burst", rewire_prob=0.0,
+                            seed=7),
+                  "e8cf913b544689b2154fbd9cf82229b4b66b5120d04490d2a1b688078dc1b77c"),
+    "always-rewire": (SimConfig(viewers=50, snapshots=6, arrival="gradual", rewire_prob=1.0,
+                                departure_prob=0.1, seed=8),
+                      "c00052dc063e94d4fc1aaf22004f53a990e2ad5e68c07ac834f7dbc8378adc1a"),
+    "no-office-bias": (SimConfig(offices=3, viewers=45, same_office_bias=0.0, seed=9),
+                       "e9044561dd4267de4d378862fbd7af0ec56c4117dfb324e0f59e5537b3d71b69"),
+    "full-office-bias": (SimConfig(offices=3, viewers=45, same_office_bias=1.0, seed=10),
+                         "a0a9e9dda956e0eae884df9b6883f16aa3ae1a7e5e7ccbd930f42c701b57fefa"),
+    "degree-cap-1": (SimConfig(viewers=30, degree_cap=1, growth_rate=3, seed=11),
+                     "9f5b06881c6f52233d8d6c623b409d50267f36fcb6fa4bae5318578301ff4fa7"),
+    "one-office": (SimConfig(offices=1, viewers=40, departure_prob=0.2, seed=12),
+                   "8638055b12dd3ea97b67dcd75ef9f3761b89063e444b8556b7ad7c0f45e58c0a"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_event(name):
+    cfg, digest = GOLDEN[name]
+    assert event_digest(cfg) == digest
+
+
+def test_golden_protocol_hygiene_events():
+    """The 50 events of acceptance criterion 8, hashed together."""
+    arrivals = ("front_loaded", "burst", "gradual")
+    digests = "".join(
+        event_digest(SimConfig(offices=2 + i % 3, viewers=24 + (i % 4) * 8, snapshots=5,
+                               arrival=arrivals[i % 3], rewire_prob=0.1 * (i % 2), seed=i))
+        for i in range(50))
+    assert hashlib.sha256(digests.encode()).hexdigest() == \
+        "57130ba38b036f716a94c0b745c08c594621b603ff8db8108baf582c1c10b314"
+
+
+def test_large_event_with_departures_and_rewiring():
+    """2000 viewers in six offices, with departures and rewiring: the degree
+    bookkeeping holds at scale. Present viewers always carry a link, so a
+    viewer that drops out of a snapshot has left and never comes back."""
+    cfg = SimConfig(offices=6, viewers=2000, snapshots=8, arrival="burst",
+                    rewire_prob=0.3, departure_prob=0.05, seed=21)
+    event = simulate_event(cfg)
+    assert hashlib.sha256(repr(event).encode()).hexdigest() == \
+        "ec9ebc59e711c269474989a91c27a891b8a4dac9b6c9d00972a3836e0d603c98"
+    seen: set[int] = set()
+    gone: set[int] = set()
+    prev: set[int] = set()
+    for snap in event.snapshots:
+        pairs = [(u, v) for u, v, _ in snap]
+        assert all(u < v for u, v in pairs)  # no self-loop, one orientation
+        assert len(set(pairs)) == len(pairs)
+        assert max(degrees(snap).values()) <= cfg.degree_cap
+        nodes = snapshot_nodes(snap)
+        assert not nodes & gone
+        gone |= prev - nodes
+        seen |= nodes
+        prev = nodes
+    assert gone  # somebody left
+    assert seen == set(range(cfg.viewers))
