@@ -84,6 +84,12 @@ class SnapshotGraph:
         """
         return _edge_arrays(self)
 
+    @cached_property
+    def adjacency_lists(self) -> NeighbourLists:
+        """The weighted adjacency, zero diagonal, as neighbour lists: the
+        reconstruction loss's target. Built on first use and kept."""
+        return NeighbourLists.symmetric(self.n, *self.edge_arrays, np.empty(0, dtype=np.intp))
+
     def adjacency(self) -> Array:
         """Dense symmetric weight matrix with a zero diagonal."""
         rows, cols, weights = self.edge_arrays
@@ -166,15 +172,17 @@ class WeightScale:
     raw_max: float
     eps: float = WEIGHT_EPS
 
-    def apply(self, w: float) -> float:
+    def apply(self, w) -> Array:
+        """The mapped weight of ``w``, a raw weight or an array of them."""
+        w = np.asarray(w, dtype=np.float64)
         if self.raw_max == self.raw_min:
             # Degenerate raw range: every weight collapses to the midpoint.
-            return 0.5
+            return np.full(w.shape, 0.5)
         lo, hi = self.eps, 1.0 - self.eps
         t = (w - self.raw_min) / (self.raw_max - self.raw_min)
         # Convex combination hits both endpoints exactly; the clamp guards
         # against interior rounding drifting past them by one ulp.
-        return min(max(lo * (1.0 - t) + hi * t, lo), hi)
+        return np.minimum(np.maximum(lo * (1.0 - t) + hi * t, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -252,6 +260,7 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
         if not math.isfinite(w):
             raise MalformedGraphError("non-finite raw weight")
     scale = WeightScale(float(min(weights)), float(max(weights)))
+    scaled = iter(scale.apply(weights).tolist())
 
     registry: dict[int, int] = {}
 
@@ -265,12 +274,12 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     snapshots = []
     for k, snap in enumerate(raw.snapshots):
         mapped = []
-        for u, v, w in snap:
+        for u, v, _ in snap:
             if u == v:
                 raise MalformedGraphError(f"self-loop on node {u} in snapshot {k}")
             du, dv = dense(u), dense(v)
             lo, hi = (du, dv) if du < dv else (dv, du)
-            mapped.append((lo, hi, scale.apply(w)))
+            mapped.append((lo, hi, next(scaled)))
         nodes = tuple(sorted({i for e in mapped for i in e[:2]}))
         snapshots.append(SnapshotGraph(index=k, nodes=nodes, edges=tuple(sorted(mapped))))
     return EventSequence(name=raw.name, snapshots=tuple(snapshots),

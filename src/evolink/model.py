@@ -16,14 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.special import expit
 
 from .attention import AttentionHead, AttentionInputs, Transition, evolve_weights
 from .errors import ConfigError, ShapeError
 from .gcn import (Embeddings, GcnParams, IdentityFeatures, gcn_forward, identity_features,
                   param_spec)
-from .graphs import SnapshotGraph, normalize_adjacency_csr
-from .tape import Tensor, add, as_tensor, param, rmse_sigmoid_gram, scale
+from .graphs import NeighbourLists, SnapshotGraph, normalize_adjacency_csr
+from .tape import SigmoidGram, Tensor, param, rmse_sigmoid_gram
 
 Array = np.ndarray
 
@@ -98,27 +97,28 @@ class WindowData:
     Per snapshot: its node ids as ``features`` and its normalized adjacency
     ``a_hats[i]`` as a CSR matrix. Per transition: the attention inputs of
     the snapshot it leads into, ``attention[i - 1]`` for snapshot ``i``,
-    whose neighbour lists carry the edge weights. ``target`` is the final
-    snapshot's dense weighted adjacency, which the losses read; it is the
-    only (n, n) array. Every array is read-only.
+    whose neighbour lists carry the edge weights. ``final`` is the final
+    snapshot, whose ``adjacency_lists`` are the reconstruction loss's
+    target, built on first use, so an inference builds none. Every array
+    is read-only and has at most one entry per node and edge direction:
+    no (n, n) array.
     """
 
     features: tuple[IdentityFeatures, ...]
     a_hats: tuple[csr_matrix, ...]
     attention: tuple[AttentionInputs, ...]
-    target: Array
+    final: SnapshotGraph
 
     @classmethod
     def build(cls, window: list[SnapshotGraph]) -> "WindowData":
         if not window:
             raise ConfigError("a window needs at least one snapshot")
         a_hats = tuple(normalize_adjacency_csr(g) for g in window)
-        target = window[-1].adjacency()
-        for arr in (*(a.data for a in a_hats), target):
-            arr.flags.writeable = False
+        for a in a_hats:
+            a.data.flags.writeable = False
         return cls(features=tuple(identity_features(g) for g in window), a_hats=a_hats,
                    attention=tuple(AttentionInputs.build(g) for g in window[1:]),
-                   target=target)
+                   final=window[-1])
 
     def __len__(self) -> int:
         return len(self.a_hats)
@@ -126,7 +126,7 @@ class WindowData:
     @property
     def n(self) -> int:
         """Node count of the final snapshot, the one the losses score."""
-        return self.target.shape[0]
+        return self.final.n
 
 
 def window_data(window: list[SnapshotGraph] | WindowData) -> WindowData:
@@ -263,17 +263,11 @@ def reconstruction_loss(z, g: SnapshotGraph | WindowData) -> Tensor:
     diagonal (for a WindowData, the final snapshot's); the mean runs over
     all n^2 ordered pairs.
     """
-    zt = as_tensor(z)
-    if zt.value.ndim != 2 or zt.shape[0] != g.n:
-        raise ShapeError(f"embeddings with {zt.shape} rows for a {g.n}-node snapshot")
-    target = g.target if isinstance(g, WindowData) else g.adjacency()
-    return rmse_sigmoid_gram(zt, target)
+    return rmse_sigmoid_gram(z, [(1.0, _target_edges(g))])
 
 
-def soft_scores(z: Array) -> Array:
-    """Sigmoid pair-score matrix of a fixed embedding (no gradient)."""
-    z = np.asarray(z, dtype=np.float64)
-    return expit(z @ z.T)
+def _target_edges(g: SnapshotGraph | WindowData) -> NeighbourLists:
+    return (g.final if isinstance(g, WindowData) else g).adjacency_lists
 
 
 def distillation_loss(z_student, z_teacher, g: SnapshotGraph | WindowData,
@@ -282,28 +276,19 @@ def distillation_loss(z_student, z_teacher, g: SnapshotGraph | WindowData,
 
     ``(1 - gamma)`` weights the root mean squared deviation between the
     student's and the teacher's sigmoid pair scores; ``gamma`` weights the
-    student's own reconstruction loss. The teacher side is a constant.
-    At the boundaries only the active term is evaluated, so ``gamma = 1``
+    student's own reconstruction loss. The teacher side is a constant,
+    recomputed a row block at a time from its (n, d) embeddings. At the
+    boundaries only the active term is evaluated, so ``gamma = 1``
     reproduces plain reconstruction training exactly.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
-    z_t = z_teacher.z if isinstance(z_teacher, Embeddings) else np.asarray(z_teacher)
-    return _distillation_from_soft(z_student, soft_scores(z_t), g, gamma)
-
-
-def _distillation_from_soft(z_student, soft_target: Array, g: SnapshotGraph | WindowData,
-                            gamma: float) -> Tensor:
-    zs = as_tensor(z_student)
-    if zs.value.ndim != 2 or zs.shape[0] != g.n:
-        raise ShapeError(f"student embeddings with {zs.shape} rows for a "
-                         f"{g.n}-node snapshot")
     if gamma == 1.0:
-        return reconstruction_loss(zs, g)
-    if soft_target.shape != (g.n, g.n):
-        raise ShapeError(f"soft target shape {soft_target.shape} does not match "
-                         f"({g.n}, {g.n})")
-    teacher_term = rmse_sigmoid_gram(zs, soft_target)
-    if gamma == 0.0:
-        return teacher_term
-    return add(scale(teacher_term, 1.0 - gamma), scale(reconstruction_loss(zs, g), gamma))
+        return reconstruction_loss(z_student, g)
+    teacher = SigmoidGram(z_teacher.z if isinstance(z_teacher, Embeddings) else z_teacher)
+    if teacher.n != g.n:
+        raise ShapeError(f"teacher embeddings over {teacher.n} nodes for a {g.n}-node snapshot")
+    terms = [(1.0 - gamma, teacher)]
+    if gamma > 0.0:
+        terms.append((gamma, _target_edges(g)))
+    return rmse_sigmoid_gram(z_student, terms)

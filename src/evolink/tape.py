@@ -12,15 +12,13 @@ reached ``param`` leaves only. All storage is float64.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateSoftmaxError, NumericError, ShapeError
-
-if TYPE_CHECKING:
-    from .graphs import NeighbourLists
+from .graphs import NeighbourLists
 
 Array = np.ndarray
 
@@ -348,8 +346,15 @@ def sqrt(a) -> Tensor:
     return Tensor(root, _parents=(a,), _backward=bw)
 
 
+# Entries whose (entries, d) row gathers the backward of
+# :func:`edge_attention` forms at a time. Gathering every entry at once
+# makes two arrays large enough that the allocator maps fresh pages for
+# them on every call.
+EDGE_BLOCK = 1024
+
+
 def edge_softmax(x: Array, transform: Array, score_vec: Array,
-                 edges: "NeighbourLists") -> tuple[Array, Array, Array]:
+                 edges: NeighbourLists) -> tuple[Array, Array, Array]:
     """The coefficients of one attention head over neighbour lists.
 
     ``x`` is (n, d), ``transform`` (d, d), ``score_vec`` (2d, 1) and
@@ -380,7 +385,7 @@ def edge_softmax(x: Array, transform: Array, score_vec: Array,
     return p, s, alpha
 
 
-def edge_attention(x, transform, score_vec, edges: "NeighbourLists") -> Tensor:
+def edge_attention(x, transform, score_vec, edges: NeighbourLists) -> Tensor:
     """One attention head over neighbour lists as one recorded op.
 
     Row ``u`` of the (n, d) result is ``sum_v alpha_uv p_v`` with ``p`` and
@@ -396,7 +401,11 @@ def edge_attention(x, transform, score_vec, edges: "NeighbourLists") -> Tensor:
     def bw(g: Array) -> None:
         dp = edges.matrix(alpha[edges.transpose]) @ g
         # Through the softmax: a row's sum of alpha * d_alpha is g_u . value_u.
-        d_alpha = np.einsum("ij,ij->i", g[u], p[v])
+        # Each entry's dot product is the same in any block of entries.
+        d_alpha = np.empty(u.size)
+        for lo in range(0, u.size, EDGE_BLOCK):
+            hi = lo + EDGE_BLOCK
+            np.einsum("ij,ij->i", g[u[lo:hi]], p[v[lo:hi]], out=d_alpha[lo:hi])
         d_s = alpha * (d_alpha - np.einsum("ij,ij->i", g, value)[u])
         d_pair = d_s * s * (1.0 - s) * edges.weights
         d_src = np.bincount(u, d_pair, minlength=n)
@@ -415,31 +424,100 @@ def edge_attention(x, transform, score_vec, edges: "NeighbourLists") -> Tensor:
     return Tensor(value, _parents=(x, transform, score_vec), _backward=bw)
 
 
-def rmse_sigmoid_gram(z, target) -> Tensor:
-    """``sqrt(mean((sigmoid(z z^T) - target)^2))`` as one recorded op.
+# Rows of ``expit(z z^T)`` that :func:`rmse_sigmoid_gram` holds at a time.
+LOSS_BLOCK = 128
 
-    ``target`` is a constant (n, n) array for the (n, d) matrix ``z``. The
-    value and the gradient are bit-identical to the composed chain
-    ``sqrt(mean(square(sub(sigmoid(matmul(z, transpose(z))), target))))``:
-    the backward repeats that chain's float operations in the tape's order,
-    without recording its n x n intermediates.
+
+@dataclass(frozen=True, eq=False)
+class SigmoidGram:
+    """The loss target ``expit(y y^T)`` of a constant (n, d) matrix ``y``,
+    computed a row block at a time, never as a whole."""
+
+    y: Array
+
+    def __post_init__(self):
+        y = np.asarray(self.y, dtype=np.float64)
+        if y.ndim != 2:
+            raise ShapeError(f"SigmoidGram needs an (n, d) matrix, got shape {y.shape}")
+        object.__setattr__(self, "y", y)
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
+
+def rmse_sigmoid_gram(z, terms) -> Tensor:
+    """``sum_k c_k sqrt(mean((expit(z z^T) - T_k)^2))`` as one recorded op.
+
+    ``terms`` is a sequence of ``(c_k, T_k)`` pairs. Each target ``T_k`` is
+    symmetric over the n rows of ``z``: either a :class:`NeighbourLists`
+    (its weights at its entries, zero elsewhere) or a :class:`SigmoidGram`.
+    No dense (n, n) target is taken, and no (n, n) array is formed: the
+    scores ``s`` are evaluated ``LOSS_BLOCK`` rows at a time, and every
+    term's squared error and, when ``z`` needs a gradient, its product
+    ``(diff * s * (1 - s)) @ z`` come from the same pass. The targets'
+    symmetry makes the gradient of ``sum(diff^2)`` through ``z z^T`` equal
+    to ``4 (diff * s * (1 - s)) @ z``, so the backward only scales the
+    stored products. A term whose root is 0 contributes no gradient.
     """
     z = as_tensor(z)
-    target = np.asarray(target, dtype=np.float64)
-    if z.value.ndim != 2 or target.shape != (z.shape[0], z.shape[0]):
-        raise ShapeError(f"rmse_sigmoid_gram: target {target.shape} does not match "
-                         f"embeddings {z.shape}")
     zv = z.value
-    s = expit(zv @ zv.T)
-    diff = s - target
-    root = np.sqrt((diff * diff).mean())
+    if zv.ndim != 2 or zv.shape[0] == 0:
+        raise ShapeError(f"rmse_sigmoid_gram needs (n, d) embeddings, got shape {z.shape}")
+    n = zv.shape[0]
+    if not terms:
+        raise ShapeError("rmse_sigmoid_gram needs at least one term")
+    for _, target in terms:
+        if not isinstance(target, (NeighbourLists, SigmoidGram)):
+            raise ShapeError(f"rmse_sigmoid_gram: a target must be NeighbourLists or "
+                             f"SigmoidGram, got {type(target).__name__}")
+        if target.n != n:
+            raise ShapeError(f"rmse_sigmoid_gram: a target over {target.n} rows does not "
+                             f"match embeddings {z.shape}")
+    # Row-major positions of each neighbour-list entry, for 1-d indexing.
+    flat = [t.rows.astype(np.intp) * n + t.cols if isinstance(t, NeighbourLists) else None
+            for _, t in terms]
+    grad = z.requires_grad
+    height = min(LOSS_BLOCK, n)
+    # One allocation for s, diff and s * (1 - s): three separate ones made
+    # the allocator map fresh pages for them on every call.
+    s_buf, d_buf, w_buf = np.empty((3, height, n))
+    prods = [np.empty_like(zv) for _ in terms] if grad else None
+    sse = [0.0] * len(terms)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        s, diff = s_buf[:hi - lo], d_buf[:hi - lo]
+        np.matmul(zv[lo:hi], zv.T, out=s)
+        expit(s, out=s)
+        if grad:
+            w = w_buf[:hi - lo]
+            np.subtract(1.0, s, out=w)
+            w *= s
+        for k, (_, target) in enumerate(terms):
+            if isinstance(target, SigmoidGram):
+                np.matmul(target.y[lo:hi], target.y.T, out=diff)
+                expit(diff, out=diff)
+                np.subtract(s, diff, out=diff)
+            else:
+                np.copyto(diff, s)
+                e0, e1 = target.indptr[lo], target.indptr[hi]
+                diff.reshape(-1)[flat[k][e0:e1] - lo * n] -= target.weights[e0:e1]
+            sse[k] += np.einsum("ij,ij->", diff, diff)
+            if grad:
+                diff *= w
+                np.matmul(diff, zv, out=prods[k][lo:hi])
+    roots = [np.sqrt(e / (n * n)) for e in sse]
+    value = sum(c * root for (c, _), root in zip(terms, roots))
+    if not grad:
+        return Tensor(value)
+    # d/dz of c sqrt(sse / n^2) is c / (2 root n^2) times d(sse)/dz, which
+    # is 4 (diff * s * (1 - s)) @ z summed over the blocks.
+    prod = np.zeros_like(zv)
+    for (c, _), root, p in zip(terms, roots, prods):
+        if root > 0.0:
+            prod += p * (c * 2.0 / (root * n * n))
 
     def bw(g: Array) -> None:
-        # sqrt, mean, square, sub, sigmoid, then the two halves of z z^T.
-        safe = np.where(root > 0.0, root, 1.0)
-        g_mean = g * np.where(root > 0.0, 0.5 / safe, 0.0)
-        g_gram = 2.0 * diff * (g_mean / diff.size) * s * (1.0 - s)
-        _accumulate(z, g_gram @ zv, fresh=True)
-        z.grad += (zv.T @ g_gram).T
+        _accumulate(z, g * prod, fresh=True)
 
-    return Tensor(root, _parents=(z,), _backward=bw)
+    return Tensor(value, _parents=(z,), _backward=bw)

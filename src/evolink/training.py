@@ -15,14 +15,7 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError
 from .gcn import Embeddings, param_spec
 from .graphs import SnapshotGraph
-from .model import (
-    GcnChain,
-    ModelConfig,
-    WindowData,
-    _distillation_from_soft,
-    reconstruction_loss,
-    soft_scores,
-)
+from .model import GcnChain, ModelConfig, WindowData, distillation_loss, reconstruction_loss
 from .optim import Adam
 from .tape import backward
 
@@ -124,9 +117,9 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
                     ) -> tuple[GcnChain, TrainingTrace]:
     """Train a student against the frozen teacher's soft scores.
 
-    The teacher's sigmoid pair-score matrix is computed once from the
-    bundle's embeddings and cached as a constant for every epoch; no
-    gradient reaches the teacher and its parameters are never touched.
+    Each epoch recomputes the teacher's sigmoid pair scores a row block
+    at a time from the bundle's embeddings, a constant; no gradient
+    reaches the teacher and its parameters are never touched.
     A teacher trained on another event (``n_global`` or ``registry``
     differ) raises ConfigError.
     """
@@ -143,7 +136,7 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
         raise ConfigError("teacher embeddings do not cover the window's final snapshot")
     check_same_event(bundle.teacher, n_global, registry, "the teacher")
     chain = GcnChain.init(cfg, n_global, registry)
-    soft = soft_scores(bundle.teacher_embeddings.z)
+    teacher_z = bundle.teacher_embeddings.z
     trace = _fit(chain, WindowData.build(window),
-                 lambda z, data: _distillation_from_soft(z, soft, data, bundle.gamma))
+                 lambda z, data: distillation_loss(z, teacher_z, data, bundle.gamma))
     return chain, trace

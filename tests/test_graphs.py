@@ -9,6 +9,7 @@ from evolink.errors import (EmptyEventError, MalformedGraphError,
 from evolink.graphs import (WEIGHT_EPS, EventSequence, RawEvent, SnapshotGraph,
                             WeightScale, build_window, normalize_adjacency,
                             normalize_weights, unobserved_links)
+from evolink.simulate import SimConfig, simulate_event
 
 
 def snap(index, nodes, edges):
@@ -119,6 +120,30 @@ class TestNormalizeWeights:
         assert a.registry == b.registry
         for ga, gb in zip(a.snapshots, b.snapshots):
             assert ga.edges == gb.edges
+
+
+def per_edge_weight(scale: WeightScale, w: float) -> float:
+    """The weight map one Python float at a time."""
+    if scale.raw_max == scale.raw_min:
+        return 0.5
+    lo, hi = scale.eps, 1.0 - scale.eps
+    t = (w - scale.raw_min) / (scale.raw_max - scale.raw_min)
+    return min(max(lo * (1.0 - t) + hi * t, lo), hi)
+
+
+@pytest.mark.parametrize("viewers, seed", [(80, 3), (1000, 0)])
+def test_normalized_weights_match_the_per_edge_map(viewers, seed):
+    """The array map gives every edge of the desk and the 1000-viewer
+    events the bits of the per-edge map, as Python floats."""
+    raw = simulate_event(SimConfig(offices=4, viewers=viewers, snapshots=8,
+                                   arrival="front_loaded", seed=seed))
+    event = normalize_weights(raw)
+    dense, scale = event.registry, event.weight_scale
+    for edges, g in zip(raw.snapshots, event.snapshots):
+        want = sorted((min(dense[u], dense[v]), max(dense[u], dense[v]),
+                       per_edge_weight(scale, w)) for u, v, w in edges)
+        assert g.edges == tuple(want)
+        assert all(type(w) is float for _, _, w in g.edges)
 
 
 class TestNormalizeAdjacency:

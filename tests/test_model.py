@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from evolink.errors import ConfigError, ShapeError
 from evolink.gcn import Embeddings, count_params, param_spec
@@ -17,7 +18,6 @@ from evolink.model import (
     WindowData,
     distillation_loss,
     reconstruction_loss,
-    soft_scores,
     student_defaults,
     teacher_defaults,
 )
@@ -65,6 +65,18 @@ def recon_oracle(z, g):
             s = sigmoid_scalar(sum(z[i][k] * z[j][k] for k in range(len(z[0]))))
             total += (s - a[i][j]) ** 2
     return math.sqrt(total / (n * n))
+
+
+def distill_oracle(zs, zt, g, gamma):
+    """The blend of the teacher term and recon_oracle, scalar loops."""
+    n = g.n
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            s = sigmoid_scalar(sum(zs[i][k] * zs[j][k] for k in range(len(zs[0]))))
+            t = sigmoid_scalar(sum(zt[i][k] * zt[j][k] for k in range(len(zt[0]))))
+            total += (s - t) ** 2
+    return (1.0 - gamma) * math.sqrt(total / (n * n)) + gamma * recon_oracle(zs, g)
 
 
 # -- config -----------------------------------------------------------------
@@ -240,7 +252,11 @@ def test_window_data_gives_the_snapshot_path_bits():
     assert reconstruction_loss(z, data).value == reconstruction_loss(z, window[-1]).value
     assert (distillation_loss(z, z[:, :2], data, 0.3).value
             == distillation_loss(z, z[:, :2], window[-1], 0.3).value)
-    np.testing.assert_array_equal(data.target, window[-1].adjacency())
+    target = data.final.adjacency_lists
+    np.testing.assert_array_equal(target.matrix(target.weights).toarray(),
+                                  window[-1].adjacency())
+    for arr in (target.indptr, target.rows, target.cols, target.weights):
+        assert arr.ndim == 1 and arr.size <= 2 * len(window[-1].edges) + data.n + 1
     edges = data.attention[-1].edges
     lonely = slice(edges.indptr[6], edges.indptr[7])
     assert edges.cols[lonely].tolist() == [6] and edges.weights[lonely].tolist() == [1.0]
@@ -322,16 +338,17 @@ def test_reconstruction_shape_errors():
 
 # -- soft scores and distillation -------------------------------------------
 
-def test_soft_scores_scalar_oracle():
+def test_distillation_matches_scalar_oracle():
+    """The loss value against scalar loops over every ordered pair, at
+    both boundaries and inside, on a snapshot with an isolated node."""
     rng = np.random.default_rng(6)
-    z = rng.normal(0, 1.2, size=(5, 3))
-    s = soft_scores(z)
-    for i in range(5):
-        for j in range(5):
-            dot = sum(z[i, k] * z[j, k] for k in range(3))
-            assert abs(s[i, j] - sigmoid_scalar(dot)) < 1e-12
-    np.testing.assert_array_equal(s, s.T)
-    assert np.all((s > 0) & (s < 1))
+    g = make_snapshot(0, range(5), [(0, 1, 0.7), (1, 3, 0.2), (0, 4, 0.9)])
+    zs = rng.normal(0, 1.2, size=(5, 3))
+    zt = rng.normal(0, 1.2, size=(5, 4))
+    for gamma in (0.0, 0.35, 1.0):
+        got = distillation_loss(zs, zt, g, gamma).value
+        want = distill_oracle(zs.tolist(), zt.tolist(), g, gamma)
+        assert abs(got - want) < 1e-12
 
 
 def test_distillation_gamma_one_is_plain_reconstruction():
@@ -349,9 +366,7 @@ def test_distillation_gamma_zero_is_teacher_term_only():
     zs = rng.normal(0, 0.5, size=(3, 2))
     zt = rng.normal(0, 0.5, size=(3, 4))
     got = distillation_loss(zs, zt, g, gamma=0.0).value
-    soft = soft_scores(zt)
-    student = soft_scores(zs)
-    want = math.sqrt(np.mean((student - soft) ** 2))
+    want = math.sqrt(np.mean((expit(zs @ zs.T) - expit(zt @ zt.T)) ** 2))
     assert abs(got - want) < 1e-12
 
 
@@ -388,8 +403,11 @@ def test_distillation_validation():
         distillation_loss(z3, z3, g, gamma=1.0000001)
     with pytest.raises(ShapeError):
         distillation_loss(np.zeros((4, 2)), z3, g, gamma=0.5)
-    with pytest.raises(ShapeError):
-        distillation_loss(z3, np.zeros((4, 2)), g, gamma=0.5)
+    for gamma in (0.0, 0.5):
+        with pytest.raises(ShapeError):
+            distillation_loss(z3, np.zeros((4, 2)), g, gamma=gamma)
+        with pytest.raises(ShapeError):
+            distillation_loss(np.zeros((4, 2)), np.zeros((4, 2)), g, gamma=gamma)
 
 
 def test_distillation_gradient_matches_fd():

@@ -5,6 +5,8 @@ inputs. The FD step is 1e-5 and the acceptance bar is a relative error
 below 1e-4 per coordinate, matched against max(|analytic|, |numeric|, 1e-8)
 to keep near-zero coordinates from blowing up the ratio.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -12,7 +14,8 @@ from scipy.special import expit
 from evolink.attention import AttentionInputs
 from evolink.errors import DegenerateSoftmaxError, NumericError, ShapeError
 from evolink.graphs import NeighbourLists, SnapshotGraph
-from evolink.tape import (Tensor, add, backward, constant_matmul,
+from evolink import tape
+from evolink.tape import (LOSS_BLOCK, SigmoidGram, Tensor, add, backward, constant_matmul,
                           edge_attention, edge_softmax, elu, matmul, mean, mul, param,
                           relu, rmse_sigmoid_gram, rows, scale, sigmoid, sqrt, square,
                           sub, tsum, transpose, with_rows)
@@ -195,6 +198,31 @@ def test_edge_attention_gradients_and_structure(rng):
     assert dense[19, 19] == 1.0 and np.count_nonzero(dense[19]) == 1
 
 
+def test_edge_attention_backward_in_entry_blocks(rng, monkeypatch):
+    """The backward forms its per-entry products a block of entries at a
+    time: finite differences hold across block edges, and every gradient
+    has the bits of the one-block pass."""
+    n, edges = hub_graph()
+    lists = neighbour_lists(n, edges)
+    leaves = [param(rng.normal(0, 1.5, size=shape), name)
+              for name, shape in (("x", (n, 3)), ("transform", (3, 3)), ("score_vec", (6, 1)))]
+    read = Tensor(rng.normal(size=(n, 3)))
+
+    def loss():
+        return tsum(mul(edge_attention(*leaves, lists), read))
+
+    grads = []
+    for block in (tape.EDGE_BLOCK, 7, 1):
+        monkeypatch.setattr(tape, "EDGE_BLOCK", block)
+        backward(loss())
+        grads.append([leaf.grad for leaf in leaves])
+    for blocked in grads[1:]:
+        for got, want in zip(blocked, grads[0]):
+            assert np.array_equal(got, want)
+    monkeypatch.setattr(tape, "EDGE_BLOCK", 7)
+    fd_check(loss, leaves)
+
+
 def test_edge_attention_matches_the_dense_formula(rng):
     for trial in range(20):
         n = int(rng.integers(2, 30))
@@ -254,43 +282,122 @@ def test_constant_matmul_takes_dense_and_sparse(rng):
         constant_matmul(np.eye(3), x)
 
 
-def test_rmse_sigmoid_gram_gradient(rng):
-    z = param(rng.normal(0, 0.6, size=(5, 3)), "z")
-    target = rng.uniform(0.0, 1.0, size=(5, 5))
-    fd_check(lambda: rmse_sigmoid_gram(z, target), [z])
+def random_lists(n, rng):
+    """Symmetric neighbour lists over n nodes, about three edges a node,
+    without a diagonal: a reconstruction target."""
+    u, v = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+    pairs = sorted({(a, b) for a, b in zip(u.tolist(), v.tolist()) if a < b})
+    rows_, cols_ = (np.array([p[k] for p in pairs], dtype=np.intp) for k in (0, 1))
+    return NeighbourLists.symmetric(n, rows_, cols_, rng.uniform(0.05, 0.95, len(pairs)),
+                                    np.empty(0, dtype=np.intp))
 
 
-def composed_rmse(z, target):
+def dense_rmse(z, target):
+    """The seven-op chain over a dense (n, n) target."""
     return sqrt(mean(square(sub(sigmoid(matmul(z, transpose(z))), Tensor(target)))))
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_rmse_sigmoid_gram_is_the_composed_chain(exact, rng):
-    """Value and gradient equal the seven-op chain bit for bit, under a
-    non-unit incoming gradient and two consumers of z. ``exact`` makes the
-    target the scores themselves, so the root is 0 and its derivative is
-    pinned to 0."""
-    z0 = rng.normal(0, 0.7, size=(6, 3))
-    target = expit(z0 @ z0.T) if exact else rng.uniform(0.0, 1.0, size=(6, 6))
-    other = rng.uniform(0.0, 1.0, size=(6, 6))
-    results = []
-    for rmse in (composed_rmse, rmse_sigmoid_gram):
+def dense_target(target):
+    if isinstance(target, SigmoidGram):
+        return expit(target.y @ target.y.T)
+    return target.matrix(target.weights).toarray()
+
+
+def test_rmse_sigmoid_gram_gradient(rng, monkeypatch):
+    """Finite differences through both kinds of target, in one block and,
+    with a 3-row block, in blocks of 3, 3 and 1 rows."""
+    z = param(rng.normal(0, 0.6, size=(7, 3)), "z")
+    terms = [(0.4, SigmoidGram(rng.normal(0, 0.8, size=(7, 5)))), (0.6, random_lists(7, rng))]
+    for block in (LOSS_BLOCK, 3):
+        monkeypatch.setattr(tape, "LOSS_BLOCK", block)
+        fd_check(lambda: rmse_sigmoid_gram(z, terms), [z])
+
+
+def add_all(tensors):
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = add(total, t)
+    return total
+
+
+@pytest.mark.parametrize("two", [False, True])
+def test_rmse_sigmoid_gram_is_the_composed_chain(two, rng):
+    """Value and gradient equal the composed dense chain to 1e-12 relative
+    (the blocks sum in another order, so not bit for bit), with one or two
+    targets, under a non-unit incoming gradient, for one row, one block,
+    exactly one, two, and a block height that does not divide n."""
+    for n in (1, 5, LOSS_BLOCK, 2 * LOSS_BLOCK, 300):
+        z0 = rng.normal(0, 0.7, size=(n, 4))
+        terms = [(0.3 if two else 1.0, random_lists(n, rng))]
+        if two:
+            terms.append((0.7, SigmoidGram(rng.normal(0, 0.7, size=(n, 6)))))
+        results = []
+        for build in (lambda z: rmse_sigmoid_gram(z, terms),
+                      lambda z: add_all([scale(dense_rmse(z, dense_target(t)), c)
+                                         for c, t in terms])):
+            z = param(z0, "z")
+            loss = scale(build(z), -1.7)
+            backward(loss)
+            results.append((float(loss.value), z.grad))
+        (value, grad), (want_value, want_grad) = results
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(grad, want_grad, rtol=0.0,
+                                   atol=1e-12 * np.abs(want_grad).max())
+
+
+def test_rmse_sigmoid_gram_zero_root_gives_no_gradient(rng):
+    """A target equal to the scores themselves has root 0, whose derivative
+    is taken as 0: alone it gives a zero gradient, beside another term it
+    leaves that term's gradient unchanged."""
+    z0 = rng.normal(0, 0.7, size=(200, 3))
+    lists = random_lists(200, rng)
+    z = param(z0, "z")
+    loss = rmse_sigmoid_gram(z, [(0.5, SigmoidGram(z0))])
+    backward(loss)
+    assert loss.value == 0.0
+    assert np.array_equal(z.grad, np.zeros_like(z0))
+    grads = []
+    for terms in ([(0.5, SigmoidGram(z0)), (0.5, lists)], [(0.5, lists)]):
         z = param(z0, "z")
-        loss = add(scale(rmse(z, target), 0.3), scale(rmse(z, other), 0.7))
-        backward(loss)
-        results.append((loss.value, z.grad))
-    (chain_value, chain_grad), (fused_value, fused_grad) = results
-    assert np.array_equal(fused_value, chain_value)
-    assert np.array_equal(fused_grad, chain_grad)
-    if exact:
-        plain = param(z0, "z")
-        backward(rmse_sigmoid_gram(plain, target))
-        assert np.array_equal(plain.grad, np.zeros_like(z0))
+        backward(rmse_sigmoid_gram(z, terms))
+        grads.append(z.grad)
+    assert np.array_equal(grads[0], grads[1])
 
 
-def test_rmse_sigmoid_gram_shape_check():
+def test_rmse_sigmoid_gram_holds_no_n_by_n_array(rng):
+    """Value and gradient of two terms over 1000 rows peak below half of
+    one (n, n) float64 array: the op holds row blocks, never the whole."""
+    n = 1000
+    z = param(rng.normal(0, 0.5, size=(n, 4)), "z")
+    terms = [(0.5, SigmoidGram(rng.normal(0, 0.5, size=(n, 16)))), (0.5, random_lists(n, rng))]
+    tracemalloc.start()
+    try:
+        backward(rmse_sigmoid_gram(z, terms))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * n * 8
+
+
+def test_rmse_sigmoid_gram_on_constants_records_nothing(rng):
+    z0 = rng.normal(0, 0.7, size=(9, 3))
+    terms = [(0.5, random_lists(9, rng)), (0.5, SigmoidGram(rng.normal(size=(9, 2))))]
+    loss = rmse_sigmoid_gram(Tensor(z0), terms)
+    assert not loss.requires_grad and loss._parents == () and loss._backward is None
+    assert loss.value == rmse_sigmoid_gram(param(z0, "z"), terms).value
+
+
+def test_rmse_sigmoid_gram_shape_check(rng):
+    z = Tensor(np.zeros((3, 2)))
+    for terms in ([(1.0, random_lists(4, rng))], [(1.0, SigmoidGram(np.zeros((2, 2))))],
+                  [(1.0, np.zeros((3, 3)))], []):
+        with pytest.raises(ShapeError):
+            rmse_sigmoid_gram(z, terms)
+    for bad in (np.zeros(3), np.zeros((0, 2))):
+        with pytest.raises(ShapeError):
+            rmse_sigmoid_gram(Tensor(bad), [(1.0, random_lists(3, rng))])
     with pytest.raises(ShapeError):
-        rmse_sigmoid_gram(Tensor(np.zeros((3, 2))), np.zeros((2, 2)))
+        SigmoidGram(np.zeros(3))
 
 
 def test_gradients_are_kept_on_reached_params_only(rng):
