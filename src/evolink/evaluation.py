@@ -67,6 +67,8 @@ def split_links(links: LinkSet, seed: int) -> tuple[LinkSet, LinkSet]:
 
 def score_dot(emb: Embeddings, u: int, v: int) -> float:
     """Sigmoid of the embedding dot product; symmetric in (u, v)."""
+    # One scalar per call: scipy's expit takes a fraction of a microsecond
+    # on it, the tape's array sigmoid several microseconds.
     return float(expit(float(emb.row(u) @ emb.row(v))))
 
 
@@ -98,7 +100,7 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
     equal number of seeded non-link pairs (absent from every window
     snapshot, both endpoints embedded) takes the low target 0.05. A dense
     window can run out of non-links before that number is reached; the
-    scorer then trains on fewer negatives and records how many.
+    scorer then trains on all of them and records how many.
     """
     pos_weight: dict[tuple[int, int], float] = {}
     for g in window:
@@ -113,8 +115,10 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
     ids = list(emb.ids)
     taken = set(pos_weight)
     negatives: list[tuple[int, int, float]] = []
+    # Every pair of embedded nodes that is not a positive is a non-link.
+    wanted = min(len(positives), len(ids) * (len(ids) - 1) // 2 - len(positives))
     attempts = 0
-    while len(negatives) < len(positives) and attempts < 200 * len(positives):
+    while len(negatives) < wanted and attempts < 200 * len(positives):
         attempts += 1
         i, j = rng.integers(0, len(ids), size=2)
         if i == j:
@@ -159,6 +163,7 @@ def score_mlp(emb: Embeddings, scorer: MlpScorer, u: int, v: int) -> float:
         raise ConfigError("score_mlp needs a trained scorer")
     f = emb.row(u) * emb.row(v)
     h = np.maximum(f @ scorer.w_hidden + scorer.b_hidden, 0.0)
+    # scipy's expit, as in score_dot: one scalar per call.
     return float(expit(h @ scorer.w_out + scorer.b_out)[0, 0])
 
 

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .errors import ConfigError, EventFormatError
 from .evaluation import EvalReport
 from .graphs import EventSequence, RawEvent, normalize_weights
@@ -249,9 +253,15 @@ def resolve_event(cfg: RunConfig) -> EventSequence:
 
 
 def _meta() -> dict:
+    """Facts of the run that the report payload must not depend on. Training
+    bits depend on the numpy build's exp, so the versions are recorded."""
     return {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "host": platform.node(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "evolink": __version__,
     }
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateSoftmaxError, NumericError, ShapeError
 from .graphs import NeighbourLists
@@ -93,6 +92,24 @@ def backward(loss: Tensor) -> None:
         if t._backward is not None:
             t._backward(t.grad)
             t.grad = None
+
+
+def expit(x: Array, out: Array | None = None) -> Array:
+    """The logistic sigmoid ``1 / (1 + exp(-x))`` of a float64 array, in place
+    when ``out is x``.
+
+    The same formula as ``scipy.special.expit``, on numpy's vectorized
+    ``exp``, which may differ from it in the last place. Below about
+    -709.78 the exponential overflows to inf and the result is exactly 0.0,
+    as scipy's is; that overflow raises no warning.
+    """
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _accumulate(t: Tensor, g: Array, fresh: bool = False) -> None:
@@ -376,7 +393,8 @@ def edge_softmax(x: Array, transform: Array, score_vec: Array,
         raise DegenerateSoftmaxError("softmax row with no neighbour entry")
     p = x @ transform.T
     pair = (p @ score_vec[:d, 0])[edges.rows] + (p @ score_vec[d:, 0])[edges.cols]
-    s = expit(edges.weights * pair)
+    pair *= edges.weights
+    s = expit(pair, out=pair)
     if not np.all(np.isfinite(s)):
         raise NumericError("non-finite attention score")
     # Scores lie in [0, 1], so their exponentials need no shift.
@@ -455,7 +473,13 @@ def rmse_sigmoid_gram(z, terms) -> Tensor:
     No dense (n, n) target is taken, and no (n, n) array is formed: the
     scores ``s`` are evaluated ``LOSS_BLOCK`` rows at a time, and every
     term's squared error and, when ``z`` needs a gradient, its product
-    ``(diff * s * (1 - s)) @ z`` come from the same pass. The targets'
+    ``(diff * s * (1 - s)) @ z`` come from the same pass.
+
+    Since ``s`` and every target are symmetric, the block of rows
+    ``lo:hi`` is evaluated over the columns ``lo:`` only, a trapezoid: the
+    square tile on the diagonal, and to its right the mirror of every entry
+    left of it. Each entry right of the tile is counted twice in the squared
+    error, and its gradient product is added to both of its rows. The same
     symmetry makes the gradient of ``sum(diff^2)`` through ``z z^T`` equal
     to ``4 (diff * s * (1 - s)) @ z``, so the backward only scales the
     stored products. A term whose root is 0 contributes no gradient.
@@ -474,44 +498,59 @@ def rmse_sigmoid_gram(z, terms) -> Tensor:
         if target.n != n:
             raise ShapeError(f"rmse_sigmoid_gram: a target over {target.n} rows does not "
                              f"match embeddings {z.shape}")
-    # Row-major positions of each neighbour-list entry, for 1-d indexing.
-    flat = [t.rows.astype(np.intp) * n + t.cols if isinstance(t, NeighbourLists) else None
+    # Each neighbour-list target's rows as intp, for 1-d positions.
+    rows = [t.rows.astype(np.intp) if isinstance(t, NeighbourLists) else None
             for _, t in terms]
     grad = z.requires_grad
     height = min(LOSS_BLOCK, n)
     # One allocation for s, diff and s * (1 - s): three separate ones made
-    # the allocator map fresh pages for them on every call.
-    s_buf, d_buf, w_buf = np.empty((3, height, n))
-    prods = [np.empty_like(zv) for _ in terms] if grad else None
+    # the allocator map fresh pages for them on every call. Each block's
+    # arrays are contiguous views of the front of their buffer (strided
+    # views into (height, n) buffers made the elementwise ops two to three
+    # times slower). The last slot of d_buf, past every block's diff,
+    # starts at 0 so that what is sent there stays finite.
+    s_buf, d_buf, w_buf = np.empty((3, height * n + 1))
+    d_buf[-1] = 0.0
+    prods = [np.zeros_like(zv) for _ in terms] if grad else None
     sse = [0.0] * len(terms)
     for lo in range(0, n, height):
         hi = min(lo + height, n)
-        s, diff = s_buf[:hi - lo], d_buf[:hi - lo]
-        np.matmul(zv[lo:hi], zv.T, out=s)
+        h, width = hi - lo, n - lo
+        s = s_buf[:h * width].reshape(h, width)
+        diff = d_buf[:h * width].reshape(h, width)
+        np.matmul(zv[lo:hi], zv[lo:].T, out=s)
         expit(s, out=s)
         if grad:
-            w = w_buf[:hi - lo]
+            w = w_buf[:h * width].reshape(h, width)
             np.subtract(1.0, s, out=w)
             w *= s
         for k, (_, target) in enumerate(terms):
             if isinstance(target, SigmoidGram):
-                np.matmul(target.y[lo:hi], target.y.T, out=diff)
+                np.matmul(target.y[lo:hi], target.y[lo:].T, out=diff)
                 expit(diff, out=diff)
                 np.subtract(s, diff, out=diff)
             else:
                 np.copyto(diff, s)
                 e0, e1 = target.indptr[lo], target.indptr[hi]
-                diff.reshape(-1)[flat[k][e0:e1] - lo * n] -= target.weights[e0:e1]
-            sse[k] += np.einsum("ij,ij->", diff, diff)
+                cols = target.cols[e0:e1]
+                at = (rows[k][e0:e1] - lo) * width + (cols - lo)
+                # An entry left of the diagonal tile counts through its
+                # mirror, so it goes to the last slot, which nothing reads.
+                at[cols < lo] = d_buf.size - 1
+                d_buf[at] -= target.weights[e0:e1]
+            tile, mirrored = diff[:, :h], diff[:, h:]
+            sse[k] += (np.einsum("ij,ij->", tile, tile)
+                       + 2.0 * np.einsum("ij,ij->", mirrored, mirrored))
             if grad:
                 diff *= w
-                np.matmul(diff, zv, out=prods[k][lo:hi])
+                prods[k][lo:hi] += diff @ zv[lo:]
+                prods[k][hi:] += diff[:, h:].T @ zv[lo:hi]
     roots = [np.sqrt(e / (n * n)) for e in sse]
     value = sum(c * root for (c, _), root in zip(terms, roots))
     if not grad:
         return Tensor(value)
     # d/dz of c sqrt(sse / n^2) is c / (2 root n^2) times d(sse)/dz, which
-    # is 4 (diff * s * (1 - s)) @ z summed over the blocks.
+    # is 4 (diff * s * (1 - s)) @ z summed over the blocks and their mirrors.
     prod = np.zeros_like(zv)
     for (c, _), root, p in zip(terms, roots, prods):
         if root > 0.0:

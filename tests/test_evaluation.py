@@ -4,6 +4,7 @@ A small handcrafted event (raw ids, raw weights) drives the end-to-end
 checks, so every expected count is known in advance: snapshot 2 carries
 exactly ten links never seen in the window over snapshots 0..1.
 """
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +157,58 @@ def test_mlp_scorer_records_a_negative_shortfall(missing, negatives):
     scorer = train_mlp_scorer(emb, window, seed=1, epochs=5)
     assert (scorer.n_positives, scorer.n_negatives) == (10 - len(missing), negatives)
     assert np.all(np.isfinite(scorer.w_out))
+
+
+def scorer_digest(scorer):
+    h = hashlib.sha256()
+    for a in (scorer.w_hidden, scorer.b_hidden, scorer.w_out, scorer.b_out):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(f"{scorer.n_positives},{scorer.n_negatives}".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed,digest", [(0, "3e6e0f7ce359de4f"), (5, "8cec27202e380c19")])
+def test_mlp_scorer_draws_are_pinned_where_non_links_remain(seed, digest):
+    """With non-links to spare, the sampler makes the same draws as it
+    always has: the untrained scorer (its initial weights come from the
+    same generator after the negatives) matches a golden digest."""
+    rng = np.random.default_rng(7)
+    ids = tuple(range(3, 63, 2))
+    emb = Embeddings(z=rng.normal(0, 0.8, size=(len(ids), 8)), ids=ids)
+    pairs = sorted({tuple(sorted(p)) for p in rng.choice(ids, size=(60, 2)).tolist()
+                    if p[0] != p[1]})
+    window = [SnapshotGraph(index=k, nodes=ids,
+                            edges=tuple((u, v, 0.3 + 0.1 * k) for u, v in pairs[k::2]))
+              for k in range(2)]
+    scorer = train_mlp_scorer(emb, window, seed=seed, epochs=0)
+    assert (scorer.n_positives, scorer.n_negatives) == (57, 57)
+    assert scorer_digest(scorer) == digest
+
+
+def test_mlp_scorer_stops_drawing_when_non_links_run_out(monkeypatch):
+    """A window with one non-link among ten pairs stops sampling once it
+    has drawn that one, not after 200 draws per positive."""
+    draws = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.gen = real(seed)
+
+        def integers(self, *args, **kwargs):
+            draws.append(1)
+            return self.gen.integers(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    emb = Embeddings(z=real(4).normal(0, 0.8, size=(5, 4)), ids=tuple(range(5)))
+    edges = tuple((u, v, 0.6) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 4))
+    scorer = train_mlp_scorer(emb, [SnapshotGraph(index=0, nodes=tuple(range(5)), edges=edges)],
+                              seed=1, epochs=0)
+    assert (scorer.n_positives, scorer.n_negatives) == (9, 1)
+    assert len(draws) < 100
 
 
 def test_mlp_scorer_requires_training_and_positives():

@@ -4,13 +4,17 @@ Snapshot CSVs write weights with repr, so export -> load is an exact
 float round trip, not an approximate one.
 """
 import json
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evolink
 from evolink.errors import ConfigError, EventFormatError, EvolinkError
 from evolink.eventio import (
     RunConfig,
@@ -344,6 +348,10 @@ def test_write_report_quarantines_meta(tmp_path):
     assert set(b1) == {"meta", "report"}
     assert b1["report"] == b2["report"]
     assert "created_utc" in b1["meta"] and "host" in b1["meta"]
+    assert b1["meta"]["python"] == platform.python_version()
+    assert b1["meta"]["numpy"] == np.__version__
+    assert b1["meta"]["scipy"] == scipy.__version__
+    assert b1["meta"]["evolink"] == evolink.__version__
     assert c1.read_text() == c2.read_text()
 
 

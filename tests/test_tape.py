@@ -6,6 +6,7 @@ below 1e-4 per coordinate, matched against max(|analytic|, |numeric|, 1e-8)
 to keep near-zero coordinates from blowing up the ratio.
 """
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -331,18 +332,80 @@ def test_rmse_sigmoid_gram_is_the_composed_chain(two, rng):
         terms = [(0.3 if two else 1.0, random_lists(n, rng))]
         if two:
             terms.append((0.7, SigmoidGram(rng.normal(0, 0.7, size=(n, 6)))))
-        results = []
-        for build in (lambda z: rmse_sigmoid_gram(z, terms),
-                      lambda z: add_all([scale(dense_rmse(z, dense_target(t)), c)
-                                         for c, t in terms])):
-            z = param(z0, "z")
-            loss = scale(build(z), -1.7)
-            backward(loss)
-            results.append((float(loss.value), z.grad))
-        (value, grad), (want_value, want_grad) = results
-        assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
-        np.testing.assert_allclose(grad, want_grad, rtol=0.0,
-                                   atol=1e-12 * np.abs(want_grad).max())
+        assert_matches_dense_chain(z0, terms)
+
+
+def assert_matches_dense_chain(z0, terms):
+    """Value and gradient of the op at ``z0`` equal the composed dense
+    chain's to 1e-12 relative, under an incoming gradient of -1.7."""
+    results = []
+    for build in (lambda z: rmse_sigmoid_gram(z, terms),
+                  lambda z: add_all([scale(dense_rmse(z, dense_target(t)), c)
+                                     for c, t in terms])):
+        z = param(z0, "z")
+        loss = scale(build(z), -1.7)
+        backward(loss)
+        results.append((float(loss.value), z.grad))
+    (value, grad), (want_value, want_grad) = results
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(grad, want_grad, rtol=0.0, atol=1e-12 * np.abs(want_grad).max())
+
+
+def test_expit_matches_scipy():
+    """The array sigmoid is scipy's formula to 1e-15 relative (numpy's
+    vectorized exp and glibc's differ in the last place on some entries,
+    so not bit for bit), is exactly 0 where exp(-x) overflows, raises no
+    overflow warning, and works in place and on a 0-d array."""
+    x = np.concatenate([np.linspace(-800.0, 800.0, 100001),
+                        [0.0, 709.78, -709.78, 745.0, -745.0, np.inf, -np.inf, np.nan]])
+    want = expit(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = tape.expit(x)
+        inplace = x.copy()
+        assert tape.expit(inplace, out=inplace) is inplace
+        scalar = tape.expit(np.array(-3.0))
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.array_equal(inplace, got, equal_nan=True)
+    assert np.array_equal(got == 0.0, want == 0.0) and got[x < -709.79].max() == 0.0
+    assert np.isnan(got[-1]) and got[-3] == 1.0 and got[-2] == 0.0
+    assert scalar.shape == () and scalar == pytest.approx(expit(-3.0), rel=1e-15, abs=0.0)
+
+
+def test_rmse_sigmoid_gram_evaluates_the_upper_triangle(rng, monkeypatch):
+    """Each row block is evaluated right of its diagonal tile only: at
+    n = 300 in blocks of 128 rows the scores and a SigmoidGram target each
+    take 0.69 n^2 sigmoids, where full row blocks would take n^2."""
+    n = 300
+    counted = []
+    real = tape.expit
+
+    def counting(x, out=None):
+        counted.append(np.size(x))
+        return real(x, out=out)
+
+    monkeypatch.setattr(tape, "expit", counting)
+    z = param(rng.normal(0, 0.7, size=(n, 4)), "z")
+    terms = [(0.5, random_lists(n, rng)), (0.5, SigmoidGram(rng.normal(0, 0.7, size=(n, 6))))]
+    backward(rmse_sigmoid_gram(z, terms))
+    assert LOSS_BLOCK == 128
+    assert sum(counted) <= 2 * 0.75 * n * n
+
+
+@pytest.mark.parametrize("centre", [9, 4])
+def test_rmse_sigmoid_gram_counts_the_lower_triangle_through_mirrors(centre, rng, monkeypatch):
+    """A star on the last row puts all of that row's entries left of the
+    diagonal, where no block evaluates them; a star on row 4 splits its row
+    across the diagonal tile. With 3-row blocks, value and gradient still
+    equal the dense chain's: each entry left of a tile is counted through
+    its mirror, once."""
+    n = 10
+    leaves = np.array([u for u in range(n) if u != centre], dtype=np.intp)
+    star = NeighbourLists.symmetric(n, np.minimum(leaves, centre), np.maximum(leaves, centre),
+                                    rng.uniform(0.05, 0.95, n - 1), np.empty(0, dtype=np.intp))
+    terms = [(0.6, star), (0.4, SigmoidGram(rng.normal(0, 0.7, size=(n, 3))))]
+    monkeypatch.setattr(tape, "LOSS_BLOCK", 3)
+    assert_matches_dense_chain(rng.normal(0, 0.7, size=(n, 4)), terms)
 
 
 def test_rmse_sigmoid_gram_zero_root_gives_no_gradient(rng):
