@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShapeError
-from .graphs import NeighbourLists, SnapshotGraph
+from .graphs import SnapshotGraph
 from .tape import Tensor, add, as_tensor, edge_attention, edge_softmax, elu, rows, scale, with_rows
-
-Array = np.ndarray
 
 
 @dataclass
@@ -46,51 +42,20 @@ class Transition:
     heads: list[AttentionHead]
 
 
-@dataclass(frozen=True, eq=False)
-class AttentionInputs:
-    """The constants of a snapshot that attention reads, built once.
-
-    ``ids`` are the sorted node ids as an index array. ``edges`` are the
-    neighbourhoods as neighbour lists weighted by the edge weights used in
-    the scores: connected nodes attend to their graph neighbours only, and
-    an isolated node gets a self-entry of weight 1 so its softmax row is
-    defined.
-    """
-
-    ids: Array
-    edges: NeighbourLists
-
-    @classmethod
-    def build(cls, g: SnapshotGraph) -> "AttentionInputs":
-        rows, cols, weights = g.edge_arrays
-        degree = np.bincount(rows, minlength=g.n) + np.bincount(cols, minlength=g.n)
-        ids = np.asarray(g.nodes, dtype=np.intp)
-        ids.flags.writeable = False
-        return cls(ids=ids, edges=NeighbourLists.symmetric(g.n, rows, cols, weights,
-                                                           np.flatnonzero(degree == 0)))
-
-
-def attention_inputs(g: SnapshotGraph | AttentionInputs) -> AttentionInputs:
-    """The attention constants of ``g``; passes AttentionInputs through."""
-    return g if isinstance(g, AttentionInputs) else AttentionInputs.build(g)
-
-
-def attention_coefficients(g: SnapshotGraph | AttentionInputs, head: AttentionHead,
-                           w_prev) -> Tensor:
+def attention_coefficients(g: SnapshotGraph, head: AttentionHead, w_prev) -> Tensor:
     """The (n_k, n_k) coefficient matrix of one head, as a constant.
 
     Each row is a distribution over the node's attention neighborhood;
     entries outside the neighborhood are exactly zero. A diagnostic: the
     model itself never forms this matrix.
     """
-    g = attention_inputs(g)
-    x = rows(as_tensor(w_prev), g.ids).value
-    _, _, alpha = edge_softmax(x, head.transform.value, head.score_vec.value, g.edges)
-    return Tensor(g.edges.matrix(alpha).toarray())
+    edges = g.attention_lists
+    x = rows(as_tensor(w_prev), g.node_ids).value
+    _, _, alpha = edge_softmax(x, head.transform.value, head.score_vec.value, edges)
+    return Tensor(edges.matrix(alpha).toarray())
 
 
-def evolve_weights(g: SnapshotGraph | AttentionInputs, transition: Transition,
-                   w_prev) -> Tensor:
+def evolve_weights(g: SnapshotGraph, transition: Transition, w_prev) -> Tensor:
     """First-layer weights for snapshot ``g`` derived from ``w_prev``.
 
     Returns a full (n_global, hidden) matrix: rows of nodes present in
@@ -100,13 +65,12 @@ def evolve_weights(g: SnapshotGraph | AttentionInputs, transition: Transition,
     w_prev = as_tensor(w_prev)
     if not transition.heads:
         raise ShapeError("transition with no attention heads")
-    g = attention_inputs(g)
-    if g.ids.size == 0:
+    if g.n == 0:
         raise ShapeError("cannot evolve weights into an empty snapshot")
-    x = rows(w_prev, g.ids)
+    x = rows(w_prev, g.node_ids)
     mixed = None
     for head in transition.heads:
-        z = edge_attention(x, head.transform, head.score_vec, g.edges)
+        z = edge_attention(x, head.transform, head.score_vec, g.attention_lists)
         mixed = z if mixed is None else add(mixed, z)
     new_rows = elu(scale(mixed, 1.0 / len(transition.heads)))
-    return with_rows(w_prev, g.ids, new_rows)
+    return with_rows(w_prev, g.node_ids, new_rows)

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ShapeError
+from .eventio import read_file
 from .gcn import param_spec
 from .model import GcnChain, ModelConfig
 
@@ -147,9 +148,4 @@ def write_checkpoint(model: GcnChain, path: str | Path) -> Path:
 
 
 def read_checkpoint(path: str | Path) -> GcnChain:
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise CheckpointError(f"no checkpoint at {path}") from None
-    return load_checkpoint(data)
+    return load_checkpoint(read_file(Path(path), "checkpoint", CheckpointError, binary=True))

@@ -2,8 +2,10 @@
 
 Everything raised on purpose derives from EvolinkError so callers (and the
 command line front end) can catch one base class and still tell failure
-modes apart.
+modes apart. :func:`check_numbers` is the type check every config class
+runs on its numeric fields.
 """
+import numbers
 
 
 class EvolinkError(Exception):
@@ -64,3 +66,14 @@ class ConfigError(EvolinkError):
 
 class EventFormatError(EvolinkError):
     """An event directory or snapshot file cannot be parsed."""
+
+
+def check_numbers(config, integers: tuple[str, ...], reals: tuple[str, ...]) -> None:
+    """Raise ConfigError unless every ``integers`` field of ``config`` holds
+    an integer and every ``reals`` field a real number; a bool is neither."""
+    for names, kind, cls in ((integers, "an integer", numbers.Integral),
+                             (reals, "a real number", numbers.Real)):
+        for name in names:
+            value = getattr(config, name)
+            if not isinstance(value, cls) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")

@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, EventFormatError
+from .errors import ConfigError, EventFormatError, EvolinkError
 from .evaluation import EvalReport
 from .graphs import EventSequence, RawEvent, normalize_weights
 from .model import ModelConfig, student_defaults
@@ -57,19 +57,22 @@ def export_event(raw: RawEvent, out_dir: str | Path,
     return path
 
 
-def _read_text(path: Path, what: str) -> str:
-    """A UTF-8 text file, or an ``EventFormatError`` naming ``what`` failed."""
+def read_file(path: Path, what: str, error: type[EvolinkError] = EventFormatError,
+              binary: bool = False) -> str | bytes:
+    """The UTF-8 text of ``path``, or its bytes if ``binary``. Any failure
+    (a missing file, a directory, no permission, a bad name, bytes that
+    are not UTF-8) raises ``error`` naming ``what`` and the path."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise EventFormatError(f"no {what} at {path}") from None
+        raise error(f"no {what} at {path}") from None
     except UnicodeDecodeError as exc:
-        raise EventFormatError(f"{path}: {what} is not UTF-8 text ({exc.reason} at "
-                               f"byte {exc.start})") from None
+        raise error(f"{path}: {what} is not UTF-8 text ({exc.reason} at "
+                    f"byte {exc.start})") from None
     except ValueError as exc:  # a NUL or an unencodable character in the name
-        raise EventFormatError(f"cannot open {what} {path!r}: {exc}") from None
+        raise error(f"cannot open {what} {path!r}: {exc}") from None
     except OSError as exc:
-        raise EventFormatError(f"cannot read {what} {path}: {exc.strerror}") from None
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
 def load_raw_event(manifest_path: str | Path) -> RawEvent:
@@ -82,7 +85,7 @@ def load_raw_event(manifest_path: str | Path) -> RawEvent:
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
     try:
-        manifest = json.loads(_read_text(manifest_path, "manifest"))
+        manifest = json.loads(read_file(manifest_path, "manifest"))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise EventFormatError(f"{manifest_path}: invalid JSON ({exc})") from None
     if not isinstance(manifest, dict):
@@ -102,7 +105,7 @@ def load_raw_event(manifest_path: str | Path) -> RawEvent:
     snapshots = []
     for fname in files:
         fpath = manifest_path.parent / fname
-        lines = _read_text(fpath, "snapshot file").splitlines()
+        lines = read_file(fpath, "snapshot file").splitlines()
         edges = []
         seen: set[tuple[int, int]] = set()
         for lineno, line in enumerate(lines, start=1):
@@ -182,10 +185,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     window defaults to the teacher's."""
     path = Path(path)
     try:
-        blob = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"no run config at {path}") from None
-    except json.JSONDecodeError as exc:
+        blob = json.loads(read_file(path, "run config", ConfigError))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
     def check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:

@@ -81,8 +81,7 @@ def gcn_forward(a_hat, features: IdentityFeatures, params: GcnParams) -> Tensor:
     """One snapshot encoder pass; returns the (n_k, embed_dim) output.
 
     ``a_hat`` is the snapshot's normalized adjacency, a dense array such as
-    ``normalize_adjacency(g)`` or a sparse one such as
-    ``normalize_adjacency_csr(g)``.
+    ``normalize_adjacency(g)`` or the CSR ``g.normalized_adjacency``.
     """
     if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
         raise ShapeError(f"normalized adjacency must be square, got {a_hat.shape}")

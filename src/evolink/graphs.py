@@ -38,7 +38,10 @@ class SnapshotGraph:
 
     ``nodes`` are sorted global ids; ``edges`` hold each undirected pair
     once as ``(u, v, w)`` with ``u < v`` and ``0 < w <= 1``. Dense matrix
-    positions follow the sorted node order.
+    positions follow the sorted node order. The cached properties are the
+    constants that training and inference read: each is built on first
+    use, read-only, and kept as long as the snapshot, so every window
+    over it reuses them. None of them is n×n.
     """
 
     index: int
@@ -77,18 +80,43 @@ class SnapshotGraph:
 
     @cached_property
     def edge_arrays(self) -> tuple[Array, Array, Array]:
-        """``(rows, cols, weights)``: each edge's matrix positions and weight.
-
-        Built from ``edges`` on first use and kept, read-only, so every
-        later window over this snapshot reuses them.
-        """
+        """``(rows, cols, weights)``: each edge's matrix positions and weight."""
         return _edge_arrays(self)
 
     @cached_property
     def adjacency_lists(self) -> NeighbourLists:
         """The weighted adjacency, zero diagonal, as neighbour lists: the
-        reconstruction loss's target. Built on first use and kept."""
+        reconstruction loss's target."""
         return NeighbourLists.symmetric(self.n, *self.edge_arrays, np.empty(0, dtype=np.intp))
+
+    @cached_property
+    def attention_lists(self) -> NeighbourLists:
+        """The neighbourhoods that attention scores, weighted by the edge
+        weights, plus a unit self-entry on each isolated node so that its
+        softmax row is defined."""
+        rows, cols, weights = self.edge_arrays
+        degree = np.bincount(rows, minlength=self.n) + np.bincount(cols, minlength=self.n)
+        return NeighbourLists.symmetric(self.n, rows, cols, weights, np.flatnonzero(degree == 0))
+
+    @cached_property
+    def normalized_adjacency(self) -> csr_matrix:
+        """``D^(-1/2) (A + I) D^(-1/2)`` as a CSR matrix, where
+        ``D`` holds the row sums of ``A + I``: the encoder's propagation
+        matrix."""
+        if self.n < 1:
+            raise MalformedGraphError("cannot normalize an empty snapshot")
+        rows, cols, weights = self.edge_arrays
+        lists = NeighbourLists.symmetric(self.n, rows, cols, weights, np.arange(self.n))
+        a_hat = lists.matrix(_normalized(self.n, lists.rows, lists.cols, lists.weights))
+        a_hat.data.flags.writeable = False
+        return a_hat
+
+    @cached_property
+    def node_ids(self) -> Array:
+        """``nodes`` as an index array."""
+        ids = np.asarray(self.nodes, dtype=np.intp)
+        ids.flags.writeable = False
+        return ids
 
     def adjacency(self) -> Array:
         """Dense symmetric weight matrix with a zero diagonal."""
@@ -295,15 +323,6 @@ def _normalized(n: int, rows: Array, cols: Array, weights: Array) -> Array:
     return weights * (inv_root[rows] * inv_root[cols])
 
 
-def normalize_adjacency_csr(g: SnapshotGraph) -> csr_matrix:
-    """The normalized adjacency of :func:`normalize_adjacency` as a CSR matrix."""
-    if g.n < 1:
-        raise MalformedGraphError("cannot normalize an empty snapshot")
-    rows, cols, weights = g.edge_arrays
-    lists = NeighbourLists.symmetric(g.n, rows, cols, weights, np.arange(g.n))
-    return lists.matrix(_normalized(g.n, lists.rows, lists.cols, lists.weights))
-
-
 def normalize_adjacency(g: SnapshotGraph | Array) -> Array:
     """Symmetrically normalized adjacency with self-loops, dense.
 
@@ -313,7 +332,7 @@ def normalize_adjacency(g: SnapshotGraph | Array) -> Array:
     ``[0, 1]``; an isolated node gets a 1 on the diagonal.
     """
     if isinstance(g, SnapshotGraph):
-        return normalize_adjacency_csr(g).toarray()
+        return g.normalized_adjacency.toarray()
     a = np.asarray(g, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MalformedGraphError(f"adjacency must be a square matrix, got {a.shape}")

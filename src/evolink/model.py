@@ -5,23 +5,21 @@ free first-layer matrix for the oldest snapshot, a second-layer matrix per
 snapshot, and ``window`` attention transitions that derive each later
 first-layer matrix from the previous one. Training reconstructs the final
 snapshot's weighted adjacency from sigmoid pair scores. The constant
-arrays a window needs are built once into a :class:`WindowData`.
+arrays a window needs are the snapshots' own cached properties, built
+once per snapshot (see :class:`~evolink.graphs.SnapshotGraph`).
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .attention import AttentionHead, AttentionInputs, Transition, evolve_weights
-from .errors import ConfigError, ShapeError
-from .gcn import (Embeddings, GcnParams, IdentityFeatures, gcn_forward, identity_features,
-                  param_spec)
-from .graphs import NeighbourLists, SnapshotGraph, normalize_adjacency_csr
+from .attention import AttentionHead, Transition, evolve_weights
+from .errors import ConfigError, ShapeError, check_numbers
+from .gcn import Embeddings, GcnParams, gcn_forward, identity_features, param_spec
+from .graphs import SnapshotGraph
 from .tape import SigmoidGram, Tensor, param, rmse_sigmoid_gram
 
 Array = np.ndarray
@@ -50,14 +48,8 @@ class ModelConfig:
     role: str = "teacher"
 
     def __post_init__(self):
-        for name in ("window", "heads", "hidden_dim", "embed_dim", "epochs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr", "gamma"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        check_numbers(self, ("window", "heads", "hidden_dim", "embed_dim", "epochs", "seed"),
+                      ("lr", "gamma"))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.window < 0:
@@ -88,50 +80,6 @@ def student_defaults(**overrides) -> ModelConfig:
     base = ModelConfig(heads=1, hidden_dim=8, embed_dim=4, role="student",
                        epochs=600, lr=2e-3)
     return replace(base, **overrides)
-
-
-@dataclass(frozen=True, eq=False)
-class WindowData:
-    """The constant arrays of one window, built once per fit or inference.
-
-    Per snapshot: its node ids as ``features`` and its normalized adjacency
-    ``a_hats[i]`` as a CSR matrix. Per transition: the attention inputs of
-    the snapshot it leads into, ``attention[i - 1]`` for snapshot ``i``,
-    whose neighbour lists carry the edge weights. ``final`` is the final
-    snapshot, whose ``adjacency_lists`` are the reconstruction loss's
-    target, built on first use, so an inference builds none. Every array
-    is read-only and has at most one entry per node and edge direction:
-    no (n, n) array.
-    """
-
-    features: tuple[IdentityFeatures, ...]
-    a_hats: tuple[csr_matrix, ...]
-    attention: tuple[AttentionInputs, ...]
-    final: SnapshotGraph
-
-    @classmethod
-    def build(cls, window: list[SnapshotGraph]) -> "WindowData":
-        if not window:
-            raise ConfigError("a window needs at least one snapshot")
-        a_hats = tuple(normalize_adjacency_csr(g) for g in window)
-        for a in a_hats:
-            a.data.flags.writeable = False
-        return cls(features=tuple(identity_features(g) for g in window), a_hats=a_hats,
-                   attention=tuple(AttentionInputs.build(g) for g in window[1:]),
-                   final=window[-1])
-
-    def __len__(self) -> int:
-        return len(self.a_hats)
-
-    @property
-    def n(self) -> int:
-        """Node count of the final snapshot, the one the losses score."""
-        return self.final.n
-
-
-def window_data(window: list[SnapshotGraph] | WindowData) -> WindowData:
-    """The constants of ``window``; passes a WindowData through."""
-    return window if isinstance(window, WindowData) else WindowData.build(window)
 
 
 class GcnChain:
@@ -218,60 +166,51 @@ class GcnChain:
             h.update(arr.astype("<f8").tobytes())
         return h.hexdigest()[:16]
 
-    def _first_layers(self, window: list[SnapshotGraph] | WindowData
-                      ) -> tuple[WindowData, list[Tensor]]:
-        """The window's constants and each snapshot's first-layer weights,
-        carried forward through the transitions."""
+    def _first_layers(self, window: list[SnapshotGraph]) -> list[Tensor]:
+        """Each window snapshot's first-layer weights, carried forward
+        through the transitions."""
         if len(window) != self.config.window + 1:
             raise ConfigError(f"window of {len(window)} snapshots for a model "
                               f"spanning {self.config.window + 1}")
-        data = window_data(window)
         w1s = [self.w1_first]
-        for inputs, transition in zip(data.attention, self.transitions):
-            w1s.append(evolve_weights(inputs, transition, w1s[-1]))
-        return data, w1s
+        for g, transition in zip(window[1:], self.transitions):
+            w1s.append(evolve_weights(g, transition, w1s[-1]))
+        return w1s
 
-    def forward(self, window: list[SnapshotGraph] | WindowData) -> list[Tensor]:
+    def forward(self, window: list[SnapshotGraph]) -> list[Tensor]:
         """Embeddings for every window snapshot, recorded on the tape."""
-        data, w1s = self._first_layers(window)
-        return [gcn_forward(a_hat, features, GcnParams(w1=w1, w2=w2))
-                for a_hat, features, w1, w2 in zip(data.a_hats, data.features, w1s, self.w2)]
+        return [gcn_forward(g.normalized_adjacency, identity_features(g), GcnParams(w1=w1, w2=w2))
+                for g, w1, w2 in zip(window, self._first_layers(window), self.w2)]
 
-    def final(self, window: list[SnapshotGraph] | WindowData) -> Tensor:
+    def final(self, window: list[SnapshotGraph]) -> Tensor:
         """The final snapshot's embeddings, ``forward(window)[-1]``, without
         encoding the earlier snapshots, whose outputs no loss reads."""
-        data, w1s = self._first_layers(window)
-        return gcn_forward(data.a_hats[-1], data.features[-1],
-                           GcnParams(w1=w1s[-1], w2=self.w2[-1]))
+        w1 = self._first_layers(window)[-1]
+        g = window[-1]
+        return gcn_forward(g.normalized_adjacency, identity_features(g),
+                           GcnParams(w1=w1, w2=self.w2[-1]))
 
-    def embeddings(self, window: list[SnapshotGraph] | WindowData) -> Embeddings:
+    def embeddings(self, window: list[SnapshotGraph]) -> Embeddings:
         """Inference-only final-snapshot embeddings.
 
         The pass runs on constants sharing the leaves' values, so it records
         no tape and frees each intermediate as soon as it is used.
         """
-        data = window_data(window)
         constants = {name: Tensor(leaf.value) for name, leaf in self.trainable().items()}
         frozen = GcnChain._from_leaves(self.config, self.n_global, constants)
-        return Embeddings(z=frozen.final(data).value.copy(), ids=data.features[-1].ids)
+        return Embeddings(z=frozen.final(window).value.copy(), ids=window[-1].nodes)
 
 
-def reconstruction_loss(z, g: SnapshotGraph | WindowData) -> Tensor:
+def reconstruction_loss(z, g: SnapshotGraph) -> Tensor:
     """Root mean squared gap between sigmoid pair scores and the adjacency.
 
     The target matrix is the snapshot's weighted adjacency with a zero
-    diagonal (for a WindowData, the final snapshot's); the mean runs over
-    all n^2 ordered pairs.
+    diagonal; the mean runs over all n^2 ordered pairs.
     """
-    return rmse_sigmoid_gram(z, [(1.0, _target_edges(g))])
+    return rmse_sigmoid_gram(z, [(1.0, g.adjacency_lists)])
 
 
-def _target_edges(g: SnapshotGraph | WindowData) -> NeighbourLists:
-    return (g.final if isinstance(g, WindowData) else g).adjacency_lists
-
-
-def distillation_loss(z_student, z_teacher, g: SnapshotGraph | WindowData,
-                      gamma: float) -> Tensor:
+def distillation_loss(z_student, z_teacher, g: SnapshotGraph, gamma: float) -> Tensor:
     """Blend of matching the teacher's soft scores and fitting the data.
 
     ``(1 - gamma)`` weights the root mean squared deviation between the
@@ -290,5 +229,5 @@ def distillation_loss(z_student, z_teacher, g: SnapshotGraph | WindowData,
         raise ShapeError(f"teacher embeddings over {teacher.n} nodes for a {g.n}-node snapshot")
     terms = [(1.0 - gamma, teacher)]
     if gamma > 0.0:
-        terms.append((gamma, _target_edges(g)))
+        terms.append((gamma, g.adjacency_lists))
     return rmse_sigmoid_gram(z_student, terms)

@@ -11,11 +11,13 @@ the config seed.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers
 from .graphs import EventSequence, RawEvent
 
 Array = np.ndarray
@@ -44,6 +46,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, ("offices", "viewers", "snapshots", "degree_cap", "growth_rate", "seed"),
+                      ("rewire_prob", "departure_prob", "same_office_bias"))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.offices < 1:
             raise ConfigError(f"offices must be >= 1, got {self.offices}")
         if self.viewers < self.offices:
@@ -53,10 +59,14 @@ class SimConfig:
             raise ConfigError(f"snapshots must be >= 2, got {self.snapshots}")
         if self.arrival not in ARRIVALS:
             raise ConfigError(f"arrival must be one of {ARRIVALS}, got {self.arrival!r}")
-        for name, (loc, spread) in (("intra_bw", self.intra_bw), ("inter_bw", self.inter_bw)):
-            if loc <= 0 or spread < 0:
-                raise ConfigError(f"{name} needs a positive mean and non-negative "
-                                  f"spread, got {(loc, spread)}")
+        for name in ("intra_bw", "inter_bw"):
+            pair = getattr(self, name)
+            numeric = (isinstance(pair, (tuple, list)) and len(pair) == 2
+                       and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                               for x in pair))
+            if not (numeric and 0 < pair[0] < math.inf and 0 <= pair[1] < math.inf):
+                raise ConfigError(f"{name} needs a positive finite mean and a non-negative "
+                                  f"finite spread, got {pair!r}")
         if self.degree_cap < 1:
             raise ConfigError(f"degree_cap must be >= 1, got {self.degree_cap}")
         if self.growth_rate < 1:

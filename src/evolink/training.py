@@ -1,7 +1,7 @@
 """Training loops for teacher and distilled student models.
 
-Both loops build the window's constants once, rebuild the forward tape
-every epoch over them, backpropagate a scalar loss, and apply one
+Both loops rebuild the forward tape every epoch over the window
+snapshots' cached constants, backpropagate a scalar loss, and apply one
 full-batch Adam update. All randomness comes from the model config seed,
 so a (seed, window) pair reproduces training bit for bit.
 """
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError
 from .gcn import Embeddings, param_spec
 from .graphs import SnapshotGraph
-from .model import GcnChain, ModelConfig, WindowData, distillation_loss, reconstruction_loss
+from .model import GcnChain, ModelConfig, distillation_loss, reconstruction_loss
 from .optim import Adam
 from .tape import backward
 
@@ -56,12 +56,12 @@ def check_same_event(chain: GcnChain, n_global: int, registry: dict[int, int] | 
                           f"differs from the event's")
 
 
-def _fit(chain: GcnChain, data: WindowData, loss_fn) -> TrainingTrace:
+def _fit(chain: GcnChain, window: list[SnapshotGraph], loss_fn) -> TrainingTrace:
     opt = Adam(chain.trainable(), lr=chain.config.lr)
     trace = TrainingTrace()
     for _ in range(chain.config.epochs):
         t0 = time.perf_counter()
-        loss = loss_fn(chain.final(data), data)
+        loss = loss_fn(chain.final(window), window[-1])
         loss_value = float(loss.value)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(f"loss became {loss_value} at epoch "
@@ -107,9 +107,8 @@ def train_teacher(window: list[SnapshotGraph], cfg: ModelConfig, n_global: int,
                 raise ConfigError(f"warm-start parameters do not provide {name!r} "
                                   f"with shape {shape}")
             leaves[name].value = warm[name]
-    data = WindowData.build(window)
-    trace = _fit(chain, data, reconstruction_loss)
-    return chain, trace, chain.embeddings(data)
+    trace = _fit(chain, window, reconstruction_loss)
+    return chain, trace, chain.embeddings(window)
 
 
 def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
@@ -137,6 +136,5 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
     check_same_event(bundle.teacher, n_global, registry, "the teacher")
     chain = GcnChain.init(cfg, n_global, registry)
     teacher_z = bundle.teacher_embeddings.z
-    trace = _fit(chain, WindowData.build(window),
-                 lambda z, data: distillation_loss(z, teacher_z, data, bundle.gamma))
+    trace = _fit(chain, window, lambda z, g: distillation_loss(z, teacher_z, g, bundle.gamma))
     return chain, trace

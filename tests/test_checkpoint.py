@@ -8,6 +8,7 @@ import dataclasses
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ def test_round_trip_of_trained_model(tmp_path):
     model, _, _ = train_teacher(window, cfg, 4, registry={7: 0, 8: 1, 9: 2, 11: 3})
     path = write_checkpoint(model, tmp_path / "m.ckpt")
     assert_same_model(model, read_checkpoint(path))
+
+
+def test_read_checkpoint_refuses_a_path_it_cannot_read(tmp_path, monkeypatch):
+    path = write_checkpoint(GcnChain.init(small_config(), 3), tmp_path / "m.ckpt")
+    for bad, fragment in ((tmp_path / "absent.ckpt", "no checkpoint at"),
+                          (tmp_path, "cannot read checkpoint"),
+                          (path / "m.ckpt", "cannot read checkpoint"),
+                          (tmp_path / "m\x00.ckpt", "cannot open checkpoint")):
+        with pytest.raises(CheckpointError, match=fragment):
+            read_checkpoint(bad)
+
+    def refused(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_bytes", refused)
+    with pytest.raises(CheckpointError, match="cannot read checkpoint .*: Permission denied"):
+        read_checkpoint(path)
 
 
 def test_crafted_bytes_load_like_saved_bytes():

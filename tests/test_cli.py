@@ -222,6 +222,19 @@ def test_non_integer_model_field_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "heads must be an integer" in err
 
 
+@pytest.mark.parametrize("simulate,fragment", [
+    ({"viewers": 80.5}, "viewers must be an integer"),
+    ({"intra_bw": [1, 2, 3]}, "intra_bw needs a positive finite mean"),
+    ({"seed": -1}, "seed must be >= 0"),
+], ids=["float-viewers", "three-bandwidths", "negative-seed"])
+def test_bad_simulation_config_exits_one_without_a_traceback(tmp_path, capsys, simulate,
+                                                             fragment):
+    cfg = write_config(tmp_path, data={"simulate": {"offices": 2, "viewers": 14, **simulate}})
+    assert main(["simulate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["run", "teacher"])
 def test_negative_seed_exits_one(tmp_path, capsys, where):
     if where == "run":

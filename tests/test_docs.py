@@ -1,22 +1,37 @@
-"""Every evolink import in the demos and the README resolves.
+"""Every evolink import in the demos and the README resolves, and so does
+every README code span that names a submodule's attribute.
 
 The sources are parsed with ``ast`` and never run, so this stays fast;
-it catches a rename or a deletion that orphans a documented import.
+it catches a rename or a deletion that orphans a documented import or
+leaves stale prose such as ``model.SomethingDeleted``.
 """
 import ast
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import evolink
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 FENCE = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+ANY_FENCE = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+SPAN = re.compile(r"`([^`\n]+)`")
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(evolink.__path__))
+# "graphs.SnapshotGraph", "evolink.tape.expit" or "graphs.normalize_adjacency(g)".
+QUALIFIED = re.compile(rf"(?:evolink\.)?({'|'.join(SUBMODULES)})\.([A-Za-z_][\w.]*)(?:\(.*\))?")
 
 
 def readme_blocks() -> list[str]:
     return FENCE.findall((ROOT / "README.md").read_text())
+
+
+def readme_prose() -> str:
+    """The README without its fenced code blocks."""
+    return ANY_FENCE.sub("", (ROOT / "README.md").read_text())
 
 
 def _resolves(module: str, name: str | None = None) -> bool:
@@ -42,10 +57,27 @@ def unresolved(source: str) -> list[str]:
     return missing
 
 
+def unresolved_spans(text: str) -> list[str]:
+    """The inline code spans of ``text`` naming ``<submodule>.<name>``
+    (a dotted name; any call arguments ignored) that do not resolve."""
+    missing = []
+    for span in SPAN.findall(text):
+        match = QUALIFIED.fullmatch(span)
+        if match is None:
+            continue
+        owner = importlib.import_module(f"evolink.{match[1]}")
+        for part in match[2].split("."):
+            owner = getattr(owner, part, missing)
+        if owner is missing:
+            missing.append(span)
+    return missing
+
+
 def test_the_sources_are_found():
     assert len(DEMOS) >= 5
     blocks = readme_blocks()
     assert any("from evolink." in b for b in blocks)
+    assert sum(1 for span in SPAN.findall(readme_prose()) if QUALIFIED.fullmatch(span)) >= 5
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
@@ -58,9 +90,16 @@ def test_readme_imports_resolve():
         assert unresolved(block) == []
 
 
+def test_readme_code_spans_resolve():
+    assert unresolved_spans(readme_prose()) == []
+
+
 def test_a_missing_name_is_reported():
     source = ("from evolink.model import GcnChain, no_such_name\n"
               "from evolink import graphs, no_such_module\n"
               "import evolink.tape, evolink.nowhere\n")
     assert unresolved(source) == ["evolink.model.no_such_name", "evolink.no_such_module",
                                   "evolink.nowhere"]
+    prose = ("`model.GcnChain.final`, `model.GcnChain.no_such_name`, `evolink.tape.expit`, "
+             "`graphs.normalize_adjacency(g)`, `graphs.no_such_name(g)`, `report.json`")
+    assert unresolved_spans(prose) == ["model.GcnChain.no_such_name", "graphs.no_such_name(g)"]

@@ -320,13 +320,32 @@ def test_run_config_must_be_an_object(tmp_path):
         load_run_config(write_config(tmp_path, [1, 2]))
 
 
-def test_run_config_missing_or_bad_file(tmp_path):
+def test_run_config_missing_or_bad_file(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="no run config"):
         load_run_config(tmp_path / "absent.json")
     p = tmp_path / "broken.json"
     p.write_text("]")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_run_config(p)
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_run_config(p)
+    p.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match="run config is not UTF-8"):
+        load_run_config(p)
+    with pytest.raises(ConfigError, match="cannot read run config"):
+        load_run_config(tmp_path)
+    with pytest.raises(ConfigError, match="cannot read run config"):
+        load_run_config(p / "run.json")  # a path through a file
+    with pytest.raises(ConfigError, match="cannot open run config"):
+        load_run_config(tmp_path / "run\x00.json")
+
+    def refused(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refused)
+    with pytest.raises(ConfigError, match="cannot read run config .*: Permission denied"):
+        load_run_config(write_config(tmp_path, make_config_blob()))
 
 
 # -- reports and traces -------------------------------------------------------

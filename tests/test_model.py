@@ -15,7 +15,6 @@ from evolink.graphs import SnapshotGraph
 from evolink.model import (
     GcnChain,
     ModelConfig,
-    WindowData,
     distillation_loss,
     reconstruction_loss,
     student_defaults,
@@ -235,33 +234,39 @@ def test_final_is_the_last_forward_output():
             np.testing.assert_array_equal(grads_final[name], g)
 
 
-def test_window_data_gives_the_snapshot_path_bits():
-    """The constants of a window whose last snapshot has an isolated node:
-    the same embeddings and losses as the snapshots themselves, the
-    attention self-entry only in the attention neighbour lists, and
-    read-only arrays."""
+def test_snapshot_constants_give_the_same_bits_built_and_reused():
+    """A window whose last snapshot has an isolated node: the snapshots'
+    cached constants give the same embeddings and losses when a call builds
+    them as when a later call reuses them, the attention self-entry sits
+    only in the attention neighbour lists, and the arrays are read-only."""
     cfg = ModelConfig(window=2, heads=2, hidden_dim=6, embed_dim=3, seed=2)
     chain = GcnChain.init(cfg, n_global=7)
     window = line_window(1, n=6) + [make_snapshot(2, range(7), [(0, 1, 0.4), (2, 3, 0.6),
                                                                 (3, 4, 0.3), (4, 5, 0.8)])]
-    data = WindowData.build(window)
-    assert len(data) == 3 and data.n == 7
-    np.testing.assert_array_equal(chain.forward(data)[-1].value,
-                                  chain.forward(window)[-1].value)
+    g = window[-1]
     z = np.random.default_rng(4).normal(size=(7, 3))
-    assert reconstruction_loss(z, data).value == reconstruction_loss(z, window[-1]).value
-    assert (distillation_loss(z, z[:, :2], data, 0.3).value
-            == distillation_loss(z, z[:, :2], window[-1], 0.3).value)
-    target = data.final.adjacency_lists
-    np.testing.assert_array_equal(target.matrix(target.weights).toarray(),
-                                  window[-1].adjacency())
+
+    def outputs():
+        return (chain.forward(window)[-1].value, reconstruction_loss(z, g).value,
+                distillation_loss(z, z[:, :2], g, 0.3).value)
+
+    built = outputs()
+    assert {"normalized_adjacency", "attention_lists", "adjacency_lists"} <= set(vars(g))
+    reused = outputs()
+    np.testing.assert_array_equal(reused[0], built[0])
+    assert reused[1:] == built[1:]
+    target = g.adjacency_lists
+    np.testing.assert_array_equal(target.matrix(target.weights).toarray(), g.adjacency())
     for arr in (target.indptr, target.rows, target.cols, target.weights):
-        assert arr.ndim == 1 and arr.size <= 2 * len(window[-1].edges) + data.n + 1
-    edges = data.attention[-1].edges
+        assert arr.ndim == 1 and arr.size <= 2 * len(g.edges) + g.n + 1
+    assert target.indptr[6] == target.indptr[7]
+    edges = g.attention_lists
     lonely = slice(edges.indptr[6], edges.indptr[7])
     assert edges.cols[lonely].tolist() == [6] and edges.weights[lonely].tolist() == [1.0]
     with pytest.raises(ValueError):
-        data.a_hats[0][0, 0] = 0.0
+        window[0].normalized_adjacency[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        g.node_ids[0] = 1
 
 
 # -- reconstruction loss ----------------------------------------------------

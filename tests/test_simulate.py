@@ -42,6 +42,18 @@ def snapshot_nodes(snapshot):
     dict(rewire_prob=1.5),
     dict(departure_prob=-0.1),
     dict(same_office_bias=2.0),
+    dict(viewers=80.5),
+    dict(intra_bw=[1, 2, 3]),
+    dict(seed=-1),
+    dict(offices="4"),
+    dict(snapshots=True),
+    dict(seed=1.0),
+    dict(rewire_prob="0.1"),
+    dict(departure_prob=None),
+    dict(inter_bw=5.0),
+    dict(inter_bw=("5", 1.0)),
+    dict(intra_bw=(float("nan"), 1.0)),
+    dict(intra_bw=(100.0, float("inf"))),
 ])
 def test_config_rejects(bad):
     with pytest.raises(ConfigError):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from evolink.attention import AttentionInputs
 from evolink.errors import DegenerateSoftmaxError, NumericError, ShapeError
 from evolink.graphs import NeighbourLists, SnapshotGraph
 from evolink import tape
@@ -145,7 +144,7 @@ def neighbour_lists(n, edges):
     """The attention neighbour lists the model builds for ``edges`` over
     nodes 0..n-1, with a unit self-entry on every isolated node."""
     g = SnapshotGraph(index=0, nodes=tuple(range(n)), edges=tuple(sorted(edges)))
-    return AttentionInputs.build(g).edges
+    return g.attention_lists
 
 
 def dense_head(x, transform, score_vec, n, edges):

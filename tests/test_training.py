@@ -11,8 +11,8 @@ from evolink import graphs, model
 from evolink.errors import ConfigError, NumericError, TrainingDivergedError
 from evolink.gcn import Embeddings
 from evolink.graphs import SnapshotGraph, build_window, normalize_weights
-from evolink.model import (GcnChain, ModelConfig, WindowData, reconstruction_loss,
-                           student_defaults, teacher_defaults)
+from evolink.model import (GcnChain, ModelConfig, reconstruction_loss, student_defaults,
+                           teacher_defaults)
 from evolink.simulate import SimConfig, simulate_event
 from evolink.training import DistillationBundle, distill_student, train_teacher
 
@@ -227,19 +227,43 @@ def count_edge_array_builds(monkeypatch):
 def test_each_snapshot_adjacency_is_built_once_per_fit(monkeypatch):
     """A snapshot's edge arrays are built on first use and kept: once per
     snapshot, not per epoch, and not again for the student or for repeated
-    inference."""
+    inference. The oldest snapshot needs none: its first-layer weights are
+    a leaf, not an attention output, and a fit never encodes it."""
     calls = count_edge_array_builds(monkeypatch)
     for epochs in (1, 5):
         window = make_window(window=3)
         calls.clear()
         teacher, _, emb = train_teacher(window, tiny_teacher(window=3, heads=2,
                                                              epochs=epochs), N)
-        assert sorted(calls) == [g.index for g in window]
+        assert sorted(calls) == [g.index for g in window[1:]]
         distill_student(DistillationBundle(teacher, emb, tiny_student(window=3, epochs=epochs)),
                         window, N)
         teacher.embeddings(window)
         teacher.embeddings(window)
-        assert sorted(calls) == [g.index for g in window]
+        assert sorted(calls) == [g.index for g in window[1:]]
+
+
+def test_a_fitted_window_builds_no_neighbour_lists_again(monkeypatch):
+    """The neighbour lists and the normalized adjacency live on the
+    snapshots: once a teacher fit has built them, the student fit over the
+    same window and every later inference build none."""
+    window = make_window(window=3)
+    teacher, _, emb = train_teacher(window, tiny_teacher(window=3, heads=2, epochs=2), N)
+    built = []
+    init = graphs.NeighbourLists.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.NeighbourLists, "__init__", counting)
+    again = teacher.embeddings(window)
+    np.testing.assert_array_equal(again.z, emb.z)
+    distill_student(DistillationBundle(teacher, emb, tiny_student(window=3, epochs=2)),
+                    window, N)
+    assert built == []
+    train_teacher(make_window(window=3), tiny_teacher(window=3, heads=2, epochs=1), N)
+    assert built  # the counter sees the builds of a fresh window
 
 
 def test_one_encoder_pass_per_epoch_and_per_inference(monkeypatch):
@@ -314,8 +338,7 @@ def test_no_n_by_n_value_is_recorded_outside_the_loss(viewers_320):
     window snapshot's n, the loss op included."""
     event, window = viewers_320
     chain = GcnChain.init(teacher_defaults(), event.n_global)
-    data = WindowData.build(window)
-    loss = reconstruction_loss(chain.forward(data)[-1], data)
+    loss = reconstruction_loss(chain.forward(window)[-1], window[-1])
     sizes = {g.n for g in window}
     seen, stack, kept = set(), [loss], []
     while stack:
@@ -349,20 +372,21 @@ def arrays_in(obj):
             yield from arrays_in(value)
 
 
-def test_window_data_grows_with_edges_not_with_n_squared(viewers_320):
-    """Every WindowData array, the loss target included, has at most one
-    entry per edge direction and node of a window snapshot, plus one."""
+def test_snapshot_constants_grow_with_edges_not_with_n_squared(viewers_320):
+    """Every constant a window snapshot caches, the loss target included,
+    has at most one entry per edge direction and node, plus one."""
     _, window = viewers_320
-    data = WindowData.build(window)
-    for inputs in data.attention:
-        inputs.edges.transpose  # built lazily by a fit, as the loss target is
-    data.final.adjacency_lists
+    for g in window:
+        g.normalized_adjacency, g.node_ids, g.adjacency_lists
+        g.attention_lists.transpose  # built lazily by a fit's backward pass
     bound = max(2 * len(g.edges) + g.n for g in window) + 1
     assert bound < min(g.n for g in window) ** 2 / 10
-    arrays = list(arrays_in(data))
-    assert len(arrays) == 3 * len(data.a_hats) + 6 * len(data.attention) + 3 + 4
+    arrays = list(arrays_in(tuple(window)))
+    # Per snapshot: 3 edge arrays, 3 CSR arrays, the node ids, 4 + 1
+    # attention arrays and 4 loss-target arrays.
+    assert len(arrays) == 16 * len(window)
     for arr in arrays:
         assert arr.ndim == 1 and arr.size <= bound
-    for g, a_hat in zip(window, data.a_hats):
-        assert a_hat.nnz == 2 * len(g.edges) + g.n
-    assert data.final.adjacency_lists.rows.size == 2 * len(window[-1].edges)
+    for g in window:
+        assert g.normalized_adjacency.nnz == 2 * len(g.edges) + g.n
+        assert g.adjacency_lists.rows.size == 2 * len(g.edges)
