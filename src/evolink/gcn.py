@@ -38,10 +38,15 @@ class IdentityFeatures:
     """Marker standing in for an identity feature matrix.
 
     Multiplying the identity restricted to a snapshot's nodes into W1 is
-    exactly a row selection, so the marker only needs the node ids.
+    exactly a row selection, so the marker only needs the snapshot, whose
+    cached ``node_ids`` are the rows to select.
     """
 
-    ids: tuple[int, ...]
+    graph: SnapshotGraph
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return self.graph.nodes
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class Embeddings:
 
 
 def identity_features(g: SnapshotGraph) -> IdentityFeatures:
-    return IdentityFeatures(ids=g.nodes)
+    return IdentityFeatures(graph=g)
 
 
 def first_layer_input(features: IdentityFeatures, w1: Tensor) -> Tensor:
@@ -71,7 +76,7 @@ def first_layer_input(features: IdentityFeatures, w1: Tensor) -> Tensor:
     if not isinstance(features, IdentityFeatures):
         raise ConfigError(f"the encoder takes identity_features(g), got "
                           f"{type(features).__name__}")
-    ids = np.asarray(features.ids, dtype=np.intp)
+    ids = features.graph.node_ids
     if ids.size and ids.max() >= w1.shape[0]:
         raise ShapeError(f"node id {int(ids.max())} outside the {w1.shape[0]} W1 rows")
     return rows(w1, ids)

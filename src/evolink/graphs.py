@@ -9,6 +9,7 @@ are comparable with sigmoid outputs.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -111,6 +112,26 @@ class SnapshotGraph:
         a_hat.data.flags.writeable = False
         return a_hat
 
+    def propagation(self, copies: int = 1) -> csr_matrix:
+        """``normalized_adjacency`` of ``copies`` disjoint copies of the
+        snapshot, block diagonal over ``copies * n`` rows: the propagation
+        matrix of that many models trained at once. Built once per count."""
+        if copies == 1:
+            return self.normalized_adjacency
+        blocks = self._propagations
+        if copies not in blocks:
+            a = self.normalized_adjacency
+            lists = NeighbourLists(indptr=a.indptr.astype(np.intp),
+                                   rows=np.repeat(np.arange(self.n), np.diff(a.indptr)),
+                                   cols=a.indices.astype(np.intp), weights=a.data)
+            tiled = lists.tile(copies)
+            blocks[copies] = tiled.matrix(tiled.weights)
+        return blocks[copies]
+
+    @cached_property
+    def _propagations(self) -> dict[int, csr_matrix]:
+        return {}
+
     @cached_property
     def node_ids(self) -> Array:
         """``nodes`` as an index array."""
@@ -148,8 +169,8 @@ class NeighbourLists:
     Row ``u`` holds the entries ``indptr[u]:indptr[u + 1]``, columns
     ascending; entry ``e`` links ``rows[e]`` to ``cols[e]`` with
     ``weights[e]``. Every entry's mirror ``(cols[e], rows[e])`` is an entry
-    too. Index arrays are int32, which scipy.sparse takes without a copy.
-    All arrays are read-only.
+    too. Index arrays are ``intp``, so gathers and ``bincount`` take them
+    without a conversion. All arrays are read-only.
     """
 
     indptr: Array
@@ -162,16 +183,20 @@ class NeighbourLists:
                   loops: Array) -> "NeighbourLists":
         """Each edge ``(rows[k], cols[k], weights[k])`` in both directions,
         plus a unit self-entry at every position in ``loops``."""
-        r = np.concatenate([rows, cols, loops]).astype(np.int32)
-        c = np.concatenate([cols, rows, loops]).astype(np.int32)
+        r = np.concatenate([rows, cols, loops]).astype(np.intp)
+        c = np.concatenate([cols, rows, loops]).astype(np.intp)
         w = np.concatenate([weights, weights, np.ones(len(loops))])
         order = np.lexsort((c, r))
-        indptr = np.zeros(n + 1, dtype=np.int32)
+        indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
-        lists = cls(indptr=indptr, rows=r[order], cols=c[order], weights=w[order])
-        for arr in (lists.indptr, lists.rows, lists.cols, lists.weights):
+        return cls._frozen(indptr, r[order], c[order], w[order])
+
+    @classmethod
+    def _frozen(cls, indptr: Array, rows: Array, cols: Array,
+                weights: Array) -> "NeighbourLists":
+        for arr in (indptr, rows, cols, weights):
             arr.flags.writeable = False
-        return lists
+        return cls(indptr=indptr, rows=rows, cols=cols, weights=weights)
 
     @property
     def n(self) -> int:
@@ -187,9 +212,41 @@ class NeighbourLists:
         order.flags.writeable = False
         return order
 
+    @cached_property
+    def _shell(self) -> csr_matrix:
+        """A CSR matrix on this pattern, built once with scipy's checks;
+        :meth:`matrix` gives each call its own shallow copy."""
+        return csr_matrix((self.weights, self.cols, self.indptr), shape=(self.n, self.n))
+
     def matrix(self, data: Array) -> csr_matrix:
-        """The (n, n) CSR matrix holding ``data[e]`` at entry ``e``."""
-        return csr_matrix((data, self.cols, self.indptr), shape=(self.n, self.n))
+        """The (n, n) CSR matrix holding ``data[e]`` at entry ``e``.
+
+        Each call returns a new matrix that shares the pattern's index
+        arrays and holds ``data`` itself, not a copy, so ``data`` must not
+        change while the matrix is in use.
+        """
+        m = copy.copy(self._shell)
+        m.data = data
+        return m
+
+    def tile(self, copies: int) -> "NeighbourLists":
+        """The block-diagonal pattern of ``copies`` disjoint copies over
+        ``copies * n`` nodes, weights repeated; built once per count."""
+        if copies == 1:
+            return self
+        tiles = self._tiles
+        if copies not in tiles:
+            n, m = self.n, self.rows.size
+            shift = np.arange(copies)[:, None]
+            indptr = np.append((self.indptr[:-1] + m * shift).ravel(), copies * m)
+            tiles[copies] = NeighbourLists._frozen(indptr, (self.rows + n * shift).ravel(),
+                                                   (self.cols + n * shift).ravel(),
+                                                   np.tile(self.weights, copies))
+        return tiles[copies]
+
+    @cached_property
+    def _tiles(self) -> dict[int, "NeighbourLists"]:
+        return {}
 
 
 @dataclass(frozen=True)

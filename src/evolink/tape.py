@@ -146,16 +146,21 @@ def _broadcastable(a: Tensor, b: Tensor, opname: str) -> None:
 
 
 def constant_matmul(a, x) -> Tensor:
-    """``a @ x`` for a constant (n, n) matrix ``a``, dense or scipy.sparse.
+    """``a @ x`` for a constant symmetric (n, n) matrix ``a``, dense or
+    scipy.sparse.
 
-    Only ``x`` is recorded; its gradient is ``a.T @ g``.
+    Only ``x`` is recorded. Its gradient ``a.T @ g`` is taken as ``a @ g``,
+    which is the same only because ``a`` is symmetric: the caller must
+    pass a matrix equal to its transpose, as every normalized adjacency is
+    bit for bit. A sparse ``a.T`` would be rebuilt in CSC form on every
+    call.
     """
     x = as_tensor(x)
     if a.ndim != 2 or x.value.ndim != 2 or a.shape[1] != x.shape[0]:
         raise ShapeError(f"constant_matmul: shapes {a.shape} and {x.shape} do not chain")
 
     def bw(g: Array) -> None:
-        _accumulate(x, a.T @ g, fresh=True)
+        _accumulate(x, a @ g, fresh=True)
 
     return Tensor(a @ x.value, _parents=(x,), _backward=bw)
 
@@ -414,10 +419,16 @@ def edge_attention(x, transform, score_vec, edges: NeighbourLists) -> Tensor:
     x, transform, score_vec = as_tensor(x), as_tensor(transform), as_tensor(score_vec)
     p, s, alpha = edge_softmax(x.value, transform.value, score_vec.value, edges)
     value = edges.matrix(alpha) @ p
+    if not (x.requires_grad or transform.requires_grad or score_vec.requires_grad):
+        return Tensor(value)
     u, v, n, d = edges.rows, edges.cols, edges.n, p.shape[1]
+    # The transposed coefficients, on the same pattern. The closure holds
+    # this matrix until the backward pass runs, after every later head's
+    # forward pass, so each call's matrix must own its data.
+    alpha_t = edges.matrix(alpha[edges.transpose])
 
     def bw(g: Array) -> None:
-        dp = edges.matrix(alpha[edges.transpose]) @ g
+        dp = alpha_t @ g
         # Through the softmax: a row's sum of alpha * d_alpha is g_u . value_u.
         # Each entry's dot product is the same in any block of entries.
         d_alpha = np.empty(u.size)
@@ -498,9 +509,6 @@ def rmse_sigmoid_gram(z, terms) -> Tensor:
         if target.n != n:
             raise ShapeError(f"rmse_sigmoid_gram: a target over {target.n} rows does not "
                              f"match embeddings {z.shape}")
-    # Each neighbour-list target's rows as intp, for 1-d positions.
-    rows = [t.rows.astype(np.intp) if isinstance(t, NeighbourLists) else None
-            for _, t in terms]
     grad = z.requires_grad
     height = min(LOSS_BLOCK, n)
     # One allocation for s, diff and s * (1 - s): three separate ones made
@@ -533,7 +541,7 @@ def rmse_sigmoid_gram(z, terms) -> Tensor:
                 np.copyto(diff, s)
                 e0, e1 = target.indptr[lo], target.indptr[hi]
                 cols = target.cols[e0:e1]
-                at = (rows[k][e0:e1] - lo) * width + (cols - lo)
+                at = (target.rows[e0:e1] - lo) * width + (cols - lo)
                 # An entry left of the diagonal tile counts through its
                 # mirror, so it goes to the last slot, which nothing reads.
                 at[cols < lo] = d_buf.size - 1

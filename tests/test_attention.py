@@ -6,8 +6,9 @@ from scipy.special import expit
 from evolink.attention import (AttentionHead, Transition, attention_coefficients,
                                evolve_weights)
 from evolink.errors import ShapeError
+from evolink import graphs
 from evolink.graphs import SnapshotGraph
-from evolink.tape import Tensor, backward, param, tsum
+from evolink.tape import Tensor, backward, mul, param, tsum
 
 
 def head_from(rng, d1):
@@ -188,3 +189,56 @@ def test_head_shape_validation():
         attention_coefficients(g, short, Tensor(np.zeros((2, 2))))
     with pytest.raises(ShapeError):
         evolve_weights(g, Transition(heads=[]), Tensor(np.zeros((2, 2))))
+
+
+def two_head_gradients_agree(rng) -> bool:
+    """Central differences against the analytic gradient of a two-head
+    transition's weighted readout, on every head parameter."""
+    g = random_graph(rng, 7, p=0.4)
+    transition = Transition(heads=[head_from(rng, 3), head_from(rng, 3)])
+    w_prev = param(rng.normal(size=(9, 3)), "w_prev")
+    read = Tensor(rng.normal(size=(9, 3)))
+
+    def loss():
+        return tsum(mul(evolve_weights(g, transition, w_prev), read))
+
+    leaves = [w_prev] + [t for h in transition.heads for t in (h.transform, h.score_vec)]
+    backward(loss())
+    for leaf, grad in [(leaf, leaf.grad.copy()) for leaf in leaves]:
+        flat = leaf.value.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + 1e-6
+            hi = float(loss().value)
+            flat[i] = orig - 1e-6
+            lo = float(loss().value)
+            flat[i] = orig
+            num = (hi - lo) / 2e-6
+            if abs(num - grad.reshape(-1)[i]) > 1e-6 * max(1.0, abs(num)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("share", ["object", "buffer"])
+def test_heads_whose_matrices_share_storage_fail_the_gradient_check(share, monkeypatch):
+    """Each head's backward holds a matrix built in its forward pass, so a
+    ``matrix()`` that handed every call on one pattern the same matrix
+    object, or the same data buffer, would give a two-head transition
+    wrong gradients. The real one passes the check; both mutants fail it."""
+    assert two_head_gradients_agree(np.random.default_rng(5))
+    real = graphs.NeighbourLists.matrix
+    shared = {}
+
+    def one_object(self, data):
+        m = shared.setdefault(id(self), real(self, data))
+        m.data = data
+        return m
+
+    def one_buffer(self, data):
+        buf = shared.setdefault(id(self), np.empty(data.size))
+        buf[:] = data
+        return real(self, buf)
+
+    monkeypatch.setattr(graphs.NeighbourLists, "matrix",
+                        one_object if share == "object" else one_buffer)
+    assert not two_head_gradients_agree(np.random.default_rng(5))

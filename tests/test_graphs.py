@@ -249,3 +249,76 @@ class TestEventSequenceValidation:
         g = snap(0, [0, 1], [(0, 1, 0.01)])  # valid snapshot, invalid event
         with pytest.raises(MalformedGraphError):
             EventSequence(name="e", snapshots=(g,), registry={0: 0, 1: 1})
+
+
+@pytest.fixture(scope="module")
+def windows():
+    """The desk window (80 viewers) and a 1000-viewer window, both ending
+    at snapshot 6."""
+    return [build_window(normalize_weights(simulate_event(SimConfig(
+        offices=4, viewers=viewers, snapshots=8, arrival="front_loaded", seed=seed))), 6, 3)
+        for viewers, seed in ((80, 3), (1000, 0))]
+
+
+def test_normalized_adjacency_is_exactly_symmetric(windows):
+    """``constant_matmul`` takes ``a @ g`` for the gradient ``a.T @ g``:
+    the CSR and the dense normalized adjacency equal their transposes bit
+    for bit on every snapshot of both windows, and so do the two CSR
+    products."""
+    rng = np.random.default_rng(0)
+    for window in windows:
+        for g in window:
+            a = g.normalized_adjacency
+            assert (a != a.T).nnz == 0
+            grad = rng.normal(size=(g.n, 8))
+            assert np.array_equal(a @ grad, a.T @ grad)
+            dense = normalize_adjacency(g)
+            assert np.array_equal(dense, dense.T)
+            assert np.array_equal(normalize_adjacency(g.adjacency()), dense)
+
+
+def test_neighbour_lists_hold_read_only_intp_indices(windows):
+    for g in windows[0]:
+        for lists in (g.attention_lists, g.adjacency_lists):
+            for arr in (lists.indptr, lists.rows, lists.cols, lists.transpose):
+                assert arr.dtype == np.intp
+                assert not arr.flags.writeable
+            assert not lists.weights.flags.writeable
+
+
+def test_matrix_is_the_checked_csr_build_without_a_copy(windows):
+    """``matrix(data)`` equals scipy's checked construction from the same
+    arrays, holds ``data`` itself, and is a new matrix on every call."""
+    from scipy.sparse import csr_matrix
+    lists = windows[0][-1].attention_lists
+    data = np.random.default_rng(0).uniform(size=lists.rows.size)
+    got = lists.matrix(data)
+    want = csr_matrix((data, lists.cols, lists.indptr), shape=(lists.n, lists.n))
+    assert got.data is data
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.shape == want.shape and got.has_canonical_format
+    x = np.random.default_rng(1).normal(size=(lists.n, 3))
+    assert np.array_equal(got @ x, want @ x)
+    other = lists.matrix(2.0 * data)
+    assert other is not got and got.data is data
+
+
+def test_tiled_lists_are_disjoint_copies(windows):
+    """``tile(k)`` lays ``k`` copies of the pattern along the diagonal, and
+    a block-diagonal product gives each copy the bits of its own product."""
+    g = windows[0][-1]
+    lists = g.attention_lists
+    assert lists.tile(1) is lists
+    tiled = lists.tile(3)
+    assert tiled is lists.tile(3) and tiled.n == 3 * lists.n
+    data = np.random.default_rng(2).uniform(size=lists.rows.size)
+    x = np.random.default_rng(3).normal(size=(3, lists.n, 4))
+    got = (tiled.matrix(np.tile(data, 3)) @ x.reshape(-1, 4)).reshape(x.shape)
+    block = g.propagation(3) @ x.reshape(-1, 4)
+    for k in range(3):
+        assert np.array_equal(got[k], lists.matrix(data) @ x[k])
+        assert np.array_equal(block[k * g.n:(k + 1) * g.n], g.normalized_adjacency @ x[k])
+        m = lists.rows.size
+        assert np.array_equal(tiled.transpose[k * m:(k + 1) * m], lists.transpose + k * m)
+    assert g.propagation(1) is g.normalized_adjacency

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import expit
 
 from evolink.errors import DegenerateSoftmaxError, NumericError, ShapeError
-from evolink.graphs import NeighbourLists, SnapshotGraph
+from evolink.graphs import NeighbourLists, SnapshotGraph, normalize_adjacency
 from evolink import tape
 from evolink.tape import (LOSS_BLOCK, SigmoidGram, Tensor, add, backward, constant_matmul,
                           edge_attention, edge_softmax, elu, matmul, mean, mul, param,
@@ -280,6 +280,23 @@ def test_constant_matmul_takes_dense_and_sparse(rng):
     assert np.allclose(grads[0], grads[1], rtol=1e-14, atol=0.0)
     with pytest.raises(ShapeError):
         constant_matmul(np.eye(3), x)
+
+
+def test_constant_matmul_backward_is_the_transpose_product_bit_for_bit(rng):
+    """The backward's ``a @ g`` equals ``a.T @ g`` bit for bit on the CSR
+    normalized adjacency of a graph with a hub, single neighbours and an
+    isolated node. (A dense ``a.T @ g`` runs another BLAS kernel, which may
+    round differently; it agrees to the last few places.)"""
+    n, edges = hub_graph()
+    g = SnapshotGraph(index=0, nodes=tuple(range(n)), edges=tuple(sorted(edges)))
+    read = rng.normal(size=(n, 3))
+    for a, exact in ((g.normalized_adjacency, True), (normalize_adjacency(g), False)):
+        x = param(rng.normal(size=(n, 3)), "x")
+        backward(tsum(mul(constant_matmul(a, x), Tensor(read))))
+        if exact:
+            assert np.array_equal(x.grad, a.T @ read)
+        else:
+            assert np.allclose(x.grad, a.T @ read, rtol=1e-14, atol=1e-15)
 
 
 def random_lists(n, rng):

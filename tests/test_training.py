@@ -94,6 +94,28 @@ def test_warm_start_shape_mismatch_rejected():
         train_teacher(window, tiny_teacher(), N, init_from=other)
 
 
+@pytest.fixture(scope="module")
+def desk_window():
+    """The 80-viewer desk event of the acceptance gates, window ending at 6."""
+    event = normalize_weights(simulate_event(SimConfig(
+        offices=4, viewers=80, snapshots=8, arrival="front_loaded", seed=3)))
+    return event, build_window(event, 6, 3)
+
+
+def test_desk_fits_keep_their_golden_digests(desk_window):
+    """A 20-epoch teacher at the default config and a 30-epoch student
+    distilled from it give pinned parameter digests. They are the same
+    with 1 and 2 BLAS threads; a change to any op's arithmetic, or to the
+    order in which a fit applies the ops, moves them."""
+    event, window = desk_window
+    teacher, trace, emb = train_teacher(window, teacher_defaults(epochs=20),
+                                        event.n_global, event.registry)
+    assert teacher.param_digest() == trace.param_digest == "c9b2619fde0a5313"
+    student, _ = distill_student(DistillationBundle(teacher, emb, student_defaults(epochs=30)),
+                                 window, event.n_global, event.registry)
+    assert student.param_digest() == "99b8a3a7cdb653ee"
+
+
 def test_teacher_role_and_window_validation():
     window = make_window()
     with pytest.raises(ConfigError):
@@ -379,12 +401,14 @@ def test_snapshot_constants_grow_with_edges_not_with_n_squared(viewers_320):
     for g in window:
         g.normalized_adjacency, g.node_ids, g.adjacency_lists
         g.attention_lists.transpose  # built lazily by a fit's backward pass
+        g.attention_lists.matrix(g.attention_lists.weights)  # builds the CSR shell
     bound = max(2 * len(g.edges) + g.n for g in window) + 1
     assert bound < min(g.n for g in window) ** 2 / 10
     arrays = list(arrays_in(tuple(window)))
     # Per snapshot: 3 edge arrays, 3 CSR arrays, the node ids, 4 + 1
-    # attention arrays and 4 loss-target arrays.
-    assert len(arrays) == 16 * len(window)
+    # attention arrays and the 3 of their CSR shell, and 4 loss-target
+    # arrays.
+    assert len(arrays) == 19 * len(window)
     for arr in arrays:
         assert arr.ndim == 1 and arr.size <= bound
     for g in window:
