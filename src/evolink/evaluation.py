@@ -28,7 +28,7 @@ from .graphs import EventSequence, LinkSet, SnapshotGraph, build_window, unobser
 from .model import ModelConfig
 from .optim import Adam
 from .tape import Tensor, add, backward, matmul, mean, param, relu, sigmoid, square, sub
-from .training import DistillationBundle, distill_student, train_teacher
+from .training import DistillationBundle, distill_student, distill_students, train_teacher
 
 Array = np.ndarray
 
@@ -443,7 +443,8 @@ def sweep_gamma(event: EventSequence, k: int, teacher_cfg: ModelConfig,
 
     Each trial trains one teacher and reuses it (same soft targets, same
     student init, same test split) across every gamma, so the sweep
-    isolates the blend weight. Scoring uses the dot scorer.
+    isolates the blend weight. A trial's students train as one stacked
+    fit. Scoring uses the dot scorer.
     """
     _check_trials(trials)
     window, _, scoreable, _ = _prepare(event, k, teacher_cfg.window)
@@ -458,11 +459,12 @@ def sweep_gamma(event: EventSequence, k: int, teacher_cfg: ModelConfig,
         _, test = split_links(scoreable, split_seed)
         t_preds, truths = _score_links(t_emb, test, None)
         teacher_rmses.append(metrics(t_preds, truths)[0])
-        for gamma in gammas:
-            cfg = replace(student_cfg, gamma=gamma, seed=s_seed)
-            bundle = DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
-                                        student_config=cfg)
-            student, _ = distill_student(bundle, window, n_global, event.registry)
+        bundles = [DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
+                                      student_config=replace(student_cfg, gamma=gamma,
+                                                             seed=s_seed))
+                   for gamma in gammas]
+        students = distill_students(bundles, window, n_global, event.registry)
+        for gamma, (student, _) in zip(gammas, students):
             s_preds, _ = _score_links(student.embeddings(window), test, None)
             per_gamma[gamma].append(metrics(s_preds, truths))
 

@@ -77,8 +77,8 @@ def first_layer_input(features: IdentityFeatures, w1: Tensor) -> Tensor:
         raise ConfigError(f"the encoder takes identity_features(g), got "
                           f"{type(features).__name__}")
     ids = features.graph.node_ids
-    if ids.size and ids.max() >= w1.shape[0]:
-        raise ShapeError(f"node id {int(ids.max())} outside the {w1.shape[0]} W1 rows")
+    if ids.size and ids.max() >= w1.shape[-2]:
+        raise ShapeError(f"node id {int(ids.max())} outside the {w1.shape[-2]} W1 rows")
     return rows(w1, ids)
 
 

@@ -88,6 +88,11 @@ class GcnChain:
     ``w1_first`` covers every registered node (n_global rows); the later
     first-layer matrices are derived during the forward pass and are not
     leaves. ``registry`` is carried along for persistence.
+
+    :meth:`stack` makes the one other kind of chain: G models whose every
+    leaf carries a leading model axis, which one fit trains together (see
+    :mod:`evolink.tape`). Its forward pass stacks their embeddings by
+    rows. Trained chains, checkpoints and digests hold one model each.
     """
 
     def __init__(self, config: ModelConfig, n_global: int, w1_first: Tensor,
@@ -105,7 +110,11 @@ class GcnChain:
         if self.n_global < 1:
             raise ConfigError(f"n_global must be positive, got {self.n_global}")
         spec = param_spec(self.config, self.n_global)
-        shapes = {name: leaf.shape for name, leaf in self.trainable().items()}
+        leaves = self.trainable()
+        stacked = {leaf.shape[:-2] for leaf in leaves.values()}
+        if len(stacked) != 1 or len(stacked.pop()) > 1:
+            raise ShapeError("leaves must all be matrices or all stacks of one size")
+        shapes = {name: leaf.shape[-2:] for name, leaf in leaves.items()}
         for name in {**spec, **shapes}:
             if shapes.get(name) != spec.get(name):
                 raise ShapeError(f"leaf {name!r}: the chain has {shapes.get(name, 'none')}, "
@@ -118,6 +127,28 @@ class GcnChain:
         return cls._from_leaves(config, n_global,
                                 {name: param(value, name) for name, value in arrays.items()},
                                 registry)
+
+    @classmethod
+    def stack(cls, chains: list["GcnChain"]) -> "GcnChain":
+        """One chain of ``len(chains)`` models: each leaf stacks the chains'
+        leaves on a leading model axis. The chains' configs may differ in
+        ``gamma`` only, which no forward pass reads."""
+        first = chains[0]
+        for chain in chains[1:]:
+            if (replace(chain.config, gamma=first.config.gamma) != first.config
+                    or chain.n_global != first.n_global):
+                raise ConfigError("a stack needs models of one config and event, "
+                                  "differing in gamma only")
+        leaves = [chain.trainable() for chain in chains]
+        stacked = {name: param(np.stack([ls[name].value for ls in leaves]), name)
+                   for name in leaves[0]}
+        return cls._from_leaves(first.config, first.n_global, stacked, first.registry)
+
+    @property
+    def models(self) -> int:
+        """The number of models the chain holds: 1 unless it is a stack."""
+        value = self.w1_first.value
+        return value.shape[0] if value.ndim == 3 else 1
 
     @classmethod
     def _from_leaves(cls, config: ModelConfig, n_global: int, p: dict[str, Tensor],
@@ -179,7 +210,8 @@ class GcnChain:
 
     def forward(self, window: list[SnapshotGraph]) -> list[Tensor]:
         """Embeddings for every window snapshot, recorded on the tape."""
-        return [gcn_forward(g.normalized_adjacency, identity_features(g), GcnParams(w1=w1, w2=w2))
+        return [gcn_forward(g.propagation(self.models), identity_features(g),
+                            GcnParams(w1=w1, w2=w2))
                 for g, w1, w2 in zip(window, self._first_layers(window), self.w2)]
 
     def final(self, window: list[SnapshotGraph]) -> Tensor:
@@ -187,7 +219,7 @@ class GcnChain:
         encoding the earlier snapshots, whose outputs no loss reads."""
         w1 = self._first_layers(window)[-1]
         g = window[-1]
-        return gcn_forward(g.normalized_adjacency, identity_features(g),
+        return gcn_forward(g.propagation(self.models), identity_features(g),
                            GcnParams(w1=w1, w2=self.w2[-1]))
 
     def embeddings(self, window: list[SnapshotGraph]) -> Embeddings:
@@ -210,7 +242,7 @@ def reconstruction_loss(z, g: SnapshotGraph) -> Tensor:
     return rmse_sigmoid_gram(z, [(1.0, g.adjacency_lists)])
 
 
-def distillation_loss(z_student, z_teacher, g: SnapshotGraph, gamma: float) -> Tensor:
+def distillation_loss(z_student, z_teacher, g: SnapshotGraph, gamma) -> Tensor:
     """Blend of matching the teacher's soft scores and fitting the data.
 
     ``(1 - gamma)`` weights the root mean squared deviation between the
@@ -219,15 +251,24 @@ def distillation_loss(z_student, z_teacher, g: SnapshotGraph, gamma: float) -> T
     recomputed a row block at a time from its (n, d) embeddings. At the
     boundaries only the active term is evaluated, so ``gamma = 1``
     reproduces plain reconstruction training exactly.
+
+    A sequence of G blend weights gives the G losses of a stack of
+    students, whose embeddings ``z_student`` stacks by rows; they share
+    the teacher.
     """
-    if not 0.0 <= gamma <= 1.0:
+    gammas = np.asarray(gamma, dtype=np.float64)
+    values = gammas.ravel().tolist()
+    if not all(0.0 <= value <= 1.0 for value in values):
         raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
-    if gamma == 1.0:
-        return reconstruction_loss(z_student, g)
-    teacher = SigmoidGram(z_teacher.z if isinstance(z_teacher, Embeddings) else z_teacher)
-    if teacher.n != g.n:
-        raise ShapeError(f"teacher embeddings over {teacher.n} nodes for a {g.n}-node snapshot")
-    terms = [(1.0 - gamma, teacher)]
-    if gamma > 0.0:
-        terms.append((gamma, g.adjacency_lists))
+    if gammas.ndim == 0:
+        gammas = values[0]
+    terms = []
+    if min(values) < 1.0:
+        teacher = SigmoidGram(z_teacher.z if isinstance(z_teacher, Embeddings) else z_teacher)
+        if teacher.n != g.n:
+            raise ShapeError(f"teacher embeddings over {teacher.n} nodes for a "
+                             f"{g.n}-node snapshot")
+        terms.append((1.0 - gammas, teacher))
+    if max(values) > 0.0:
+        terms.append((gammas, g.adjacency_lists))
     return rmse_sigmoid_gram(z_student, terms)

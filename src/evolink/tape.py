@@ -9,6 +9,17 @@ that log once in reverse topological order. A gradient is allocated at
 its first contribution, and an interior node's gradient is dropped as
 soon as it has been passed on, so after the call ``.grad`` is set on the
 reached ``param`` leaves only. All storage is float64.
+
+Several same-shape models can be recorded as one. A weight of shape
+(G, r, c) stacks the (r, c) weights of G models; an array indexed by nodes
+then stacks the models' rows, (G * n, d), as G disjoint copies of the
+graph. Only the ops that meet a weight handle this model axis:
+:func:`matmul`, :func:`rows`, :func:`with_rows`, :func:`edge_attention`
+and :func:`rmse_sigmoid_gram`. Each forms, for every model, the same
+operations in the same order as its one-model call, so each model's values
+and gradients have the bits they would have alone. The other ops are
+elementwise, reductions, or products with a constant, which the caller
+makes block diagonal.
 """
 from __future__ import annotations
 
@@ -165,20 +176,41 @@ def constant_matmul(a, x) -> Tensor:
     return Tensor(a @ x.value, _parents=(x,), _backward=bw)
 
 
+def _stack(w: Array) -> Array:
+    """``w`` as a stack of matrices: (G, r, c) as it is, (r, c) as (1, r, c)."""
+    return w.reshape((-1,) + w.shape[-2:])
+
+
+def _increasing(idx: Array) -> bool:
+    """Whether ``idx`` is strictly increasing, so that its entries differ."""
+    return bool((idx[1:] > idx[:-1]).all())
+
+
+def _stacked_index(idx: Array, copies: int, rows: int) -> Array:
+    """``idx`` applied to each of ``copies`` stacked blocks of ``rows`` rows."""
+    return idx if copies == 1 else (idx + rows * np.arange(copies)[:, None]).ravel()
+
+
 def matmul(a, b) -> Tensor:
+    """``a @ b`` of 2-d operands. A stack ``b`` of G (k, p) matrices
+    multiplies each of the G equal row blocks of ``a`` by its own matrix."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    if a.value.ndim != 2 or b.value.ndim not in (2, 3):
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    bs = _stack(b.value)
+    models, k, out = bs.shape
+    if a.shape[1] != k or a.shape[0] % models:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    a3 = a.value.reshape(models, -1, k)
 
     def bw(g: Array) -> None:
+        g3 = g.reshape(models, -1, out)
         if a.requires_grad:
-            _accumulate(a, g @ b.value.T, fresh=True)
+            _accumulate(a, (g3 @ bs.swapaxes(1, 2)).reshape(a.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, a.value.T @ g, fresh=True)
+            _accumulate(b, (a3.swapaxes(1, 2) @ g3).reshape(b.shape), fresh=True)
 
-    return Tensor(a.value @ b.value, _parents=(a, b), _backward=bw)
+    return Tensor((a3 @ bs).reshape(-1, out), _parents=(a, b), _backward=bw)
 
 
 def add(a, b) -> Tensor:
@@ -244,47 +276,62 @@ def transpose(a) -> Tensor:
 
 
 def rows(a, idx) -> Tensor:
-    """Gather rows of a matrix; the backward pass scatter-adds."""
+    """Gather rows of a matrix; the backward pass scatter-adds. A stack
+    ``a`` of G matrices gives the G gathers stacked, (G * len(idx), d)."""
     a = as_tensor(a)
-    if a.value.ndim != 2:
-        raise ShapeError(f"rows needs a 2-d operand, got {a.shape}")
+    if a.value.ndim not in (2, 3):
+        raise ShapeError(f"rows needs a 2-d operand or a stack of them, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("rows: index must be one-dimensional")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"rows: index out of range for {a.shape[0]} rows")
+    n = a.shape[-2]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"rows: index out of range for {n} rows")
+    flat = a.value.reshape(-1, a.shape[-1])
+    at = _stacked_index(idx, flat.shape[0] // n, n)
+    # Distinct rows take one addition each, which fancy indexing does at a
+    # fraction of the cost of np.add.at, with the same bits.
+    distinct = _increasing(idx)
 
     def bw(g: Array) -> None:
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
+        grad = a.grad.reshape(flat.shape)
+        if distinct:
+            grad[at] += g
+        else:
+            np.add.at(grad, at, g)
 
-    return Tensor(a.value[idx], _parents=(a,), _backward=bw)
+    return Tensor(flat[at], _parents=(a,), _backward=bw)
 
 
 def with_rows(base, idx, new) -> Tensor:
-    """Copy ``base`` with the rows at ``idx`` replaced by ``new``."""
+    """Copy ``base`` with the rows at ``idx`` replaced by ``new``. For a
+    stack ``base`` of G matrices, ``new`` stacks the G replacements."""
     base, new = as_tensor(base), as_tensor(new)
     idx = np.asarray(idx, dtype=np.intp)
-    if base.value.ndim != 2 or new.value.ndim != 2:
+    if base.value.ndim not in (2, 3) or new.value.ndim != 2:
         raise ShapeError("with_rows needs 2-d operands")
-    if new.shape != (idx.size, base.shape[1]):
+    n, d = base.shape[-2:]
+    copies = base.value.size // (n * d) if n * d else 1
+    if new.shape != (copies * idx.size, d):
         raise ShapeError(f"with_rows: replacement shape {new.shape} does not match "
-                         f"({idx.size}, {base.shape[1]})")
-    if idx.size and (idx.min() < 0 or idx.max() >= base.shape[0]):
-        raise ShapeError(f"with_rows: index out of range for {base.shape[0]} rows")
-    if len(np.unique(idx)) != idx.size:
+                         f"({copies * idx.size}, {d})")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"with_rows: index out of range for {n} rows")
+    if not _increasing(idx) and len(np.unique(idx)) != idx.size:
         raise ShapeError("with_rows: duplicate row indices")
+    at = _stacked_index(idx, copies, n)
     value = base.value.copy()
-    value[idx] = new.value
+    value.reshape(-1, d)[at] = new.value
 
     def bw(g: Array) -> None:
         if base.requires_grad:
             gb = g.copy()
-            gb[idx] = 0.0
+            gb.reshape(-1, d)[at] = 0.0
             _accumulate(base, gb, fresh=True)
         if new.requires_grad:
-            _accumulate(new, g[idx], fresh=True)
+            _accumulate(new, g.reshape(-1, d)[at], fresh=True)
 
     return Tensor(value, _parents=(base, new), _backward=bw)
 
@@ -385,47 +432,55 @@ def edge_softmax(x: Array, transform: Array, score_vec: Array,
     scores ``s = sigmoid(w_uv (p_u . score_vec[:d] + p_v . score_vec[d:]))``
     and its coefficient ``alpha`` is the softmax of ``s`` over row ``u``'s
     entries. Returns ``(p, s, alpha)``, the last two per entry. Records
-    nothing.
+    nothing. For a stack of G heads, ``transform`` (G, d, d) and
+    ``score_vec`` (G, 2d, 1), ``x`` stacks the G models' rows and the
+    entries are those of ``edges.tile(G)``.
     """
-    d = transform.shape[0]
-    if transform.shape != (d, d):
+    t3 = _stack(transform)
+    models, d = t3.shape[0], t3.shape[-1]
+    if t3.shape[1] != d:
         raise ShapeError(f"head transform must be square, got {transform.shape}")
-    if score_vec.shape != (2 * d, 1):
+    if score_vec.shape != transform.shape[:-2] + (2 * d, 1):
         raise ShapeError(f"score vector shape {score_vec.shape} does not match (2*{d}, 1)")
-    if x.ndim != 2 or x.shape != (edges.n, d):
-        raise ShapeError(f"edge_softmax: rows {x.shape} do not match ({edges.n}, {d})")
+    lists = edges.tile(models)
+    if x.ndim != 2 or x.shape != (lists.n, d):
+        raise ShapeError(f"edge_softmax: rows {x.shape} do not match ({lists.n}, {d})")
     if np.any(edges.indptr[1:] == edges.indptr[:-1]):
         raise DegenerateSoftmaxError("softmax row with no neighbour entry")
-    p = x @ transform.T
-    pair = (p @ score_vec[:d, 0])[edges.rows] + (p @ score_vec[d:, 0])[edges.cols]
-    pair *= edges.weights
+    a3 = _stack(score_vec)
+    p3 = x.reshape(models, -1, d) @ t3.swapaxes(1, 2)
+    pair = (p3 @ a3[:, :d]).reshape(-1)[lists.rows] + (p3 @ a3[:, d:]).reshape(-1)[lists.cols]
+    pair *= lists.weights
     s = expit(pair, out=pair)
     if not np.all(np.isfinite(s)):
         raise NumericError("non-finite attention score")
     # Scores lie in [0, 1], so their exponentials need no shift.
     e = np.exp(s)
-    alpha = e / np.bincount(edges.rows, e, minlength=edges.n)[edges.rows]
-    return p, s, alpha
+    alpha = e / np.bincount(lists.rows, e, minlength=lists.n)[lists.rows]
+    return p3.reshape(-1, d), s, alpha
 
 
 def edge_attention(x, transform, score_vec, edges: NeighbourLists) -> Tensor:
     """One attention head over neighbour lists as one recorded op.
 
     Row ``u`` of the (n, d) result is ``sum_v alpha_uv p_v`` with ``p`` and
-    ``alpha`` from :func:`edge_softmax`. The backward is derived by hand,
-    so the tape holds per-entry vectors and (n, d) matrices, never an
-    (n, n) one.
+    ``alpha`` from :func:`edge_softmax`, which also states the shapes of a
+    stack of heads. The backward is derived by hand, so the tape holds
+    per-entry vectors and (n, d) matrices, never an (n, n) one.
     """
     x, transform, score_vec = as_tensor(x), as_tensor(transform), as_tensor(score_vec)
     p, s, alpha = edge_softmax(x.value, transform.value, score_vec.value, edges)
-    value = edges.matrix(alpha) @ p
+    t3, a3 = _stack(transform.value), _stack(score_vec.value)
+    models = t3.shape[0]
+    lists = edges.tile(models)
+    value = lists.matrix(alpha) @ p
     if not (x.requires_grad or transform.requires_grad or score_vec.requires_grad):
         return Tensor(value)
-    u, v, n, d = edges.rows, edges.cols, edges.n, p.shape[1]
+    u, v, n, d = lists.rows, lists.cols, lists.n, p.shape[1]
     # The transposed coefficients, on the same pattern. The closure holds
     # this matrix until the backward pass runs, after every later head's
     # forward pass, so each call's matrix must own its data.
-    alpha_t = edges.matrix(alpha[edges.transpose])
+    alpha_t = lists.matrix(alpha[lists.transpose])
 
     def bw(g: Array) -> None:
         dp = alpha_t @ g
@@ -436,19 +491,21 @@ def edge_attention(x, transform, score_vec, edges: NeighbourLists) -> Tensor:
             hi = lo + EDGE_BLOCK
             np.einsum("ij,ij->i", g[u[lo:hi]], p[v[lo:hi]], out=d_alpha[lo:hi])
         d_s = alpha * (d_alpha - np.einsum("ij,ij->i", g, value)[u])
-        d_pair = d_s * s * (1.0 - s) * edges.weights
-        d_src = np.bincount(u, d_pair, minlength=n)
-        d_dst = np.bincount(v, d_pair, minlength=n)
-        a = score_vec.value[:, 0]
-        dp += np.outer(d_src, a[:d])
-        dp += np.outer(d_dst, a[d:])
+        d_pair = d_s * s * (1.0 - s) * lists.weights
+        d_src = np.bincount(u, d_pair, minlength=n).reshape(models, -1, 1)
+        d_dst = np.bincount(v, d_pair, minlength=n).reshape(models, -1, 1)
+        dp3 = dp.reshape(models, -1, d)
+        dp3 += d_src * a3[:, None, :d, 0]
+        dp3 += d_dst * a3[:, None, d:, 0]
         if score_vec.requires_grad:
-            _accumulate(score_vec, np.concatenate([p.T @ d_src, p.T @ d_dst])[:, None],
-                        fresh=True)
+            pt = p.reshape(models, -1, d).swapaxes(1, 2)
+            _accumulate(score_vec, np.concatenate([pt @ d_src, pt @ d_dst], axis=1)
+                        .reshape(score_vec.shape), fresh=True)
         if transform.requires_grad:
-            _accumulate(transform, dp.T @ x.value, fresh=True)
+            _accumulate(transform, (dp3.swapaxes(1, 2) @ x.value.reshape(models, -1, d))
+                        .reshape(transform.shape), fresh=True)
         if x.requires_grad:
-            _accumulate(x, dp @ transform.value, fresh=True)
+            _accumulate(x, (dp3 @ t3).reshape(x.shape), fresh=True)
 
     return Tensor(value, _parents=(x, transform, score_vec), _backward=bw)
 
@@ -494,49 +551,69 @@ def rmse_sigmoid_gram(z, terms) -> Tensor:
     symmetry makes the gradient of ``sum(diff^2)`` through ``z z^T`` equal
     to ``4 (diff * s * (1 - s)) @ z``, so the backward only scales the
     stored products. A term whose root is 0 contributes no gradient.
+
+    A stack of G models gives each coefficient as an array of G values,
+    one per model; ``z`` then stacks the models' embeddings by rows,
+    (G * n, d), and the result holds the G losses. Each target's block is
+    evaluated once for every model, and a term whose coefficient is 0 for
+    a model adds nothing to that model's loss or gradient.
     """
     z = as_tensor(z)
     zv = z.value
     if zv.ndim != 2 or zv.shape[0] == 0:
         raise ShapeError(f"rmse_sigmoid_gram needs (n, d) embeddings, got shape {z.shape}")
-    n = zv.shape[0]
     if not terms:
         raise ShapeError("rmse_sigmoid_gram needs at least one term")
+    shapes = [np.shape(c) for c, _ in terms]
+    stacked = any(shapes)
+    models = max((shape[0] for shape in shapes if shape), default=1)
+    if any(shape not in ((), (models,)) for shape in shapes):
+        raise ShapeError("rmse_sigmoid_gram: coefficients must be scalars or G values each")
+    # Each term's coefficient per model, as Python floats.
+    coefs = [np.broadcast_to(np.asarray(c, dtype=np.float64), (models,)).tolist()
+             if shape else [float(c)] * models for (c, _), shape in zip(terms, shapes)]
+    n = zv.shape[0] // models
     for _, target in terms:
         if not isinstance(target, (NeighbourLists, SigmoidGram)):
             raise ShapeError(f"rmse_sigmoid_gram: a target must be NeighbourLists or "
                              f"SigmoidGram, got {type(target).__name__}")
-        if target.n != n:
+        if target.n != n or n * models != zv.shape[0]:
             raise ShapeError(f"rmse_sigmoid_gram: a target over {target.n} rows does not "
-                             f"match embeddings {z.shape}")
+                             f"match embeddings {z.shape} of {models} model(s)")
+    z3 = zv.reshape(models, n, -1)
     grad = z.requires_grad
     height = min(LOSS_BLOCK, n)
     # One allocation for s, diff and s * (1 - s): three separate ones made
     # the allocator map fresh pages for them on every call. Each block's
-    # arrays are contiguous views of the front of their buffer (strided
-    # views into (height, n) buffers made the elementwise ops two to three
-    # times slower). The last slot of d_buf, past every block's diff,
-    # starts at 0 so that what is sent there stays finite.
-    s_buf, d_buf, w_buf = np.empty((3, height * n + 1))
-    d_buf[-1] = 0.0
-    prods = [np.zeros_like(zv) for _ in terms] if grad else None
-    sse = [0.0] * len(terms)
+    # arrays are contiguous views of the front of each model's row of their
+    # buffer (strided views into (height, n) buffers made the elementwise
+    # ops two to three times slower). The last slot of each row of d_buf,
+    # past every block's diff, starts at 0 so that what is sent there stays
+    # finite.
+    s_buf, d_buf, w_buf = np.empty((3, models, height * n + 1))
+    d_buf[:, -1] = 0.0
+    prods = [np.zeros_like(z3) for _ in terms] if grad else None
+    sse = [np.zeros(models) for _ in terms]
     for lo in range(0, n, height):
         hi = min(lo + height, n)
         h, width = hi - lo, n - lo
-        s = s_buf[:h * width].reshape(h, width)
-        diff = d_buf[:h * width].reshape(h, width)
-        np.matmul(zv[lo:hi], zv[lo:].T, out=s)
+        s = s_buf[:, :h * width].reshape(models, h, width)
+        diff = d_buf[:, :h * width].reshape(models, h, width)
+        np.matmul(z3[:, lo:hi], z3[:, lo:].swapaxes(1, 2), out=s)
         expit(s, out=s)
         if grad:
-            w = w_buf[:h * width].reshape(h, width)
+            w = w_buf[:, :h * width].reshape(models, h, width)
             np.subtract(1.0, s, out=w)
             w *= s
         for k, (_, target) in enumerate(terms):
             if isinstance(target, SigmoidGram):
-                np.matmul(target.y[lo:hi], target.y[lo:].T, out=diff)
-                expit(diff, out=diff)
-                np.subtract(s, diff, out=diff)
+                # The target's block, once for every model, in the last
+                # model's diff, which is overwritten last and in place.
+                shared = diff[-1]
+                np.matmul(target.y[lo:hi], target.y[lo:].T, out=shared)
+                expit(shared, out=shared)
+                np.subtract(s[:-1], shared, out=diff[:-1])
+                np.subtract(s[-1], shared, out=shared)
             else:
                 np.copyto(diff, s)
                 e0, e1 = target.indptr[lo], target.indptr[hi]
@@ -544,27 +621,33 @@ def rmse_sigmoid_gram(z, terms) -> Tensor:
                 at = (target.rows[e0:e1] - lo) * width + (cols - lo)
                 # An entry left of the diagonal tile counts through its
                 # mirror, so it goes to the last slot, which nothing reads.
-                at[cols < lo] = d_buf.size - 1
-                d_buf[at] -= target.weights[e0:e1]
-            tile, mirrored = diff[:, :h], diff[:, h:]
-            sse[k] += (np.einsum("ij,ij->", tile, tile)
-                       + 2.0 * np.einsum("ij,ij->", mirrored, mirrored))
+                at[cols < lo] = d_buf.shape[1] - 1
+                for row in d_buf:
+                    row[at] -= target.weights[e0:e1]
+            tile, mirrored = diff[:, :, :h], diff[:, :, h:]
+            sse[k] += (np.einsum("gij,gij->g", tile, tile)
+                       + 2.0 * np.einsum("gij,gij->g", mirrored, mirrored))
             if grad:
                 diff *= w
-                prods[k][lo:hi] += diff @ zv[lo:]
-                prods[k][hi:] += diff[:, h:].T @ zv[lo:hi]
-    roots = [np.sqrt(e / (n * n)) for e in sse]
-    value = sum(c * root for (c, _), root in zip(terms, roots))
+                prods[k][:, lo:hi] += diff @ z3[:, lo:]
+                prods[k][:, hi:] += diff[:, :, h:].swapaxes(1, 2) @ z3[:, lo:hi]
+    roots = [np.sqrt(e / (n * n)).tolist() for e in sse]
+    # Each model's terms, in order, without those its coefficient zeroes.
+    active = [[(k, c[m], roots[k][m]) for k, c in enumerate(coefs) if c[m] != 0.0]
+              for m in range(models)]
+    losses = [sum(c * root for _, c, root in terms_m) for terms_m in active]
+    value = np.array(losses) if stacked else losses[0]
     if not grad:
         return Tensor(value)
     # d/dz of c sqrt(sse / n^2) is c / (2 root n^2) times d(sse)/dz, which
     # is 4 (diff * s * (1 - s)) @ z summed over the blocks and their mirrors.
-    prod = np.zeros_like(zv)
-    for (c, _), root, p in zip(terms, roots, prods):
-        if root > 0.0:
-            prod += p * (c * 2.0 / (root * n * n))
+    prod = np.zeros_like(z3)
+    for m, terms_m in enumerate(active):
+        for k, c, root in terms_m:
+            if root > 0.0:
+                prod[m] += prods[k][m] * (c * 2.0 / (root * n * n))
 
     def bw(g: Array) -> None:
-        _accumulate(z, g * prod, fresh=True)
+        _accumulate(z, (np.reshape(g, (-1, 1, 1)) * prod).reshape(zv.shape), fresh=True)
 
     return Tensor(value, _parents=(z,), _backward=bw)

@@ -3,7 +3,9 @@
 Both loops rebuild the forward tape every epoch over the window
 snapshots' cached constants, backpropagate a scalar loss, and apply one
 full-batch Adam update. All randomness comes from the model config seed,
-so a (seed, window) pair reproduces training bit for bit.
+so a (seed, window) pair reproduces training bit for bit. Students that
+differ only in their blend weight train as one stacked fit
+(:func:`distill_students`), each with the bits it would have alone.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .gcn import Embeddings, param_spec
 from .graphs import SnapshotGraph
 from .model import GcnChain, ModelConfig, distillation_loss, reconstruction_loss
 from .optim import Adam
-from .tape import backward
+from .tape import backward, tsum
 
 Array = np.ndarray
 
@@ -57,25 +59,57 @@ def check_same_event(chain: GcnChain, n_global: int, registry: dict[int, int] | 
 
 
 def _fit(chain: GcnChain, window: list[SnapshotGraph], loss_fn) -> TrainingTrace:
-    opt = Adam(chain.trainable(), lr=chain.config.lr)
-    trace = TrainingTrace()
-    for _ in range(chain.config.epochs):
+    """Train one chain: the one-model case of :func:`_fit_stack`."""
+    return _fit_stack([chain], window, loss_fn)[0]
+
+
+def _fit_stack(chains: list[GcnChain], window: list[SnapshotGraph],
+               loss_fn) -> list[TrainingTrace]:
+    """Train same-config chains as one fit over a stack of their leaves.
+
+    ``loss_fn(z, g)`` takes the stacked final-snapshot embeddings and
+    returns one loss per model (a scalar for a single chain). Each chain
+    gets its own trace, divergence check and digest; an epoch's seconds
+    are shared equally among the models.
+    """
+    stack = chains[0] if len(chains) == 1 else GcnChain.stack(chains)
+    opt = Adam(stack.trainable(), lr=stack.config.lr)
+    traces = [TrainingTrace() for _ in chains]
+    for epoch in range(stack.config.epochs):
         t0 = time.perf_counter()
-        loss = loss_fn(chain.final(window), window[-1])
-        loss_value = float(loss.value)
-        if not np.isfinite(loss_value):
-            raise TrainingDivergedError(f"loss became {loss_value} at epoch "
-                                        f"{len(trace.losses)}", trace=trace)
-        backward(loss)
+        loss = loss_fn(stack.final(window), window[-1])
+        values = np.atleast_1d(loss.value).tolist()
+        for trace, value in zip(traces, values):
+            if not np.isfinite(value):
+                raise TrainingDivergedError(f"loss became {value} at epoch {epoch}",
+                                            trace=trace)
+        backward(loss if loss.value.ndim == 0 else tsum(loss))
         del loss  # release this epoch's tape before the next forward pass
         try:
             opt.step()
         except TrainingDivergedError as exc:
-            raise TrainingDivergedError(str(exc), trace=trace) from None
-        trace.losses.append(loss_value)
-        trace.seconds.append(time.perf_counter() - t0)
-    trace.param_digest = chain.param_digest()
-    return trace
+            raise TrainingDivergedError(str(exc), trace=traces[_diverged(stack)]) from None
+        seconds = (time.perf_counter() - t0) / len(chains)
+        for trace, value in zip(traces, values):
+            trace.losses.append(value)
+            trace.seconds.append(seconds)
+    if stack is not chains[0]:
+        stacked = stack.trainable()
+        for k, chain in enumerate(chains):
+            for name, leaf in chain.trainable().items():
+                leaf.value = stacked[name].value[k].copy()
+    for trace, chain in zip(traces, chains):
+        trace.param_digest = chain.param_digest()
+    return traces
+
+
+def _diverged(stack: GcnChain) -> int:
+    """The first model of ``stack`` with a non-finite gradient entry."""
+    finite = np.ones(stack.models, dtype=bool)
+    for leaf in stack.trainable().values():
+        if leaf.grad is not None:
+            finite &= np.isfinite(leaf.grad.reshape(stack.models, -1)).all(axis=1)
+    return int(np.argmin(finite))
 
 
 def train_teacher(window: list[SnapshotGraph], cfg: ModelConfig, n_global: int,
@@ -122,6 +156,36 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
     A teacher trained on another event (``n_global`` or ``registry``
     differ) raises ConfigError.
     """
+    chain = _student(bundle, window, n_global, registry)
+    teacher_z = bundle.teacher_embeddings.z
+    trace = _fit(chain, window, lambda z, g: distillation_loss(z, teacher_z, g, bundle.gamma))
+    return chain, trace
+
+
+def distill_students(bundles: list[DistillationBundle], window: list[SnapshotGraph],
+                     n_global: int, registry: dict[int, int] | None = None
+                     ) -> list[tuple[GcnChain, TrainingTrace]]:
+    """:func:`distill_student` for each bundle, trained as one stacked fit.
+
+    The bundles share one teacher and its embeddings, and their student
+    configs differ in ``gamma`` only, so the students share every shape
+    and the teacher's soft scores. Each student gets the parameters,
+    losses and digest that :func:`distill_student` would give it.
+    """
+    first = bundles[0]
+    if any(b.teacher_embeddings is not first.teacher_embeddings for b in bundles):
+        raise ConfigError("stacked students must share the teacher's embeddings")
+    chains = [_student(b, window, n_global, registry) for b in bundles]
+    teacher_z = first.teacher_embeddings.z
+    gammas = [b.gamma for b in bundles]
+    traces = _fit_stack(chains, window,
+                        lambda z, g: distillation_loss(z, teacher_z, g, gammas))
+    return list(zip(chains, traces))
+
+
+def _student(bundle: DistillationBundle, window: list[SnapshotGraph], n_global: int,
+             registry: dict[int, int] | None) -> GcnChain:
+    """A freshly initialized student for ``bundle``, after its checks."""
     cfg = bundle.student_config
     if cfg.role != "student":
         raise ConfigError(f"distill_student needs a student config, got role {cfg.role!r}")
@@ -134,7 +198,4 @@ def distill_student(bundle: DistillationBundle, window: list[SnapshotGraph],
     if bundle.teacher_embeddings.ids != window[-1].nodes:
         raise ConfigError("teacher embeddings do not cover the window's final snapshot")
     check_same_event(bundle.teacher, n_global, registry, "the teacher")
-    chain = GcnChain.init(cfg, n_global, registry)
-    teacher_z = bundle.teacher_embeddings.z
-    trace = _fit(chain, window, lambda z, g: distillation_loss(z, teacher_z, g, bundle.gamma))
-    return chain, trace
+    return GcnChain.init(cfg, n_global, registry)
