@@ -256,12 +256,10 @@ def distillation_loss(z_student, z_teacher, g: SnapshotGraph, gamma) -> Tensor:
     students, whose embeddings ``z_student`` stacks by rows; they share
     the teacher.
     """
-    gammas = np.asarray(gamma, dtype=np.float64)
-    values = gammas.ravel().tolist()
+    values = np.ravel(gamma).tolist()
     if not all(0.0 <= value <= 1.0 for value in values):
         raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
-    if gammas.ndim == 0:
-        gammas = values[0]
+    gammas = np.asarray(values) if np.ndim(gamma) else values[0]
     terms = []
     if min(values) < 1.0:
         teacher = SigmoidGram(z_teacher.z if isinstance(z_teacher, Embeddings) else z_teacher)

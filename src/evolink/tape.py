@@ -178,7 +178,7 @@ def constant_matmul(a, x) -> Tensor:
 
 def _stack(w: Array) -> Array:
     """``w`` as a stack of matrices: (G, r, c) as it is, (r, c) as (1, r, c)."""
-    return w.reshape((-1,) + w.shape[-2:])
+    return w if w.ndim == 3 else w[None]
 
 
 def _increasing(idx: Array) -> bool:
@@ -288,7 +288,7 @@ def rows(a, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"rows: index out of range for {n} rows")
     flat = a.value.reshape(-1, a.shape[-1])
-    at = _stacked_index(idx, flat.shape[0] // n, n)
+    at = _stacked_index(idx, _stack(a.value).shape[0], n)
     # Distinct rows take one addition each, which fancy indexing does at a
     # fraction of the cost of np.add.at, with the same bits.
     distinct = _increasing(idx)
@@ -313,7 +313,7 @@ def with_rows(base, idx, new) -> Tensor:
     if base.value.ndim not in (2, 3) or new.value.ndim != 2:
         raise ShapeError("with_rows needs 2-d operands")
     n, d = base.shape[-2:]
-    copies = base.value.size // (n * d) if n * d else 1
+    copies = _stack(base.value).shape[0]
     if new.shape != (copies * idx.size, d):
         raise ShapeError(f"with_rows: replacement shape {new.shape} does not match "
                          f"({copies * idx.size}, {d})")

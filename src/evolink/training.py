@@ -9,6 +9,7 @@ differ only in their blend weight train as one stacked fit
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -80,7 +81,7 @@ def _fit_stack(chains: list[GcnChain], window: list[SnapshotGraph],
         loss = loss_fn(stack.final(window), window[-1])
         values = np.atleast_1d(loss.value).tolist()
         for trace, value in zip(traces, values):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise TrainingDivergedError(f"loss became {value} at epoch {epoch}",
                                             trace=trace)
         backward(loss if loss.value.ndim == 0 else tsum(loss))

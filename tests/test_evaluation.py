@@ -377,6 +377,23 @@ def test_sweep_gamma_rows():
     assert rows[0].student_rmse_mean != rows[1].student_rmse_mean
 
 
+def test_sweep_gamma_rows_are_the_one_at_a_time_rows(monkeypatch):
+    """The sweep trains a trial's students as one stacked fit; its rows,
+    boundary gammas included, equal those of one ``distill_student`` per
+    gamma bit for bit."""
+    from evolink import evaluation, training
+    event = make_event()
+    gammas = (0.0, 0.3, 1.0)
+    kwargs = dict(trials=2, seed=4, gammas=gammas)
+    stacked = sweep_gamma(event, 1, tiny_teacher(), tiny_student(), **kwargs)
+
+    def one_at_a_time(bundles, window, n_global, registry=None):
+        return [training.distill_student(b, window, n_global, registry) for b in bundles]
+
+    monkeypatch.setattr(evaluation, "distill_students", one_at_a_time)
+    assert sweep_gamma(event, 1, tiny_teacher(), tiny_student(), **kwargs) == stacked
+
+
 def test_sweep_gamma_rejects_no_trials():
     with pytest.raises(ConfigError, match="trials must be >= 1"):
         sweep_gamma(make_event(), 1, tiny_teacher(), tiny_student(), trials=0)

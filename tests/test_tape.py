@@ -559,3 +559,87 @@ def test_elu_matches_definition():
     assert np.allclose(out, expected, atol=1e-15)
     assert out[0] > -1.0  # asymptote, never reached
     assert out[2] == 0.0 and out[3] == 1.0
+
+
+# -- the model axis ----------------------------------------------------------
+
+def stacked_and_single(build, stacks):
+    """Values and leaf gradients of ``build`` on stacked leaves, and those
+    of each model alone. ``stacks`` maps a name to (G, ...) values and
+    ``build(leaves)`` returns a loss Tensor with one entry per model (a
+    scalar for a single model)."""
+    leaves = {name: param(value, name) for name, value in stacks.items()}
+    loss = build(leaves)
+    backward(tsum(loss))
+    got = (loss.value, {name: leaf.grad for name, leaf in leaves.items()})
+    alone = []
+    for m in range(len(loss.value)):
+        single = {name: param(value[m], name) for name, value in stacks.items()}
+        out = build(single)
+        backward(out)
+        alone.append((out.value, {name: leaf.grad for name, leaf in single.items()}))
+    return got, alone
+
+
+def test_stacked_ops_give_every_model_its_own_bits(rng):
+    """A two-layer encoder with a head, a weight product and the two-term
+    loss over a stack of three models: every loss and every gradient slice
+    equals the single-model call's bit for bit, including a model whose
+    teacher coefficient is 0."""
+    n, edges = hub_graph()
+    g = SnapshotGraph(index=0, nodes=tuple(range(n)), edges=tuple(sorted(edges)))
+    teacher = SigmoidGram(rng.normal(0, 0.7, size=(n, 3)))
+    ids = np.arange(n)[::-1].copy()
+    models, n_global, d = 3, n + 4, 4
+    stacks = {"w1": rng.normal(0, 0.8, size=(models, n_global, d)),
+              "transform": rng.normal(0, 0.8, size=(models, d, d)),
+              "score": rng.normal(0, 0.8, size=(models, 2 * d, 1)),
+              "w2": rng.normal(0, 0.8, size=(models, d, 2))}
+    gammas = np.array([0.25, 1.0, 0.5])
+
+    def build(p):
+        stacked = p["w1"].value.ndim == 3
+        copies = models if stacked else 1
+        x = rows(p["w1"], ids)
+        mixed = elu(edge_attention(x, p["transform"], p["score"], g.attention_lists))
+        w1 = with_rows(p["w1"], ids, mixed)
+        h = relu(constant_matmul(g.propagation(copies), rows(w1, g.node_ids)))
+        z = matmul(constant_matmul(g.propagation(copies), h), p["w2"])
+        if stacked:
+            return rmse_sigmoid_gram(z, [(1.0 - gammas, teacher), (gammas, g.adjacency_lists)])
+        m = build.model
+        build.model += 1
+        terms = [(1.0 - gammas[m], teacher)] if gammas[m] < 1.0 else []
+        return rmse_sigmoid_gram(z, terms + [(gammas[m], g.adjacency_lists)])
+
+    build.model = 0
+    (values, grads), alone = stacked_and_single(build, stacks)
+    assert values.shape == (models,)
+    for m, (value, single) in enumerate(alone):
+        assert values[m] == value
+        for name, grad in single.items():
+            assert np.array_equal(grads[name][m], grad), (m, name)
+
+
+def test_stacked_edge_attention_gradients(rng):
+    """Finite differences through a head over a stack of two models."""
+    n, edges = hub_graph()
+    lists = neighbour_lists(n, edges)
+    x = param(rng.normal(0, 1.5, size=(2 * n, 3)), "x")
+    transform = param(rng.normal(0, 1.5, size=(2, 3, 3)), "transform")
+    score_vec = param(rng.normal(0, 1.5, size=(2, 6, 1)), "score_vec")
+    read = Tensor(rng.normal(size=(2 * n, 3)))
+    fd_check(lambda: tsum(mul(edge_attention(x, transform, score_vec, lists), read)),
+             [x, transform, score_vec])
+    with pytest.raises(ShapeError):
+        edge_attention(Tensor(np.ones((n, 3))), transform, score_vec, lists)
+
+
+def test_stacked_loss_shape_checks(rng):
+    lists = random_lists(5, rng)
+    z = Tensor(np.zeros((10, 2)))
+    assert rmse_sigmoid_gram(z, [([0.5, 0.5], lists)]).value.shape == (2,)
+    for terms in ([([0.5, 0.5, 0.5], lists)], [(0.5, lists)], [(np.ones((2, 1)), lists)],
+                  [([0.5, 0.5], lists), ([0.5, 0.5, 0.5], lists)]):
+        with pytest.raises(ShapeError):
+            rmse_sigmoid_gram(z, terms)

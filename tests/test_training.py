@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy.sparse import issparse
 
-from evolink import graphs, model
+from evolink import graphs, model, tape, training
 from evolink.errors import ConfigError, NumericError, TrainingDivergedError
 from evolink.gcn import Embeddings
 from evolink.graphs import SnapshotGraph, build_window, normalize_weights
 from evolink.model import (GcnChain, ModelConfig, reconstruction_loss, student_defaults,
                            teacher_defaults)
 from evolink.simulate import SimConfig, simulate_event
-from evolink.training import DistillationBundle, distill_student, train_teacher
+from evolink.training import DistillationBundle, distill_student, distill_students, train_teacher
 
 N = 8
 
@@ -114,6 +114,63 @@ def test_desk_fits_keep_their_golden_digests(desk_window):
     student, _ = distill_student(DistillationBundle(teacher, emb, student_defaults(epochs=30)),
                                  window, event.n_global, event.registry)
     assert student.param_digest() == "99b8a3a7cdb653ee"
+
+
+@pytest.mark.parametrize("gammas", [(0.0, 0.3, 1.0), (0.7,)])
+def test_stacked_students_have_the_bits_of_single_fits(gammas):
+    """``distill_students`` trains one stacked fit; each student gets the
+    parameters, losses and digest of its own ``distill_student`` fit, at
+    the boundary gammas too, where a term drops out for one model only."""
+    window = make_window(window=2)
+    teacher, _, emb = train_teacher(window, tiny_teacher(window=2, heads=2, epochs=5), N)
+    bundles = [DistillationBundle(teacher, emb, tiny_student(window=2, heads=2, gamma=g))
+               for g in gammas]
+    stacked = distill_students(bundles, window, N)
+    assert len(stacked) == len(gammas)
+    for bundle, (student, trace) in zip(bundles, stacked):
+        alone, alone_trace = distill_student(bundle, window, N)
+        assert student.models == 1 and student.config == bundle.student_config
+        assert trace.param_digest == student.param_digest() == alone.param_digest()
+        assert trace.losses == alone_trace.losses
+        assert len(trace.seconds) == len(trace.losses)
+
+
+def test_a_stack_needs_one_config_up_to_gamma():
+    window = make_window()
+    teacher, _, emb = train_teacher(window, tiny_teacher(epochs=2), N)
+    students = [GcnChain.init(tiny_student(gamma=g), N) for g in (0.2, 0.6)]
+    stack = GcnChain.stack(students)
+    assert stack.models == 2
+    assert stack.w1_first.shape == (2,) + students[0].w1_first.shape
+    with pytest.raises(ConfigError, match="gamma only"):
+        GcnChain.stack([students[0], GcnChain.init(tiny_student(lr=0.1), N)])
+    other = DistillationBundle(teacher, Embeddings(z=emb.z.copy(), ids=emb.ids), tiny_student())
+    with pytest.raises(ConfigError, match="share the teacher"):
+        distill_students([DistillationBundle(teacher, emb, tiny_student()), other], window, N)
+
+
+def test_a_diverging_model_of_a_stack_raises_with_its_own_trace():
+    """Two equal models whose losses are scaled by 1 and 3; the second's
+    turns non-finite at epoch 2 and raises with its own trace: two finite
+    losses, the first three times the first model's."""
+    window = make_window()
+    chains = [GcnChain.init(tiny_teacher(), N) for _ in range(2)]
+    first = float(reconstruction_loss(chains[0].final(window), window[-1]).value)
+    factors = iter([[1.0, 3.0], [1.0, 3.0], [1.0, np.inf]])
+
+    def loss_fn(z, g):
+        both = reconstruction_loss_stack(z, g)
+        return tape.mul(both, tape.Tensor(next(factors)))
+
+    with pytest.raises(TrainingDivergedError, match="at epoch 2") as info:
+        training._fit_stack(chains, window, loss_fn)
+    losses = info.value.trace.losses
+    assert len(losses) == 2 and losses[0] == 3.0 * first
+
+
+def reconstruction_loss_stack(z, g):
+    """The reconstruction loss of each model of a two-model stack."""
+    return tape.rmse_sigmoid_gram(z, [([1.0, 1.0], g.adjacency_lists)])
 
 
 def test_teacher_role_and_window_validation():
