@@ -1,0 +1,175 @@
+"""Reference implementations the package's array code is tested against.
+
+``simulate_event_masks`` is the simulator whose partner pick builds
+full-length eligibility masks, O(v) per pick; ``check_snapshot`` and
+``check_event`` are the per-edge validation loops of ``SnapshotGraph``
+and ``EventSequence``. Each is kept as it was written, so the faster
+versions can be compared draw for draw and input for input.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from evolink.errors import MalformedGraphError
+from evolink.graphs import WEIGHT_EPS, RawEvent
+from evolink.simulate import MIN_RAW_WEIGHT, SimConfig, arrival_counts
+
+
+def simulate_event_masks(cfg: SimConfig) -> RawEvent:
+    """Generate one event; weights are raw (caller normalizes)."""
+    rng = np.random.default_rng(cfg.seed)
+    v = cfg.viewers
+
+    # Balanced office assignment over a shuffled viewer order, so every
+    # office is populated whenever viewers >= offices.
+    office = np.empty(v, dtype=np.intp)
+    office[rng.permutation(v)] = np.arange(v) % cfg.offices
+
+    counts = arrival_counts(cfg)
+    joins_at = np.empty(v, dtype=np.intp)
+    order = rng.permutation(v)
+    start = 0
+    for k, c in enumerate(counts):
+        joins_at[order[start:start + c]] = k
+        start += c
+
+    pair_weight: dict[tuple[int, int], float] = {}
+
+    def weight_of(u: int, w: int) -> float:
+        key = (u, w) if u < w else (w, u)
+        if key not in pair_weight:
+            loc, spread = cfg.intra_bw if office[u] == office[w] else cfg.inter_bw
+            pair_weight[key] = max(float(rng.normal(loc, spread)), MIN_RAW_WEIGHT)
+        return pair_weight[key]
+
+    # State kept across the whole run, so that a pick never rescans the
+    # viewers: who is present, each viewer's degree (always len(adj[u])),
+    # and which viewers sit in each office.
+    adj: dict[int, dict[int, float]] = {u: {} for u in range(v)}
+    present = np.zeros(v, dtype=bool)
+    degree = np.zeros(v, dtype=np.intp)
+    in_office = [office == o for o in range(cfg.offices)]
+
+    def link(u: int, w: int) -> None:
+        wt = weight_of(u, w)
+        adj[u][w] = wt
+        adj[w][u] = wt
+        degree[u] += 1
+        degree[w] += 1
+
+    def unlink(u: int, w: int) -> None:
+        del adj[u][w]
+        del adj[w][u]
+        degree[u] -= 1
+        degree[w] -= 1
+
+    def pick_partner(u: int, capped: bool) -> int | None:
+        """Choose a partner for u with the same-office preference: any
+        present viewer other than u and its neighbours, and, if ``capped``,
+        only one still under the degree cap. Candidates are taken in
+        ascending id order."""
+        eligible = present & (degree < cfg.degree_cap) if capped else present.copy()
+        eligible[u] = False
+        eligible[np.fromiter(adj[u], dtype=np.intp, count=len(adj[u]))] = False
+        mine = eligible & in_office[office[u]]
+        same = np.flatnonzero(mine)
+        other = np.flatnonzero(eligible ^ mine)
+        if same.size and (not other.size or rng.random() < cfg.same_office_bias):
+            pool = same
+        elif other.size:
+            pool = other
+        else:
+            return None
+        return int(pool[rng.integers(0, len(pool))])
+
+    snapshots: list[tuple[tuple[int, int, float], ...]] = []
+    for k in range(cfg.snapshots):
+        present[joins_at == k] = True
+
+        if cfg.departure_prob > 0.0 and k > 0:
+            leaving = [u for u in np.flatnonzero(present).tolist()
+                       if joins_at[u] < k and rng.random() < cfg.departure_prob]
+            for u in leaving:
+                for w in list(adj[u]):
+                    unlink(u, w)
+                present[u] = False
+
+        # Rewiring: swap the weakest link for a strictly stronger candidate.
+        if cfg.rewire_prob > 0.0:
+            for u in np.flatnonzero(present).tolist():
+                if not adj[u] or rng.random() >= cfg.rewire_prob:
+                    continue
+                weakest, w_min = min(adj[u].items(), key=lambda kv: (kv[1], kv[0]))
+                cand = pick_partner(u, capped=True)
+                if cand is not None and weight_of(u, cand) > w_min:
+                    unlink(u, weakest)
+                    link(u, cand)
+
+        # Growth: each viewer initiates at most growth_rate new links per
+        # snapshot, staying within the degree cap, so the mesh densifies
+        # over the whole event instead of saturating at arrival. A
+        # completely unconnected viewer may ignore partners' caps so that
+        # no present viewer stays isolated (when at least two are present).
+        for u in np.flatnonzero(present).tolist():
+            budget = cfg.growth_rate
+            while budget > 0 and degree[u] < cfg.degree_cap:
+                cand = pick_partner(u, capped=True)
+                if cand is None and not adj[u]:
+                    cand = pick_partner(u, capped=False)
+                if cand is None:
+                    break
+                link(u, cand)
+                budget -= 1
+
+        edges = sorted((u, w, adj[u][w]) for u in np.flatnonzero(present).tolist()
+                       for w in adj[u] if u < w)
+        snapshots.append(tuple(edges))
+
+    pattern = cfg.arrival.replace("_", "-")
+    name = f"sim-{pattern}-o{cfg.offices}-v{v}-s{cfg.seed}"
+    return RawEvent(name=name, snapshots=tuple(snapshots))
+
+
+def check_snapshot(index, nodes, edges) -> None:
+    """The per-edge checks of one snapshot's index, nodes and edges."""
+    if index < 0:
+        raise MalformedGraphError(f"negative snapshot index {index}")
+    if list(nodes) != sorted(set(nodes)):
+        raise MalformedGraphError("snapshot nodes must be sorted and unique")
+    if any(u < 0 for u in nodes):
+        raise MalformedGraphError("negative node id")
+    node_set = set(nodes)
+    seen: set[tuple[int, int]] = set()
+    for u, v, w in edges:
+        if u >= v:
+            raise MalformedGraphError(f"edge ({u}, {v}) must satisfy u < v")
+        if u not in node_set or v not in node_set:
+            raise MalformedGraphError(f"edge ({u}, {v}) references a missing node")
+        if (u, v) in seen:
+            raise MalformedGraphError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        if not math.isfinite(w):
+            raise MalformedGraphError(f"non-finite weight on edge ({u}, {v})")
+        if not 0.0 < w <= 1.0:
+            raise MalformedGraphError(f"weight {w} on edge ({u}, {v}) outside (0, 1]")
+
+
+def check_event(snapshots, registry) -> None:
+    """The per-edge checks of an event over already valid snapshots."""
+    for k, g in enumerate(snapshots):
+        if g.index != k:
+            raise MalformedGraphError(f"snapshot at position {k} carries index {g.index}")
+    dense = sorted(registry.values())
+    if dense != list(range(len(dense))):
+        raise MalformedGraphError("registry ids must be dense 0..n_global-1")
+    known = set(registry.values())
+    for g in snapshots:
+        for u in g.nodes:
+            if u not in known:
+                raise MalformedGraphError(f"node {u} missing from the registry")
+        for _, _, w in g.edges:
+            if not WEIGHT_EPS <= w <= 1.0 - WEIGHT_EPS:
+                raise MalformedGraphError(
+                    f"normalized weight {w} outside [{WEIGHT_EPS}, {1.0 - WEIGHT_EPS}]")

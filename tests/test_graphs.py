@@ -1,14 +1,19 @@
 """Graph data model: snapshot validation, weight normalization, windows."""
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import check_event, check_snapshot
 
 from evolink.errors import (EmptyEventError, MalformedGraphError,
                             OutOfRangeError, WindowUnderflowError)
 from evolink.graphs import (WEIGHT_EPS, EventSequence, RawEvent, SnapshotGraph,
                             WeightScale, build_window, normalize_adjacency,
                             normalize_weights, unobserved_links)
+from evolink.eventio import export_event, load_event
 from evolink.simulate import SimConfig, simulate_event
 
 
@@ -143,7 +148,44 @@ def test_normalized_weights_match_the_per_edge_map(viewers, seed):
         want = sorted((min(dense[u], dense[v]), max(dense[u], dense[v]),
                        per_edge_weight(scale, w)) for u, v, w in edges)
         assert g.edges == tuple(want)
-        assert all(type(w) is float for _, _, w in g.edges)
+        assert all(type(u) is int and type(v) is int and type(w) is float
+                   for u, v, w in g.edges)
+        assert all(type(u) is int for u in g.nodes)
+
+
+# sha256 of the repr of a normalized event's name, sorted registry, weight
+# scale and every snapshot's index, nodes and edges: any change to the id
+# map, the weights, their order or their Python types changes it.
+NORMALIZED_GOLDEN = {
+    "desk": (SimConfig(offices=4, viewers=80, snapshots=8, arrival="front_loaded", seed=3),
+             "fca223923004ac706d4a9e5bdbffe5ab660f73272347a2b95d12b395b871038d"),
+    "cli-pipeline": (SimConfig(offices=4, viewers=320, snapshots=8, seed=0),
+                     "c241f3487c1b1a5415c7991ad8770fa6f9edeae795195ad0ea67d2914bca0b93"),
+    "viewers-1000": (SimConfig(offices=4, viewers=1000, snapshots=8, seed=0),
+                     "c5f1b1679e06c4d7c2bf0616add17e85a8f005cca8d88b30da84cf6ea97b8a5f"),
+}
+
+
+def normalized_digest(event: EventSequence) -> str:
+    key = (event.name, sorted(event.registry.items()), event.weight_scale,
+           [(g.index, g.nodes, g.edges) for g in event.snapshots])
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", NORMALIZED_GOLDEN)
+def test_golden_normalized_event(name):
+    cfg, digest = NORMALIZED_GOLDEN[name]
+    assert normalized_digest(normalize_weights(simulate_event(cfg))) == digest
+
+
+def test_golden_normalized_event_after_a_csv_round_trip(tmp_path):
+    """The CLI's event, written and read back, normalizes to the same bits."""
+    cfg, digest = NORMALIZED_GOLDEN["cli-pipeline"]
+    raw = simulate_event(cfg)
+    export_event(raw, tmp_path)
+    loaded = load_event(tmp_path)
+    assert normalized_digest(loaded) == digest
+    assert loaded == normalize_weights(raw)
 
 
 class TestNormalizeAdjacency:
@@ -322,3 +364,72 @@ def test_tiled_lists_are_disjoint_copies(windows):
         m = lists.rows.size
         assert np.array_equal(tiled.transpose[k * m:(k + 1) * m], lists.transpose + k * m)
     assert g.propagation(1) is g.normalized_adjacency
+
+
+# -- validation against the per-edge loops ------------------------------------
+
+BAD_WEIGHTS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.25, 1.5, 1.0, 0.01,
+                              0.99])
+
+
+@st.composite
+def snapshot_inputs(draw, index=st.sampled_from([0, 1, -1])):
+    """An index, nodes and edges: a valid snapshot, then broken in none,
+    one or several ways. Nodes unsorted, repeated or negative; an edge
+    with u >= v, a missing endpoint, a repeated pair; a weight that is
+    NaN, infinite, 0, negative, above 1 or outside the normalized band."""
+    nodes = sorted(draw(st.sets(st.integers(0, 12), max_size=8)))
+    pairs = [(u, v) for u in nodes for v in nodes if u < v]
+    edges = [(u, v, draw(st.floats(WEIGHT_EPS, 1.0 - WEIGHT_EPS)))
+             for u, v in (draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True))
+                          if pairs else [])]
+    flip = st.integers(0, 5).map(lambda r: r == 0)
+    if draw(flip):
+        nodes = draw(st.lists(st.integers(-3, 12), max_size=8))
+    if edges and draw(flip):
+        u, v, w = edges.pop(draw(st.integers(0, len(edges) - 1)))
+        edges.append((v, u, w) if draw(st.booleans()) else (u, u, w))
+    if draw(flip):
+        edges.append((draw(st.integers(-3, 14)), draw(st.integers(-3, 14)),
+                      draw(st.floats(WEIGHT_EPS, 1.0 - WEIGHT_EPS))))
+    if edges and draw(flip):
+        edges.append(draw(st.sampled_from(edges)))
+    if edges and draw(flip):
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = (*edges[i][:2], draw(BAD_WEIGHTS))
+    return draw(index), tuple(nodes), tuple(draw(st.permutations(edges)))
+
+
+def rejects(build) -> bool:
+    try:
+        build()
+    except MalformedGraphError:
+        return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(snapshot_inputs())
+def test_snapshot_checks_reject_what_the_per_edge_loop_rejects(inputs):
+    index, nodes, edges = inputs
+    assert rejects(lambda: SnapshotGraph(index=index, nodes=nodes, edges=edges)) == \
+        rejects(lambda: check_snapshot(index, nodes, edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(snapshot_inputs(index=st.just(0)), min_size=1, max_size=3),
+       st.booleans(), st.one_of(st.just(13), st.integers(0, 14)),
+       st.lists(st.integers(-1, 15), max_size=14, unique=True), st.booleans())
+def test_event_checks_reject_what_the_per_edge_loop_rejects(inputs, misindexed, n, ids, dense):
+    """Over the valid snapshots, in place or misindexed, with a dense or a
+    sparse registry that may miss some of their nodes."""
+    snapshots = []
+    for _, nodes, edges in inputs:
+        k = len(snapshots) + misindexed
+        if not rejects(lambda: check_snapshot(k, nodes, edges)):
+            snapshots.append(SnapshotGraph(index=k, nodes=nodes, edges=edges))
+    values = range(n) if dense else ids
+    registry = {100 + i: x for i, x in enumerate(values)}
+    assert rejects(lambda: EventSequence(name="e", snapshots=tuple(snapshots),
+                                         registry=registry)) == \
+        rejects(lambda: check_event(snapshots, registry))

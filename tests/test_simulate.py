@@ -4,6 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import simulate_event_masks
 
 from evolink.errors import ConfigError
 from evolink.graphs import RawEvent, normalize_weights
@@ -254,6 +257,8 @@ GOLDEN = {
                      "9f5b06881c6f52233d8d6c623b409d50267f36fcb6fa4bae5318578301ff4fa7"),
     "one-office": (SimConfig(offices=1, viewers=40, departure_prob=0.2, seed=12),
                    "8638055b12dd3ea97b67dcd75ef9f3761b89063e444b8556b7ad7c0f45e58c0a"),
+    "viewers-4000": (SimConfig(offices=4, viewers=4000, snapshots=8, seed=0),
+                     "171f76fdaabed97f80feb9393e545a095763ba425988c1924a446ec04f006c54"),
 }
 
 
@@ -298,3 +303,25 @@ def test_large_event_with_departures_and_rewiring():
         prev = nodes
     assert gone  # somebody left
     assert seen == set(range(cfg.viewers))
+
+
+@st.composite
+def small_configs(draw):
+    """Small events over every arrival pattern, with the probabilities at
+    their ends as well as inside: caps of 1-6 reach the uncapped pick, a
+    rewire of a viewer at its cap and departures that reopen capacity."""
+    offices = draw(st.integers(1, 5))
+    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    return SimConfig(offices=offices, viewers=draw(st.integers(offices, 60)),
+                     snapshots=draw(st.integers(2, 6)), arrival=draw(st.sampled_from(ARRIVALS)),
+                     degree_cap=draw(st.integers(1, 6)), growth_rate=draw(st.integers(1, 3)),
+                     rewire_prob=draw(prob), departure_prob=draw(prob),
+                     same_office_bias=draw(prob), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs())
+def test_tree_picks_match_the_mask_simulator(cfg):
+    """Every draw and every partner equal those of the simulator that
+    picks from full-length masks."""
+    assert repr(simulate_event(cfg)) == repr(simulate_event_masks(cfg))
