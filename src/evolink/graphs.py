@@ -10,9 +10,10 @@ are comparable with sigmoid outputs.
 from __future__ import annotations
 
 import copy
-import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain, compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,38 +39,48 @@ class SnapshotGraph:
     """One undirected weighted snapshot. Immutable after construction.
 
     ``nodes`` are sorted global ids; ``edges`` hold each undirected pair
-    once as ``(u, v, w)`` with ``u < v`` and ``0 < w <= 1``. Dense matrix
-    positions follow the sorted node order. The cached properties are the
-    constants that training and inference read: each is built on first
-    use, read-only, and kept as long as the snapshot, so every window
-    over it reuses them. None of them is n×n.
+    once as ``(u, v, w)`` with ``u < v`` and ``0 < w <= 1``, as Python
+    scalars. Dense matrix positions follow the sorted node order. The
+    snapshot is checked on arrays when it is built, and keeps them:
+    ``node_ids``, ``nodes`` as an index array, and ``edge_arrays``, each
+    edge's matrix positions and weight as ``(rows, cols, weights)``. The
+    cached properties are the constants that training and inference read:
+    each is built on first use, read-only, and kept as long as the
+    snapshot, so every window over it reuses them. None of them is n×n.
+    Only ``index``, ``nodes`` and ``edges`` take part in ``==``.
     """
 
     index: int
     nodes: tuple[int, ...]
     edges: tuple[Edge, ...]
+    node_ids: Array = field(init=False, repr=False, compare=False)
+    edge_arrays: tuple[Array, Array, Array] = field(init=False, repr=False, compare=False)
+    # (node ids, u, v, w) of ``nodes`` and ``edges`` when the caller holds
+    # them already; see :meth:`from_arrays`.
+    arrays: InitVar[tuple[Array, Array, Array, Array] | None] = None
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise MalformedGraphError(f"negative snapshot index {self.index}")
-        if list(self.nodes) != sorted(set(self.nodes)):
-            raise MalformedGraphError("snapshot nodes must be sorted and unique")
-        if any(u < 0 for u in self.nodes):
-            raise MalformedGraphError("negative node id")
-        node_set = set(self.nodes)
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if u >= v:
-                raise MalformedGraphError(f"edge ({u}, {v}) must satisfy u < v")
-            if u not in node_set or v not in node_set:
-                raise MalformedGraphError(f"edge ({u}, {v}) references a missing node")
-            if (u, v) in seen:
-                raise MalformedGraphError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            if not math.isfinite(w):
-                raise MalformedGraphError(f"non-finite weight on edge ({u}, {v})")
-            if not 0.0 < w <= 1.0:
-                raise MalformedGraphError(f"weight {w} on edge ({u}, {v}) outside (0, 1]")
+    def __post_init__(self, arrays):
+        if arrays is None:
+            try:
+                ids = np.array(self.nodes, dtype=np.intp)
+            except OverflowError:
+                raise MalformedGraphError("node ids must fit in 64 bits") from None
+            arrays = (ids, *_edge_columns(self.edges, len(self.edges)))
+        ids, u, v, w = arrays
+        rows, cols = _edge_positions(self.index, ids, u, v, w)
+        for arr in (ids, rows, cols, w):
+            arr.flags.writeable = False
+        object.__setattr__(self, "node_ids", ids)
+        object.__setattr__(self, "edge_arrays", (rows, cols, w))
+
+    @classmethod
+    def from_arrays(cls, index: int, ids: Array, u: Array, v: Array,
+                    w: Array) -> "SnapshotGraph":
+        """The snapshot over the sorted node ids ``ids`` whose edges are
+        ``(u[e], v[e], w[e])``. It keeps the arrays (made read-only)
+        instead of converting its tuples back."""
+        return cls(index, tuple(ids.tolist()), tuple(zip(u.tolist(), v.tolist(), w.tolist())),
+                   (ids, u, v, w))
 
     @property
     def n(self) -> int:
@@ -78,11 +89,6 @@ class SnapshotGraph:
     def position(self) -> dict[int, int]:
         """Global node id -> row index in this snapshot's matrices."""
         return {u: i for i, u in enumerate(self.nodes)}
-
-    @cached_property
-    def edge_arrays(self) -> tuple[Array, Array, Array]:
-        """``(rows, cols, weights)``: each edge's matrix positions and weight."""
-        return _edge_arrays(self)
 
     @cached_property
     def adjacency_lists(self) -> NeighbourLists:
@@ -132,13 +138,6 @@ class SnapshotGraph:
     def _propagations(self) -> dict[int, csr_matrix]:
         return {}
 
-    @cached_property
-    def node_ids(self) -> Array:
-        """``nodes`` as an index array."""
-        ids = np.asarray(self.nodes, dtype=np.intp)
-        ids.flags.writeable = False
-        return ids
-
     def adjacency(self) -> Array:
         """Dense symmetric weight matrix with a zero diagonal."""
         rows, cols, weights = self.edge_arrays
@@ -151,15 +150,46 @@ class SnapshotGraph:
         return frozenset((u, v) for u, v, _ in self.edges)
 
 
-def _edge_arrays(g: SnapshotGraph) -> tuple[Array, Array, Array]:
-    pos = g.position()
-    m = len(g.edges)
-    rows = np.fromiter((pos[u] for u, _, _ in g.edges), dtype=np.intp, count=m)
-    cols = np.fromiter((pos[v] for _, v, _ in g.edges), dtype=np.intp, count=m)
-    weights = np.fromiter((w for _, _, w in g.edges), dtype=np.float64, count=m)
-    for arr in (rows, cols, weights):
-        arr.flags.writeable = False
-    return rows, cols, weights
+_EDGE = np.dtype([("u", np.intp), ("v", np.intp), ("w", np.float64)])
+
+
+def _edge_columns(edges: Iterable[Edge], m: int) -> tuple[Array, Array, Array]:
+    """The endpoints and the weights of ``m`` ``(u, v, w)`` tuples as
+    three contiguous arrays."""
+    try:
+        table = np.fromiter(edges, dtype=_EDGE, count=m)
+    except OverflowError:
+        raise MalformedGraphError("node ids must fit in 64 bits") from None
+    return table["u"].copy(), table["v"].copy(), table["w"].copy()
+
+
+def _require(ok: Array, message) -> None:
+    """Raise MalformedGraphError(message(i)) for the first ``i`` where
+    ``ok[i]`` is False, if there is one."""
+    if not ok.all():
+        raise MalformedGraphError(message(int(np.argmin(ok))))
+
+
+def _edge_positions(index: int, ids: Array, u: Array, v: Array, w: Array) -> tuple[Array, Array]:
+    """Check a snapshot given as arrays and return each edge's matrix
+    positions: the row of ``u`` and the column of ``v`` among ``ids``."""
+    if index < 0:
+        raise MalformedGraphError(f"negative snapshot index {index}")
+    _require(ids[1:] > ids[:-1], lambda i: "snapshot nodes must be sorted and unique")
+    _require(ids[:1] >= 0, lambda i: "negative node id")
+    _require(u < v, lambda i: f"edge ({u[i]}, {v[i]}) must satisfy u < v")
+    n = ids.size
+    rows, cols = np.searchsorted(ids, u), np.searchsorted(ids, v)
+    _require(np.zeros(u.size, dtype=bool) if not n else
+             (ids.take(rows, mode="clip") == u) & (ids.take(cols, mode="clip") == v),
+             lambda i: f"edge ({u[i]}, {v[i]}) references a missing node")
+    keys = np.sort(rows * n + cols)
+    _require(keys[1:] != keys[:-1],
+             lambda i: "duplicate edge ({}, {})".format(*ids[list(divmod(keys[i], n))]))
+    _require(np.isfinite(w), lambda i: f"non-finite weight on edge ({u[i]}, {v[i]})")
+    _require((w > 0.0) & (w <= 1.0),
+             lambda i: f"weight {w[i]} on edge ({u[i]}, {v[i]}) outside (0, 1]")
+    return rows, cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,18 +325,18 @@ class EventSequence:
         for k, g in enumerate(self.snapshots):
             if g.index != k:
                 raise MalformedGraphError(f"snapshot at position {k} carries index {g.index}")
-        dense = sorted(self.registry.values())
-        if dense != list(range(len(dense))):
+        n = len(self.registry)
+        dense = np.fromiter(self.registry.values(), dtype=np.intp, count=n)
+        if not np.array_equal(np.sort(dense), np.arange(n)):
             raise MalformedGraphError("registry ids must be dense 0..n_global-1")
-        known = set(self.registry.values())
         for g in self.snapshots:
-            for u in g.nodes:
-                if u not in known:
-                    raise MalformedGraphError(f"node {u} missing from the registry")
-            for _, _, w in g.edges:
-                if not WEIGHT_EPS <= w <= 1.0 - WEIGHT_EPS:
-                    raise MalformedGraphError(
-                        f"normalized weight {w} outside [{WEIGHT_EPS}, {1.0 - WEIGHT_EPS}]")
+            # The registry holds exactly 0..n-1, and snapshot nodes are
+            # sorted and non-negative.
+            ids, w = g.node_ids, g.edge_arrays[2]
+            _require(ids[-1:] < n, lambda i: f"node {ids[-1]} missing from the registry")
+            _require((w >= WEIGHT_EPS) & (w <= 1.0 - WEIGHT_EPS),
+                     lambda i: f"normalized weight {w[i]} outside "
+                               f"[{WEIGHT_EPS}, {1.0 - WEIGHT_EPS}]")
 
     @property
     def n_global(self) -> int:
@@ -338,35 +368,42 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     whole event into ``[WEIGHT_EPS, 1 - WEIGHT_EPS]``; a degenerate raw
     range (all weights equal) maps everything to 0.5.
     """
-    weights = [w for snap in raw.snapshots for _, _, w in snap]
-    if not weights:
+    bounds = np.cumsum([0] + [len(snap) for snap in raw.snapshots]).tolist()
+    if not bounds[-1]:
         raise EmptyEventError(f"event {raw.name!r} has no edges")
-    for w in weights:
-        if not math.isfinite(w):
-            raise MalformedGraphError("non-finite raw weight")
-    scale = WeightScale(float(min(weights)), float(max(weights)))
-    scaled = iter(scale.apply(weights).tolist())
+    u, v, raw_w = _edge_columns(chain.from_iterable(raw.snapshots), bounds[-1])
+    if not np.all(np.isfinite(raw_w)):
+        raise MalformedGraphError("non-finite raw weight")
+    if min(u.min(), v.min()) < 0:
+        raise MalformedGraphError(f"negative node id {min(u.min(), v.min())}")
+    loops = np.flatnonzero(u == v)
+    if loops.size:
+        e = loops[0]
+        k = int(np.searchsorted(bounds, e, side="right")) - 1
+        raise MalformedGraphError(f"self-loop on node {u[e]} in snapshot {k}")
+    scale = WeightScale(float(raw_w.min()), float(raw_w.max()))
+    w = scale.apply(raw_w)
 
-    registry: dict[int, int] = {}
-
-    def dense(raw_id: int) -> int:
-        if raw_id < 0:
-            raise MalformedGraphError(f"negative node id {raw_id}")
-        if raw_id not in registry:
-            registry[raw_id] = len(registry)
-        return registry[raw_id]
+    # Dense ids: rank each raw id by its first position among the
+    # endpoints read edge by edge, first endpoint first.
+    ends = np.empty(2 * u.size, dtype=np.intp)
+    ends[0::2], ends[1::2] = u, v
+    raw_ids, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    dense_of = np.empty(raw_ids.size, dtype=np.intp)
+    dense_of[by_appearance] = np.arange(raw_ids.size)
+    dense = dense_of[inverse]
+    lo = np.minimum(dense[0::2], dense[1::2])
+    hi = np.maximum(dense[0::2], dense[1::2])
 
     snapshots = []
-    for k, snap in enumerate(raw.snapshots):
-        mapped = []
-        for u, v, _ in snap:
-            if u == v:
-                raise MalformedGraphError(f"self-loop on node {u} in snapshot {k}")
-            du, dv = dense(u), dense(v)
-            lo, hi = (du, dv) if du < dv else (dv, du)
-            mapped.append((lo, hi, next(scaled)))
-        nodes = tuple(sorted({i for e in mapped for i in e[:2]}))
-        snapshots.append(SnapshotGraph(index=k, nodes=nodes, edges=tuple(sorted(mapped))))
+    for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        order = start + np.lexsort((hi[start:stop], lo[start:stop]))
+        a, b = lo[order], hi[order]
+        present = np.zeros(raw_ids.size, dtype=bool)
+        present[a] = present[b] = True
+        snapshots.append(SnapshotGraph.from_arrays(k, np.flatnonzero(present), a, b, w[order]))
+    registry = dict(zip(raw_ids[by_appearance].tolist(), range(raw_ids.size)))
     return EventSequence(name=raw.name, snapshots=tuple(snapshots),
                          registry=registry, weight_scale=scale)
 
@@ -426,8 +463,13 @@ def unobserved_links(event: EventSequence, k: int, length: int) -> LinkSet:
     if k + 1 >= len(event):
         raise OutOfRangeError(f"snapshot {k + 1} out of range for {len(event)} snapshots")
     window = build_window(event, k, length)
-    seen: set[tuple[int, int]] = set()
-    for g in window:
-        seen.update(g.edge_pairs())
-    links = tuple(e for e in event.snapshots[k + 1].edges if (e[0], e[1]) not in seen)
-    return LinkSet(links=links)
+    seen = np.concatenate([_pair_keys(g, event.n_global) for g in window])
+    target = event.snapshots[k + 1]
+    new = ~np.isin(_pair_keys(target, event.n_global), seen)
+    return LinkSet(links=tuple(compress(target.edges, new.tolist())))
+
+
+def _pair_keys(g: SnapshotGraph, base: int) -> Array:
+    """Each edge ``(u, v)`` of ``g`` packed into one integer, ``u * base + v``."""
+    rows, cols, _ = g.edge_arrays
+    return g.node_ids[rows] * base + g.node_ids[cols]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,15 +115,66 @@ def arrival_counts(cfg: SimConfig) -> list[int]:
     return _spread(v, k)
 
 
+class _IdTrees:
+    """A set of viewer ids as Fenwick trees (Fenwick, "A new data
+    structure for cumulative frequency tables", 1994): one tree per office
+    and one over all offices, each counting members by id. Adding or
+    removing a viewer and finding the k-th member in ascending id order
+    take O(log v)."""
+
+    def __init__(self, office: list[int], offices: int):
+        size = len(office)
+        self.office = office
+        self.trees = [[0] * (size + 1) for _ in range(offices)]
+        self.every = [0] * (size + 1)
+        self.counts = [0] * offices
+        self.total = 0
+        self.top = 1 << (size.bit_length() - 1)
+
+    def add(self, x: int, delta: int) -> None:
+        """Count viewer ``x`` ``delta`` more times: 1 adds it, -1 removes it."""
+        o = self.office[x]
+        tree, every = self.trees[o], self.every
+        self.counts[o] += delta
+        self.total += delta
+        i, size = x + 1, len(every) - 1
+        while i <= size:
+            tree[i] += delta
+            every[i] += delta
+            i += i & -i
+
+    def select(self, o: int, mine: bool, k: int, skip: list[int]) -> int:
+        """The k-th (from 0) member in ascending id order among those in
+        office ``o`` if ``mine``, else among those outside it, passing over
+        the members listed in ``skip`` (ascending, all in that pool)."""
+        tree, every = self.trees[o], self.every
+        size = len(every) - 1
+        pos = passed = 0
+        step = self.top
+        # Descend to the longest prefix of ids 0..pos-1 holding at most k
+        # pool members; tree position i covers ids i - (i & -i) .. i - 1.
+        while step:
+            nxt = pos + step
+            if nxt <= size:
+                ahead = bisect_left(skip, nxt)
+                count = (tree[nxt] if mine else every[nxt] - tree[nxt]) - (ahead - passed)
+                if count <= k:
+                    k -= count
+                    pos, passed = nxt, ahead
+            step >>= 1
+        return pos
+
+
 def simulate_event(cfg: SimConfig) -> RawEvent:
     """Generate one event; weights are raw (caller normalizes)."""
     rng = np.random.default_rng(cfg.seed)
-    v = cfg.viewers
+    v, cap = cfg.viewers, cfg.degree_cap
 
     # Balanced office assignment over a shuffled viewer order, so every
     # office is populated whenever viewers >= offices.
-    office = np.empty(v, dtype=np.intp)
-    office[rng.permutation(v)] = np.arange(v) % cfg.offices
+    office_of = np.empty(v, dtype=np.intp)
+    office_of[rng.permutation(v)] = np.arange(v) % cfg.offices
+    office = office_of.tolist()
 
     counts = arrival_counts(cfg)
     joins_at = np.empty(v, dtype=np.intp)
@@ -131,6 +183,7 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
     for k, c in enumerate(counts):
         joins_at[order[start:start + c]] = k
         start += c
+    joined = joins_at.tolist()
 
     pair_weight: dict[tuple[int, int], float] = {}
 
@@ -141,57 +194,75 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
             pair_weight[key] = max(float(rng.normal(loc, spread)), MIN_RAW_WEIGHT)
         return pair_weight[key]
 
-    # State kept across the whole run, so that a pick never rescans the
+    # State kept across the whole run, so that a pick never scans the
     # viewers: who is present, each viewer's degree (always len(adj[u])),
-    # and which viewers sit in each office.
+    # the present viewers and those of them under the degree cap.
     adj: dict[int, dict[int, float]] = {u: {} for u in range(v)}
     present = np.zeros(v, dtype=bool)
-    degree = np.zeros(v, dtype=np.intp)
-    in_office = [office == o for o in range(cfg.offices)]
+    degree = [0] * v
+    attending = _IdTrees(office, cfg.offices)
+    open_ = _IdTrees(office, cfg.offices)
 
     def link(u: int, w: int) -> None:
         wt = weight_of(u, w)
         adj[u][w] = wt
         adj[w][u] = wt
-        degree[u] += 1
-        degree[w] += 1
+        for x in (u, w):
+            degree[x] += 1
+            if degree[x] == cap:
+                open_.add(x, -1)
 
     def unlink(u: int, w: int) -> None:
         del adj[u][w]
         del adj[w][u]
-        degree[u] -= 1
-        degree[w] -= 1
+        for x in (u, w):
+            if degree[x] == cap:
+                open_.add(x, 1)
+            degree[x] -= 1
 
     def pick_partner(u: int, capped: bool) -> int | None:
         """Choose a partner for u with the same-office preference: any
         present viewer other than u and its neighbours, and, if ``capped``,
         only one still under the degree cap. Candidates are taken in
-        ascending id order."""
-        eligible = present & (degree < cfg.degree_cap) if capped else present.copy()
-        eligible[u] = False
-        eligible[np.fromiter(adj[u], dtype=np.intp, count=len(adj[u]))] = False
-        mine = eligible & in_office[office[u]]
-        same = np.flatnonzero(mine)
-        other = np.flatnonzero(eligible ^ mine)
-        if same.size and (not other.size or rng.random() < cfg.same_office_bias):
-            pool = same
-        elif other.size:
-            pool = other
+        ascending id order, and the draws are those of a pick from the
+        full list of candidates: ``rng.random()`` only when both office
+        pools are non-empty, then an index into the chosen pool.
+
+        The pools are tree counts minus u and its eligible neighbours, so
+        a pick costs O(log v + degree_cap)."""
+        ids = open_ if capped else attending
+        o = office[u]
+        skip_same: list[int] = []
+        skip_other: list[int] = []
+        for x in sorted((u, *adj[u])):  # all present
+            if not capped or degree[x] < cap:
+                (skip_same if office[x] == o else skip_other).append(x)
+        same = ids.counts[o] - len(skip_same)
+        other = ids.total - ids.counts[o] - len(skip_other)
+        if same and (not other or rng.random() < cfg.same_office_bias):
+            mine, size, skip = True, same, skip_same
+        elif other:
+            mine, size, skip = False, other, skip_other
         else:
             return None
-        return int(pool[rng.integers(0, len(pool))])
+        return ids.select(o, mine, int(rng.integers(0, size)), skip)
 
     snapshots: list[tuple[tuple[int, int, float], ...]] = []
     for k in range(cfg.snapshots):
-        present[joins_at == k] = True
+        for u in np.flatnonzero(joins_at == k).tolist():
+            present[u] = True
+            attending.add(u, 1)
+            open_.add(u, 1)
 
         if cfg.departure_prob > 0.0 and k > 0:
             leaving = [u for u in np.flatnonzero(present).tolist()
-                       if joins_at[u] < k and rng.random() < cfg.departure_prob]
+                       if joined[u] < k and rng.random() < cfg.departure_prob]
             for u in leaving:
                 for w in list(adj[u]):
                     unlink(u, w)
                 present[u] = False
+                attending.add(u, -1)
+                open_.add(u, -1)
 
         # Rewiring: swap the weakest link for a strictly stronger candidate.
         if cfg.rewire_prob > 0.0:
@@ -211,7 +282,7 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
         # no present viewer stays isolated (when at least two are present).
         for u in np.flatnonzero(present).tolist():
             budget = cfg.growth_rate
-            while budget > 0 and degree[u] < cfg.degree_cap:
+            while budget > 0 and degree[u] < cap:
                 cand = pick_partner(u, capped=True)
                 if cand is None and not adj[u]:
                     cand = pick_partner(u, capped=False)

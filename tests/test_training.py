@@ -293,33 +293,33 @@ def test_registry_carried_onto_trained_models():
 
 def count_edge_array_builds(monkeypatch):
     calls = []
-    build = graphs._edge_arrays
+    build = graphs._edge_positions
 
-    def counting(g):
-        calls.append(g.index)
-        return build(g)
+    def counting(index, *arrays):
+        calls.append(index)
+        return build(index, *arrays)
 
-    monkeypatch.setattr(graphs, "_edge_arrays", counting)
+    monkeypatch.setattr(graphs, "_edge_positions", counting)
     return calls
 
 
 def test_each_snapshot_adjacency_is_built_once_per_fit(monkeypatch):
-    """A snapshot's edge arrays are built on first use and kept: once per
-    snapshot, not per epoch, and not again for the student or for repeated
-    inference. The oldest snapshot needs none: its first-layer weights are
-    a leaf, not an attention output, and a fit never encodes it."""
+    """A snapshot's edge arrays are built and checked with the snapshot,
+    once, and kept: a fit builds none, per epoch or otherwise, and neither
+    do the student's fit and repeated inference."""
     calls = count_edge_array_builds(monkeypatch)
     for epochs in (1, 5):
+        calls.clear()
         window = make_window(window=3)
+        assert calls == [g.index for g in window]
         calls.clear()
         teacher, _, emb = train_teacher(window, tiny_teacher(window=3, heads=2,
                                                              epochs=epochs), N)
-        assert sorted(calls) == [g.index for g in window[1:]]
         distill_student(DistillationBundle(teacher, emb, tiny_student(window=3, epochs=epochs)),
                         window, N)
         teacher.embeddings(window)
         teacher.embeddings(window)
-        assert sorted(calls) == [g.index for g in window[1:]]
+        assert calls == []
 
 
 def test_a_fitted_window_builds_no_neighbour_lists_again(monkeypatch):
