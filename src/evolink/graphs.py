@@ -10,6 +10,7 @@ are comparable with sigmoid outputs.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -372,15 +373,10 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     if not bounds[-1]:
         raise EmptyEventError(f"event {raw.name!r} has no edges")
     u, v, raw_w = _edge_columns(chain.from_iterable(raw.snapshots), bounds[-1])
-    if not np.all(np.isfinite(raw_w)):
-        raise MalformedGraphError("non-finite raw weight")
-    if min(u.min(), v.min()) < 0:
-        raise MalformedGraphError(f"negative node id {min(u.min(), v.min())}")
-    loops = np.flatnonzero(u == v)
-    if loops.size:
-        e = loops[0]
-        k = int(np.searchsorted(bounds, e, side="right")) - 1
-        raise MalformedGraphError(f"self-loop on node {u[e]} in snapshot {k}")
+    _require(np.isfinite(raw_w), lambda e: "non-finite raw weight")
+    _require((u >= 0) & (v >= 0), lambda e: f"negative node id {min(u[e], v[e])}")
+    _require(u != v, lambda e: f"self-loop on node {u[e]} in snapshot "
+                               f"{bisect_right(bounds, e) - 1}")
     scale = WeightScale(float(raw_w.min()), float(raw_w.max()))
     w = scale.apply(raw_w)
 

@@ -123,13 +123,13 @@ class _IdTrees:
     take O(log v)."""
 
     def __init__(self, office: list[int], offices: int):
-        size = len(office)
+        # A power of two, so that a descent never steps past the end.
+        size = 1 << (len(office) - 1).bit_length()
         self.office = office
         self.trees = [[0] * (size + 1) for _ in range(offices)]
         self.every = [0] * (size + 1)
         self.counts = [0] * offices
         self.total = 0
-        self.top = 1 << (size.bit_length() - 1)
 
     def add(self, x: int, delta: int) -> None:
         """Count viewer ``x`` ``delta`` more times: 1 adds it, -1 removes it."""
@@ -148,19 +148,21 @@ class _IdTrees:
         office ``o`` if ``mine``, else among those outside it, passing over
         the members listed in ``skip`` (ascending, all in that pool)."""
         tree, every = self.trees[o], self.every
-        size = len(every) - 1
         pos = passed = 0
-        step = self.top
+        step = (len(every) - 1) >> 1
+        last = len(skip)
         # Descend to the longest prefix of ids 0..pos-1 holding at most k
         # pool members; tree position i covers ids i - (i & -i) .. i - 1.
         while step:
             nxt = pos + step
-            if nxt <= size:
-                ahead = bisect_left(skip, nxt)
-                count = (tree[nxt] if mine else every[nxt] - tree[nxt]) - (ahead - passed)
-                if count <= k:
-                    k -= count
-                    pos, passed = nxt, ahead
+            count = tree[nxt] if mine else every[nxt] - tree[nxt]
+            ahead = passed
+            if ahead < last and skip[ahead] < nxt:
+                ahead = bisect_left(skip, nxt, ahead)
+                count -= ahead - passed
+            if count <= k:
+                k -= count
+                pos, passed = nxt, ahead
             step >>= 1
         return pos
 
@@ -228,8 +230,11 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
         full list of candidates: ``rng.random()`` only when both office
         pools are non-empty, then an index into the chosen pool.
 
-        The pools are tree counts minus u and its eligible neighbours, so
-        a pick costs O(log v + degree_cap)."""
+        The pool sizes are tree counts minus u and its eligible
+        neighbours, and the chosen index becomes an id in one tree descent
+        that passes over them, so a pick costs O(log v + degree_cap), up
+        to a bisection over the at most degree_cap + 1 skipped ids at each
+        of the log v steps, instead of O(v)."""
         ids = open_ if capped else attending
         o = office[u]
         skip_same: list[int] = []
@@ -291,8 +296,9 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
                 link(u, cand)
                 budget -= 1
 
-        edges = sorted((u, w, adj[u][w]) for u in np.flatnonzero(present).tolist()
-                       for w in adj[u] if u < w)
+        edges = [(u, w, wt) for u in np.flatnonzero(present).tolist()
+                 for w, wt in adj[u].items() if u < w]
+        edges.sort()
         snapshots.append(tuple(edges))
 
     pattern = cfg.arrival.replace("_", "-")

@@ -117,6 +117,14 @@ class TestNormalizeWeights:
         with pytest.raises(EmptyEventError):
             normalize_weights(RawEvent(name="e", snapshots=((), ())))
 
+    def test_rejects_ids_beyond_64_bits(self):
+        with pytest.raises(MalformedGraphError):
+            normalize_weights(RawEvent(name="e", snapshots=(((0, 2**63, 1.0),),)))
+        with pytest.raises(MalformedGraphError):
+            snap(0, [0, 2**63], [])
+        with pytest.raises(MalformedGraphError):
+            snap(0, [0, 1], [(0, 2**64, 0.5)])
+
     def test_random_events_are_valid_and_deterministic(self):
         rng = np.random.default_rng(5)
         raw = random_raw_event(rng)
