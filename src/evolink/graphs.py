@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -186,7 +186,7 @@ def _edge_positions(index: int, ids: Array, u: Array, v: Array, w: Array) -> tup
              lambda i: f"edge ({u[i]}, {v[i]}) references a missing node")
     keys = np.sort(rows * n + cols)
     _require(keys[1:] != keys[:-1],
-             lambda i: "duplicate edge ({}, {})".format(*ids[list(divmod(keys[i], n))]))
+             lambda i: f"duplicate edge ({ids[keys[i] // n]}, {ids[keys[i] % n]})")
     _require(np.isfinite(w), lambda i: f"non-finite weight on edge ({u[i]}, {v[i]})")
     _require((w > 0.0) & (w <= 1.0),
              lambda i: f"weight {w[i]} on edge ({u[i]}, {v[i]}) outside (0, 1]")
@@ -369,7 +369,7 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     whole event into ``[WEIGHT_EPS, 1 - WEIGHT_EPS]``; a degenerate raw
     range (all weights equal) maps everything to 0.5.
     """
-    bounds = np.cumsum([0] + [len(snap) for snap in raw.snapshots]).tolist()
+    bounds = [0, *accumulate(len(snap) for snap in raw.snapshots)]
     if not bounds[-1]:
         raise EmptyEventError(f"event {raw.name!r} has no edges")
     u, v, raw_w = _edge_columns(chain.from_iterable(raw.snapshots), bounds[-1])

@@ -187,10 +187,12 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
         start += c
     joined = joins_at.tolist()
 
-    pair_weight: dict[tuple[int, int], float] = {}
+    # A pair (lo, hi) of viewers, lo < hi, is keyed by lo * v + hi, so
+    # that sorting keys sorts pairs.
+    pair_weight: dict[int, float] = {}
 
     def weight_of(u: int, w: int) -> float:
-        key = (u, w) if u < w else (w, u)
+        key = u * v + w if u < w else w * v + u
         if key not in pair_weight:
             loc, spread = cfg.intra_bw if office[u] == office[w] else cfg.inter_bw
             pair_weight[key] = max(float(rng.normal(loc, spread)), MIN_RAW_WEIGHT)
@@ -202,6 +204,8 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
     adj: dict[int, dict[int, float]] = {u: {} for u in range(v)}
     present = np.zeros(v, dtype=bool)
     degree = [0] * v
+    # The current links as edge tuples, by pair key.
+    links: dict[int, tuple[int, int, float]] = {}
     attending = _IdTrees(office, cfg.offices)
     open_ = _IdTrees(office, cfg.offices)
 
@@ -209,6 +213,8 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
         wt = weight_of(u, w)
         adj[u][w] = wt
         adj[w][u] = wt
+        lo, hi = (u, w) if u < w else (w, u)
+        links[lo * v + hi] = (lo, hi, wt)
         for x in (u, w):
             degree[x] += 1
             if degree[x] == cap:
@@ -217,6 +223,7 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
     def unlink(u: int, w: int) -> None:
         del adj[u][w]
         del adj[w][u]
+        del links[u * v + w if u < w else w * v + u]
         for x in (u, w):
             if degree[x] == cap:
                 open_.add(x, 1)
@@ -231,10 +238,10 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
         pools are non-empty, then an index into the chosen pool.
 
         The pool sizes are tree counts minus u and its eligible
-        neighbours, and the chosen index becomes an id in one tree descent
-        that passes over them, so a pick costs O(log v + degree_cap), up
-        to a bisection over the at most degree_cap + 1 skipped ids at each
-        of the log v steps, instead of O(v)."""
+        neighbours, and one tree descent that passes over those turns the
+        drawn index into an id. A pick costs O(log v + degree_cap) steps
+        (each descent step bisects the at most degree_cap + 1 skipped
+        ids), where a pick from full-length masks cost O(v)."""
         ids = open_ if capped else attending
         o = office[u]
         skip_same: list[int] = []
@@ -296,10 +303,7 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
                 link(u, cand)
                 budget -= 1
 
-        edges = [(u, w, wt) for u in np.flatnonzero(present).tolist()
-                 for w, wt in adj[u].items() if u < w]
-        edges.sort()
-        snapshots.append(tuple(edges))
+        snapshots.append(tuple(map(links.__getitem__, sorted(links))))
 
     pattern = cfg.arrival.replace("_", "-")
     name = f"sim-{pattern}-o{cfg.offices}-v{v}-s{cfg.seed}"
