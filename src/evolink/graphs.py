@@ -56,8 +56,9 @@ class SnapshotGraph:
     edges: tuple[Edge, ...]
     node_ids: Array = field(init=False, repr=False, compare=False)
     edge_arrays: tuple[Array, Array, Array] = field(init=False, repr=False, compare=False)
-    # (node ids, u, v, w) of ``nodes`` and ``edges`` when the caller holds
-    # them already; see :meth:`from_arrays`.
+    # ``nodes`` and ``edges`` as arrays (node ids, u, v, w), when the
+    # caller holds them already; the snapshot makes them read-only and
+    # keeps them instead of converting its tuples back.
     arrays: InitVar[tuple[Array, Array, Array, Array] | None] = None
 
     def __post_init__(self, arrays):
@@ -73,15 +74,6 @@ class SnapshotGraph:
             arr.flags.writeable = False
         object.__setattr__(self, "node_ids", ids)
         object.__setattr__(self, "edge_arrays", (rows, cols, w))
-
-    @classmethod
-    def from_arrays(cls, index: int, ids: Array, u: Array, v: Array,
-                    w: Array) -> "SnapshotGraph":
-        """The snapshot over the sorted node ids ``ids`` whose edges are
-        ``(u[e], v[e], w[e])``. It keeps the arrays (made read-only)
-        instead of converting its tuples back."""
-        return cls(index, tuple(ids.tolist()), tuple(zip(u.tolist(), v.tolist(), w.tolist())),
-                   (ids, u, v, w))
 
     @property
     def n(self) -> int:
@@ -392,14 +384,18 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     lo = np.minimum(dense[0::2], dense[1::2])
     hi = np.maximum(dense[0::2], dense[1::2])
 
+    # One Python int per dense id, which the registry and every tuple share.
+    as_int = np.arange(raw_ids.size).astype(object)
     snapshots = []
     for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         order = start + np.lexsort((hi[start:stop], lo[start:stop]))
-        a, b = lo[order], hi[order]
+        a, b, wk = lo[order], hi[order], w[order]
         present = np.zeros(raw_ids.size, dtype=bool)
         present[a] = present[b] = True
-        snapshots.append(SnapshotGraph.from_arrays(k, np.flatnonzero(present), a, b, w[order]))
-    registry = dict(zip(raw_ids[by_appearance].tolist(), range(raw_ids.size)))
+        ids = np.flatnonzero(present)
+        edges = tuple(zip(as_int[a].tolist(), as_int[b].tolist(), wk.tolist()))
+        snapshots.append(SnapshotGraph(k, tuple(as_int[ids].tolist()), edges, (ids, a, b, wk)))
+    registry = dict(zip(raw_ids[by_appearance].tolist(), as_int.tolist()))
     return EventSequence(name=raw.name, snapshots=tuple(snapshots),
                          registry=registry, weight_scale=scale)
 
