@@ -334,38 +334,39 @@ def _check_trials(trials: int) -> None:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
 
-def _trial_seeds(*entropy: int) -> tuple[int, int, int]:
-    """Teacher, student and split seeds of the trial drawn from ``entropy``."""
-    return derive_seed(*entropy, 0), derive_seed(*entropy, 1), derive_seed(*entropy, 2)
+def _check_distinct(what: str, values) -> None:
+    """Refuse an empty list or one that names an entry twice."""
+    if len(values) == 0 or len(set(values)) != len(values):
+        raise ConfigError(f"{what} must be a nonempty list without repeats, got {values!r}")
+
+
+def _seeds_of(seed: int, t: int) -> tuple[int, int, int]:
+    """Teacher, student and split seeds of trial ``t`` under ``seed``."""
+    return derive_seed(seed, t, 0), derive_seed(seed, t, 1), derive_seed(seed, t, 2)
 
 
 def run_evaluation(event: EventSequence, k: int, teacher_cfg: ModelConfig,
                    student_cfg: ModelConfig, *, trials: int = 5,
-                   scorer: str = "dot", seed: int = 0,
-                   trial_seeds: list[int] | None = None) -> EvalReport:
+                   scorer: str = "dot", seed: int = 0) -> EvalReport:
     """Full protocol with one scorer; see :func:`evaluate_scorers`."""
     return evaluate_scorers(event, k, teacher_cfg, student_cfg, scorers=(scorer,),
-                            trials=trials, seed=seed, trial_seeds=trial_seeds)[scorer]
+                            trials=trials, seed=seed)[scorer]
 
 
 def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
                      student_cfg: ModelConfig, *, scorers: tuple[str, ...],
-                     trials: int = 5, seed: int = 0,
-                     trial_seeds: list[int] | None = None) -> dict[str, EvalReport]:
+                     trials: int = 5, seed: int = 0) -> dict[str, EvalReport]:
     """Full protocol: per trial, train teacher, distill student, score.
 
     Each trial is trained once and its test split scored by every scorer
     in ``scorers``; the result holds one report per scorer. Trials draw
-    their model and split seeds from ``seed`` and the trial index by
-    default; pass explicit ``trial_seeds`` to pin them (equal entries
-    reproduce identical trials).
+    their model and split seeds from ``seed`` and the trial index.
     """
+    _check_distinct("scorers", scorers)
     for scorer in scorers:
         if scorer not in SCORERS:
             raise ConfigError(f"unknown scorer {scorer!r}")
     _check_trials(trials)
-    if trial_seeds is not None and len(trial_seeds) != trials:
-        raise ConfigError(f"{len(trial_seeds)} trial seeds for {trials} trials")
     if teacher_cfg.window != student_cfg.window:
         raise ConfigError("teacher and student must span the same window")
 
@@ -373,8 +374,7 @@ def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     n_global = event.n_global
     records: dict[str, list[TrialRecord]] = {scorer: [] for scorer in scorers}
     for t in range(trials):
-        entropy = (trial_seeds[t],) if trial_seeds is not None else (seed, t)
-        t_seed, s_seed, split_seed = _trial_seeds(*entropy)
+        t_seed, s_seed, split_seed = _seeds_of(seed, t)
         teacher, _, t_emb = train_teacher(window, replace(teacher_cfg, seed=t_seed),
                                           n_global, event.registry)
         bundle = DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
@@ -387,8 +387,8 @@ def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
             t_scorer = s_scorer = None
             samples = {}
             if scorer == "mlp":
-                t_scorer = train_mlp_scorer(t_emb, window, derive_seed(*entropy, 3))
-                s_scorer = train_mlp_scorer(s_emb, window, derive_seed(*entropy, 4))
+                t_scorer = train_mlp_scorer(t_emb, window, derive_seed(seed, t, 3))
+                s_scorer = train_mlp_scorer(s_emb, window, derive_seed(seed, t, 4))
                 samples = dict(mlp_positives=t_scorer.n_positives,
                                teacher_mlp_negatives=t_scorer.n_negatives,
                                student_mlp_negatives=s_scorer.n_negatives)
@@ -447,13 +447,14 @@ def sweep_gamma(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     fit. Scoring uses the dot scorer.
     """
     _check_trials(trials)
+    _check_distinct("gammas", gammas)
     window, _, scoreable, _ = _prepare(event, k, teacher_cfg.window)
     n_global = event.n_global
 
     per_gamma: dict[float, list[tuple[float, float]]] = {g: [] for g in gammas}
     teacher_rmses: list[float] = []
     for t in range(trials):
-        t_seed, s_seed, split_seed = _trial_seeds(seed, t)
+        t_seed, s_seed, split_seed = _seeds_of(seed, t)
         teacher, _, t_emb = train_teacher(window, replace(teacher_cfg, seed=t_seed),
                                           n_global, event.registry)
         _, test = split_links(scoreable, split_seed)

@@ -29,12 +29,11 @@ from .simulate import SimConfig
 from .training import TrainingTrace
 
 SNAPSHOT_SECONDS = 600
+WEIGHT_UNIT = "mbps"
 MANIFEST_NAME = "manifest.json"
 
 
-def export_event(raw: RawEvent, out_dir: str | Path,
-                 snapshot_seconds: int = SNAPSHOT_SECONDS,
-                 weight_unit: str = "mbps") -> Path:
+def export_event(raw: RawEvent, out_dir: str | Path) -> Path:
     """Write an event directory; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -48,8 +47,8 @@ def export_event(raw: RawEvent, out_dir: str | Path,
     manifest = {
         "name": raw.name,
         "num_snapshots": len(raw.snapshots),
-        "snapshot_seconds": snapshot_seconds,
-        "weight_unit": weight_unit,
+        "snapshot_seconds": SNAPSHOT_SECONDS,
+        "weight_unit": WEIGHT_UNIT,
         "files": files,
     }
     path = out / MANIFEST_NAME

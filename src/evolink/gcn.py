@@ -4,8 +4,9 @@ The encoder for one snapshot is ``Z = A_hat relu(A_hat X W1) W2`` with the
 symmetrically normalized adjacency ``A_hat``. Events carry no node
 attributes, so ``X`` is the identity restricted to the snapshot's nodes and
 ``X W1`` selects their W1 rows; W1 is allocated over the whole registry so
-that every node owns a persistent row. :func:`param_spec` states a window
-model's trainable layout for init, checkpoints and the parameter count.
+that every node owns a persistent row. :func:`param_spec` names and orders
+a window model's trainable leaves; the chain, its init, checkpoints and the
+parameter count all read it.
 """
 from __future__ import annotations
 
@@ -15,38 +16,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .graphs import SnapshotGraph
+from .errors import ShapeError
 from .tape import Tensor, constant_matmul, matmul, relu, rows
 
 if TYPE_CHECKING:
     from .model import ModelConfig
 
 Array = np.ndarray
-
-
-@dataclass
-class GcnParams:
-    """Weights of one snapshot encoder: first layer (global rows) and second."""
-
-    w1: Tensor
-    w2: Tensor
-
-
-@dataclass(frozen=True)
-class IdentityFeatures:
-    """Marker standing in for an identity feature matrix.
-
-    Multiplying the identity restricted to a snapshot's nodes into W1 is
-    exactly a row selection, so the marker only needs the snapshot, whose
-    cached ``node_ids`` are the rows to select.
-    """
-
-    graph: SnapshotGraph
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return self.graph.nodes
 
 
 @dataclass(frozen=True)
@@ -67,35 +43,25 @@ class Embeddings:
             raise KeyError(f"node {u} has no embedding") from None
 
 
-def identity_features(g: SnapshotGraph) -> IdentityFeatures:
-    return IdentityFeatures(graph=g)
-
-
-def first_layer_input(features: IdentityFeatures, w1: Tensor) -> Tensor:
-    """``X W1`` for identity features: the W1 rows of the snapshot's nodes."""
-    if not isinstance(features, IdentityFeatures):
-        raise ConfigError(f"the encoder takes identity_features(g), got "
-                          f"{type(features).__name__}")
-    ids = features.graph.node_ids
-    if ids.size and ids.max() >= w1.shape[-2]:
-        raise ShapeError(f"node id {int(ids.max())} outside the {w1.shape[-2]} W1 rows")
-    return rows(w1, ids)
-
-
-def gcn_forward(a_hat, features: IdentityFeatures, params: GcnParams) -> Tensor:
+def gcn_forward(a_hat, ids, w1: Tensor, w2: Tensor) -> Tensor:
     """One snapshot encoder pass; returns the (n_k, embed_dim) output.
 
     ``a_hat`` is the snapshot's normalized adjacency, a dense array such as
     ``normalize_adjacency(g)`` or the CSR ``g.normalized_adjacency``.
+    ``ids`` are the snapshot's dense node ids, such as ``g.node_ids``:
+    ``X W1`` with identity features is the gather of their W1 rows.
     """
     if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
         raise ShapeError(f"normalized adjacency must be square, got {a_hat.shape}")
-    xw = first_layer_input(features, params.w1)
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.size and ids.max() >= w1.shape[-2]:
+        raise ShapeError(f"node id {int(ids.max())} outside the {w1.shape[-2]} W1 rows")
+    xw = rows(w1, ids)
     if xw.shape[0] != a_hat.shape[0]:
         raise ShapeError(f"first-layer input has {xw.shape[0]} rows for "
                          f"{a_hat.shape[0]} nodes")
     hidden = relu(constant_matmul(a_hat, xw))
-    return matmul(constant_matmul(a_hat, hidden), params.w2)
+    return matmul(constant_matmul(a_hat, hidden), w2)
 
 
 def param_spec(cfg: "ModelConfig", n_global: int) -> dict[str, tuple[int, int]]:

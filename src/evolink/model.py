@@ -18,7 +18,7 @@ import numpy as np
 
 from .attention import AttentionHead, Transition, evolve_weights
 from .errors import ConfigError, ShapeError, check_numbers
-from .gcn import Embeddings, GcnParams, gcn_forward, identity_features, param_spec
+from .gcn import Embeddings, gcn_forward, param_spec
 from .graphs import SnapshotGraph
 from .tape import SigmoidGram, Tensor, param, rmse_sigmoid_gram
 
@@ -85,9 +85,12 @@ def student_defaults(**overrides) -> ModelConfig:
 class GcnChain:
     """Parameters of one window model, all tape leaves.
 
-    ``w1_first`` covers every registered node (n_global rows); the later
-    first-layer matrices are derived during the forward pass and are not
-    leaves. ``registry`` is carried along for persistence.
+    ``leaves`` maps every :func:`~evolink.gcn.param_spec` name to its leaf;
+    the chain keeps them in spec order, whatever the order of the dict it
+    is given. ``w1_first``, ``w2`` and ``transitions`` are views of the same
+    leaves. ``w1_first`` covers every registered node (n_global rows); the
+    later first-layer matrices are derived during the forward pass and are
+    not leaves. ``registry`` is carried along for persistence.
 
     :meth:`stack` makes the one other kind of chain: G models whose every
     leaf carries a leading model axis, which one fit trains together (see
@@ -95,22 +98,25 @@ class GcnChain:
     rows. Trained chains, checkpoints and digests hold one model each.
     """
 
-    def __init__(self, config: ModelConfig, n_global: int, w1_first: Tensor,
-                 w2: list[Tensor], transitions: list[Transition],
+    def __init__(self, config: ModelConfig, n_global: int, leaves: dict[str, Tensor],
                  registry: dict[int, int] | None = None):
         self.config = config
         self.n_global = n_global
-        self.w1_first = w1_first
-        self.w2 = w2
-        self.transitions = transitions
         self.registry = dict(registry) if registry else {}
-        self._validate()
+        self._leaves = {name: leaves[name] for name in self._validate(leaves)}
+        self.w1_first = self._leaves["w1/0"]
+        self.w2 = [self._leaves[f"w2/{i}"] for i in range(config.window + 1)]
+        self.transitions = [
+            Transition(heads=[AttentionHead(transform=self._leaves[f"attn/{t}/{j}/transform"],
+                                            score_vec=self._leaves[f"attn/{t}/{j}/score"])
+                              for j in range(config.heads)])
+            for t in range(config.window)]
 
-    def _validate(self) -> None:
+    def _validate(self, leaves: dict[str, Tensor]) -> dict[str, tuple[int, int]]:
+        """The chain's :func:`param_spec`, once ``leaves`` is shown to match it."""
         if self.n_global < 1:
             raise ConfigError(f"n_global must be positive, got {self.n_global}")
         spec = param_spec(self.config, self.n_global)
-        leaves = self.trainable()
         stacked = {leaf.shape[:-2] for leaf in leaves.values()}
         if len(stacked) != 1 or len(stacked.pop()) > 1:
             raise ShapeError("leaves must all be matrices or all stacks of one size")
@@ -119,14 +125,14 @@ class GcnChain:
             if shapes.get(name) != spec.get(name):
                 raise ShapeError(f"leaf {name!r}: the chain has {shapes.get(name, 'none')}, "
                                  f"the config requires {spec.get(name, 'none')}")
+        return spec
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, n_global: int, arrays: dict[str, Array],
                     registry: dict[int, int] | None = None) -> "GcnChain":
         """A chain whose leaves hold ``arrays``, keyed by :func:`param_spec` names."""
-        return cls._from_leaves(config, n_global,
-                                {name: param(value, name) for name, value in arrays.items()},
-                                registry)
+        leaves = {name: param(value, name) for name, value in arrays.items()}
+        return cls(config, n_global, leaves, registry)
 
     @classmethod
     def stack(cls, chains: list["GcnChain"]) -> "GcnChain":
@@ -142,23 +148,13 @@ class GcnChain:
         leaves = [chain.trainable() for chain in chains]
         stacked = {name: param(np.stack([ls[name].value for ls in leaves]), name)
                    for name in leaves[0]}
-        return cls._from_leaves(first.config, first.n_global, stacked, first.registry)
+        return cls(first.config, first.n_global, stacked, first.registry)
 
     @property
     def models(self) -> int:
         """The number of models the chain holds: 1 unless it is a stack."""
         value = self.w1_first.value
         return value.shape[0] if value.ndim == 3 else 1
-
-    @classmethod
-    def _from_leaves(cls, config: ModelConfig, n_global: int, p: dict[str, Tensor],
-                     registry: dict[int, int] | None = None) -> "GcnChain":
-        w2 = [p[f"w2/{i}"] for i in range(config.window + 1)]
-        transitions = [Transition(heads=[AttentionHead(transform=p[f"attn/{t}/{j}/transform"],
-                                                       score_vec=p[f"attn/{t}/{j}/score"])
-                                         for j in range(config.heads)])
-                       for t in range(config.window)]
-        return cls(config, n_global, p["w1/0"], w2, transitions, registry)
 
     @classmethod
     def init(cls, config: ModelConfig, n_global: int,
@@ -177,15 +173,8 @@ class GcnChain:
         return cls.from_arrays(config, n_global, arrays, registry)
 
     def trainable(self) -> dict[str, Tensor]:
-        """Named leaves in a fixed, reproducible order."""
-        out: dict[str, Tensor] = {"w1/0": self.w1_first}
-        for i, t in enumerate(self.w2):
-            out[f"w2/{i}"] = t
-        for t, tr in enumerate(self.transitions):
-            for j, head in enumerate(tr.heads):
-                out[f"attn/{t}/{j}/transform"] = head.transform
-                out[f"attn/{t}/{j}/score"] = head.score_vec
-        return out
+        """Named leaves in :func:`param_spec` order: the chain's own dict."""
+        return self._leaves
 
     def param_arrays(self) -> dict[str, Array]:
         return {k: t.value.copy() for k, t in self.trainable().items()}
@@ -210,8 +199,7 @@ class GcnChain:
 
     def forward(self, window: list[SnapshotGraph]) -> list[Tensor]:
         """Embeddings for every window snapshot, recorded on the tape."""
-        return [gcn_forward(g.propagation(self.models), identity_features(g),
-                            GcnParams(w1=w1, w2=w2))
+        return [gcn_forward(g.propagation(self.models), g.node_ids, w1, w2)
                 for g, w1, w2 in zip(window, self._first_layers(window), self.w2)]
 
     def final(self, window: list[SnapshotGraph]) -> Tensor:
@@ -219,8 +207,7 @@ class GcnChain:
         encoding the earlier snapshots, whose outputs no loss reads."""
         w1 = self._first_layers(window)[-1]
         g = window[-1]
-        return gcn_forward(g.propagation(self.models), identity_features(g),
-                           GcnParams(w1=w1, w2=self.w2[-1]))
+        return gcn_forward(g.propagation(self.models), g.node_ids, w1, self.w2[-1])
 
     def embeddings(self, window: list[SnapshotGraph]) -> Embeddings:
         """Inference-only final-snapshot embeddings.
@@ -229,7 +216,7 @@ class GcnChain:
         no tape and frees each intermediate as soon as it is used.
         """
         constants = {name: Tensor(leaf.value) for name, leaf in self.trainable().items()}
-        frozen = GcnChain._from_leaves(self.config, self.n_global, constants)
+        frozen = GcnChain(self.config, self.n_global, constants)
         return Embeddings(z=frozen.final(window).value.copy(), ids=window[-1].nodes)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .gcn import Embeddings, param_spec
+from .gcn import Embeddings
 from .graphs import SnapshotGraph
 from .model import GcnChain, ModelConfig, distillation_loss, reconstruction_loss
 from .optim import Adam
@@ -127,21 +127,17 @@ def train_teacher(window: list[SnapshotGraph], cfg: ModelConfig, n_global: int,
     """
     if cfg.role != "teacher":
         raise ConfigError(f"train_teacher needs a teacher config, got role {cfg.role!r}")
-    if len(window) != cfg.window + 1:
-        raise ConfigError(f"window of {len(window)} snapshots for a config "
-                          f"spanning {cfg.window + 1}")
     chain = GcnChain.init(cfg, n_global, registry)
     if init_from is not None:
         check_same_event(init_from, n_global, registry, "the warm-start model")
         # Plain assignment, not a fresh leaf: a non-finite warm value must
         # surface as divergence in the first epoch, with its trace.
         warm = init_from.param_arrays()
-        leaves = chain.trainable()
-        for name, shape in param_spec(cfg, n_global).items():
-            if name not in warm or warm[name].shape != shape:
+        for name, leaf in chain.trainable().items():
+            if name not in warm or warm[name].shape != leaf.shape:
                 raise ConfigError(f"warm-start parameters do not provide {name!r} "
-                                  f"with shape {shape}")
-            leaves[name].value = warm[name]
+                                  f"with shape {leaf.shape}")
+            leaf.value = warm[name]
     trace = _fit(chain, window, reconstruction_loss)
     return chain, trace, chain.embeddings(window)
 
@@ -173,6 +169,8 @@ def distill_students(bundles: list[DistillationBundle], window: list[SnapshotGra
     and the teacher's soft scores. Each student gets the parameters,
     losses and digest that :func:`distill_student` would give it.
     """
+    if not bundles:
+        raise ConfigError("distill_students needs at least one bundle")
     first = bundles[0]
     if any(b.teacher_embeddings is not first.teacher_embeddings for b in bundles):
         raise ConfigError("stacked students must share the teacher's embeddings")
@@ -193,10 +191,8 @@ def _student(bundle: DistillationBundle, window: list[SnapshotGraph], n_global: 
     if cfg.window != bundle.teacher.config.window:
         raise ConfigError(f"student window {cfg.window} does not match teacher "
                           f"window {bundle.teacher.config.window}")
-    if len(window) != cfg.window + 1:
-        raise ConfigError(f"window of {len(window)} snapshots for a config "
-                          f"spanning {cfg.window + 1}")
-    if bundle.teacher_embeddings.ids != window[-1].nodes:
+    # The fit refuses a window of the wrong length, an empty one included.
+    if window and bundle.teacher_embeddings.ids != window[-1].nodes:
         raise ConfigError("teacher embeddings do not cover the window's final snapshot")
     check_same_event(bundle.teacher, n_global, registry, "the teacher")
     return GcnChain.init(cfg, n_global, registry)

@@ -25,7 +25,7 @@ from evolink.checkpoint import load_checkpoint, save_checkpoint
 from evolink.evaluation import (GAMMA_GRID, VALIDATION_SHARE, compression_label,
                                 derive_seed, run_evaluation, split_links, sweep_gamma)
 from evolink.eventio import export_event, load_raw_event
-from evolink.gcn import GcnParams, count_params, gcn_forward, identity_features
+from evolink.gcn import count_params, gcn_forward
 from evolink.graphs import (SnapshotGraph, build_window, normalize_adjacency,
                             normalize_weights, unobserved_links)
 from evolink.model import (GcnChain, ModelConfig, distillation_loss, reconstruction_loss,
@@ -187,8 +187,7 @@ class OracleSweep:
 
             w1 = rng.normal(size=(n_global, d1))
             w2 = rng.normal(size=(d1, d2))
-            z = gcn_forward(a_hat, identity_features(g),
-                            GcnParams(w1=Tensor(w1), w2=Tensor(w2))).value
+            z = gcn_forward(a_hat, g.node_ids, Tensor(w1), Tensor(w2)).value
             x_onehot = [[1.0 if c == u else 0.0 for c in range(n_global)]
                         for u in g.nodes]
             self._track("gcn_forward", z,

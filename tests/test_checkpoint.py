@@ -123,6 +123,20 @@ def test_crafted_bytes_load_like_saved_bytes():
     assert_same_model(model, load_checkpoint(crafted))
 
 
+def test_tensor_records_in_any_order_load_to_the_canonical_model():
+    """A reader takes the tensor records in any order; the chain holds its
+    leaves in param_spec order, so the model saves back canonically."""
+    cfg = small_config(window=2)
+    model = GcnChain.init(cfg, 5, {2: 0, 4: 1, 6: 2, 8: 3, 10: 4})
+    canonical = save_checkpoint(model)
+    reversed_records = craft(cfg, 5, list(model.param_arrays().items())[::-1],
+                             model.registry)
+    assert reversed_records != canonical
+    loaded = load_checkpoint(reversed_records)
+    assert loaded.param_digest() == model.param_digest() == "53fa220275ec534c"
+    assert save_checkpoint(loaded) == canonical
+
+
 def test_bad_magic():
     data = save_checkpoint(GcnChain.init(small_config(), 3))
     with pytest.raises(CheckpointError, match="magic"):

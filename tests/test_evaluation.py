@@ -19,6 +19,7 @@ from evolink.evaluation import (
     compression_label,
     constant_baseline,
     derive_seed,
+    evaluate_scorers,
     metrics,
     run_evaluation,
     score_dot,
@@ -31,6 +32,7 @@ from evolink.evaluation import (
 from evolink.gcn import Embeddings, count_params
 from evolink.graphs import LinkSet, RawEvent, SnapshotGraph, normalize_weights
 from evolink.model import ModelConfig
+from evolink.training import distill_students
 
 
 def linkset(n):
@@ -313,13 +315,12 @@ def test_run_evaluation_payload_deterministic():
 
 
 def test_equal_trial_seeds_collapse_variance():
+    """Two fits of one seed in one process give equal trial records: no
+    state leaks from one fit into the next."""
     event = make_event()
-    report = run_evaluation(event, 1, tiny_teacher(), tiny_student(),
-                            trials=2, trial_seeds=[9, 9])
-    assert report.trials[0].teacher_rmse == report.trials[1].teacher_rmse
-    assert report.trials[0].student_rmse == report.trials[1].student_rmse
-    assert report.teacher_rmse_std == 0.0
-    assert report.student_rmse_std == 0.0
+    first, second = (run_evaluation(event, 1, tiny_teacher(), tiny_student(),
+                                    trials=1, seed=9).trials[0] for _ in range(2))
+    assert first == second
 
 
 def test_run_evaluation_mlp_path():
@@ -350,9 +351,6 @@ def test_run_evaluation_validation():
         run_evaluation(event, 1, tiny_teacher(), tiny_student(), scorer="cosine")
     with pytest.raises(ConfigError):
         run_evaluation(event, 1, tiny_teacher(), tiny_student(), trials=0)
-    with pytest.raises(ConfigError):
-        run_evaluation(event, 1, tiny_teacher(), tiny_student(),
-                       trials=2, trial_seeds=[1])
     with pytest.raises(ConfigError):
         run_evaluation(event, 1, tiny_teacher(), tiny_student(window=2))
 
@@ -397,6 +395,27 @@ def test_sweep_gamma_rows_are_the_one_at_a_time_rows(monkeypatch):
 def test_sweep_gamma_rejects_no_trials():
     with pytest.raises(ConfigError, match="trials must be >= 1"):
         sweep_gamma(make_event(), 1, tiny_teacher(), tiny_student(), trials=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda event: sweep_gamma(event, 1, tiny_teacher(), tiny_student(), trials=1, gammas=()),
+    lambda event: sweep_gamma(event, 1, tiny_teacher(), tiny_student(), trials=1,
+                              gammas=(0.5, 0.5)),
+    lambda event: evaluate_scorers(event, 1, tiny_teacher(), tiny_student(),
+                                   scorers=("dot", "dot"), trials=1),
+    lambda event: evaluate_scorers(event, 1, tiny_teacher(), tiny_student(),
+                                   scorers=(), trials=1),
+    lambda event: distill_students([], None, event.n_global),
+], ids=["no-gammas", "repeated-gamma", "repeated-scorer", "no-scorers", "no-bundles"])
+def test_empty_or_repeated_lists_are_refused_before_training(call, monkeypatch):
+    from evolink import evaluation
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(evaluation, "train_teacher", no_training)
+    with pytest.raises(ConfigError):
+        call(make_event())
 
 
 def test_gamma_grid_is_the_nine_tenths():

@@ -2,12 +2,11 @@
 import numpy as np
 import pytest
 
-from evolink.errors import ConfigError, ShapeError
-from evolink.gcn import (Embeddings, GcnParams, count_params, first_layer_input,
-                         gcn_forward, identity_features)
+from evolink.errors import ShapeError
+from evolink.gcn import Embeddings, count_params, gcn_forward
 from evolink.graphs import SnapshotGraph, normalize_adjacency
 from evolink.model import ModelConfig
-from evolink.tape import Tensor, backward, param, tsum
+from evolink.tape import backward, param, tsum
 
 
 def random_graph(rng, n):
@@ -56,7 +55,7 @@ def test_forward_matches_scalar_oracle():
         a_hat = normalize_adjacency(g)
         w1 = rng.normal(size=(n_global, 5))
         w2 = rng.normal(size=(5, 3))
-        got = gcn_forward(a_hat, identity_features(g), GcnParams(param(w1), param(w2))).value
+        got = gcn_forward(a_hat, g.node_ids, param(w1), param(w2)).value
         expect = scalar_oracle(a_hat, one_hot(ids, n_global), w1, w2)
         assert np.max(np.abs(got - expect)) < 1e-10
 
@@ -65,21 +64,19 @@ def test_single_isolated_node():
     # A_hat = [[1]], W1 row [2], W2 [[3]] -> relu(2) * 3 = 6.
     g = SnapshotGraph(index=0, nodes=(0,), edges=())
     a_hat = normalize_adjacency(g)
-    params = GcnParams(param(np.array([[2.0]])), param(np.array([[3.0]])))
-    out = gcn_forward(a_hat, identity_features(g), params)
+    out = gcn_forward(a_hat, g.node_ids, param(np.array([[2.0]])), param(np.array([[3.0]])))
     assert out.value.shape == (1, 1)
     assert out.value[0, 0] == 6.0
 
 
 def test_identity_features_select_rows():
     # With X = I restricted to the snapshot nodes, X W1 is a row gather of
-    # the global W1; explicit one-hot matmul must agree exactly.
+    # the global W1; explicit one-hot matmul must agree exactly. An identity
+    # A_hat and W2 and a non-negative W1 leave the gather as the output.
     rng = np.random.default_rng(7)
-    w1_val = rng.normal(size=(10, 4))
+    w1_val = np.abs(rng.normal(size=(10, 4)))
     ids = (1, 4, 9)
-    gathered = first_layer_input(
-        identity_features(SnapshotGraph(index=0, nodes=ids, edges=())),
-        param(w1_val))
+    gathered = gcn_forward(np.eye(3), ids, param(w1_val), param(np.eye(4)))
     assert np.array_equal(gathered.value, one_hot(ids, 10) @ w1_val)
 
 
@@ -87,7 +84,7 @@ def test_identity_gradient_reaches_only_selected_rows():
     w1 = param(np.random.default_rng(0).normal(size=(6, 3)), "w1")
     g = SnapshotGraph(index=0, nodes=(0, 5), edges=((0, 5, 0.5),))
     a_hat = normalize_adjacency(g)
-    out = gcn_forward(a_hat, identity_features(g), GcnParams(w1, param(np.ones((3, 2)))))
+    out = gcn_forward(a_hat, g.node_ids, w1, param(np.ones((3, 2))))
     backward(tsum(out))
     touched = np.abs(w1.grad).sum(axis=1) > 0
     assert touched[0] and touched[5]
@@ -95,22 +92,13 @@ def test_identity_gradient_reaches_only_selected_rows():
 
 
 def test_forward_shape_checks():
-    params = GcnParams(param(np.ones((4, 2))), param(np.ones((2, 2))))
-    pair = identity_features(SnapshotGraph(index=0, nodes=(0, 1), edges=()))
+    w1, w2 = param(np.ones((4, 2))), param(np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        gcn_forward(np.ones((2, 3)), pair, params)
+        gcn_forward(np.ones((2, 3)), (0, 1), w1, w2)
     with pytest.raises(ShapeError):
-        gcn_forward(np.eye(3), pair, params)  # row mismatch
-    with pytest.raises(ShapeError):
-        first_layer_input(identity_features(
-            SnapshotGraph(index=0, nodes=(5,), edges=())), param(np.ones((4, 2))))
-
-
-def test_forward_rejects_dense_features():
-    params = GcnParams(param(np.ones((4, 2))), param(np.ones((2, 2))))
-    for dense in (np.ones((2, 4)), Tensor(np.ones((2, 4)))):
-        with pytest.raises(ConfigError, match="identity_features"):
-            gcn_forward(np.eye(2), dense, params)
+        gcn_forward(np.eye(3), (0, 1), w1, w2)  # row mismatch
+    with pytest.raises(ShapeError, match="node id 5 outside the 4 W1 rows"):
+        gcn_forward(np.eye(1), (5,), w1, w2)
 
 
 def test_embeddings_lookup():

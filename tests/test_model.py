@@ -178,15 +178,34 @@ def test_init_bounds_follow_layer():
 
 def test_chain_shape_validation():
     cfg = ModelConfig(window=1, heads=2, hidden_dim=4, embed_dim=2)
-    good = GcnChain.init(cfg, n_global=5)
+    good = GcnChain.init(cfg, n_global=5).trainable()
     with pytest.raises(ConfigError):
-        GcnChain(cfg, 0, good.w1_first, good.w2, good.transitions)
+        GcnChain(cfg, 0, good)
     with pytest.raises(ShapeError):
-        GcnChain(cfg, 5, param(np.zeros((5, 3)), "w1"), good.w2, good.transitions)
+        GcnChain(cfg, 5, {**good, "w1/0": param(np.zeros((5, 3)), "w1")})
+    with pytest.raises(ShapeError, match="'w2/1'"):
+        GcnChain(cfg, 5, {name: leaf for name, leaf in good.items() if name != "w2/1"})
     with pytest.raises(ShapeError):
-        GcnChain(cfg, 5, good.w1_first, good.w2[:1], good.transitions)
-    with pytest.raises(ShapeError):
-        GcnChain(cfg, 5, good.w1_first, good.w2, [])
+        GcnChain(cfg, 5, {name: leaf for name, leaf in good.items()
+                          if not name.startswith("attn/")})
+    with pytest.raises(ShapeError, match="'w2/2'"):
+        GcnChain(cfg, 5, {**good, "w2/2": good["w2/1"]})
+
+
+def test_chain_keeps_its_leaves_in_spec_order():
+    """Whatever order the leaves come in, the chain holds them in
+    param_spec order, and its views are the very same leaves."""
+    cfg = ModelConfig(window=2, heads=2, hidden_dim=4, embed_dim=2)
+    good = GcnChain.init(cfg, n_global=5)
+    leaves = dict(reversed(good.trainable().items()))
+    chain = GcnChain(cfg, 5, leaves)
+    assert list(chain.trainable()) == list(param_spec(cfg, 5))
+    assert chain.param_digest() == good.param_digest()
+    assert chain.w1_first is leaves["w1/0"]
+    assert all(chain.w2[i] is leaves[f"w2/{i}"] for i in range(3))
+    assert all(head.transform is leaves[f"attn/{t}/{j}/transform"]
+               and head.score_vec is leaves[f"attn/{t}/{j}/score"]
+               for t, tr in enumerate(chain.transitions) for j, head in enumerate(tr.heads))
 
 
 # -- forward ----------------------------------------------------------------

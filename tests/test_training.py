@@ -352,9 +352,9 @@ def test_one_encoder_pass_per_epoch_and_per_inference(monkeypatch):
     calls = []
     encode = model.gcn_forward
 
-    def counting(a_hat, features, params):
-        calls.append(features.ids)
-        return encode(a_hat, features, params)
+    def counting(a_hat, ids, w1, w2):
+        calls.append(tuple(ids.tolist()))
+        return encode(a_hat, ids, w1, w2)
 
     monkeypatch.setattr(model, "gcn_forward", counting)
     window = make_window(window=3)
