@@ -12,7 +12,8 @@ where T is the head's (hidden x hidden) transform and ``a`` its scoring
 vector over the concatenated pair. N_u is the set of graph neighbors of u;
 a node with no neighbors attends to itself with unit edge weight, so every
 neighborhood is nonempty. Rows of nodes absent from the snapshot are
-carried forward unchanged.
+carried forward unchanged. A transition's heads are one recorded op,
+:func:`evolink.tape.edge_attention`, which returns the mean over heads.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .graphs import SnapshotGraph
-from .tape import Tensor, add, as_tensor, edge_attention, edge_softmax, elu, rows, scale, with_rows
+from .tape import Tensor, as_tensor, edge_attention, edge_softmax, elu, rows, with_rows
 
 
 @dataclass
@@ -47,11 +48,15 @@ def attention_coefficients(g: SnapshotGraph, head: AttentionHead, w_prev) -> Ten
 
     Each row is a distribution over the node's attention neighborhood;
     entries outside the neighborhood are exactly zero. A diagnostic: the
-    model itself never forms this matrix.
+    model itself never forms this matrix. The head must be one model's; a
+    stacked head raises ShapeError.
     """
+    if head.transform.value.ndim != 2:
+        raise ShapeError(f"attention_coefficients takes one model's head, got a "
+                         f"transform of shape {head.transform.shape}")
     edges = g.attention_lists
     x = rows(as_tensor(w_prev), g.node_ids).value
-    _, _, alpha = edge_softmax(x, head.transform.value, head.score_vec.value, edges)
+    _, _, alpha = edge_softmax(x, [head.transform.value], [head.score_vec.value], edges)
     return Tensor(edges.matrix(alpha).toarray())
 
 
@@ -63,14 +68,9 @@ def evolve_weights(g: SnapshotGraph, transition: Transition, w_prev) -> Tensor:
     copied from ``w_prev`` unchanged.
     """
     w_prev = as_tensor(w_prev)
-    if not transition.heads:
-        raise ShapeError("transition with no attention heads")
     if g.n == 0:
         raise ShapeError("cannot evolve weights into an empty snapshot")
-    x = rows(w_prev, g.node_ids)
-    mixed = None
-    for head in transition.heads:
-        z = edge_attention(x, head.transform, head.score_vec, g.attention_lists)
-        mixed = z if mixed is None else add(mixed, z)
-    new_rows = elu(scale(mixed, 1.0 / len(transition.heads)))
-    return with_rows(w_prev, g.node_ids, new_rows)
+    heads = transition.heads
+    mixed = edge_attention(rows(w_prev, g.node_ids), [h.transform for h in heads],
+                           [h.score_vec for h in heads], g.attention_lists)
+    return with_rows(w_prev, g.node_ids, elu(mixed))

@@ -23,6 +23,7 @@ from .errors import (
     EmptyEventError,
     MalformedGraphError,
     OutOfRangeError,
+    ShapeError,
     WindowUnderflowError,
 )
 
@@ -246,8 +247,11 @@ class NeighbourLists:
 
         Each call returns a new matrix that shares the pattern's index
         arrays and holds ``data`` itself, not a copy, so ``data`` must not
-        change while the matrix is in use.
+        change while the matrix is in use. ``data`` holds one value per
+        entry, or ShapeError is raised.
         """
+        if data.shape != self.rows.shape:
+            raise ShapeError(f"matrix: {data.shape} values for {self.rows.size} entries")
         m = copy.copy(self._shell)
         m.data = data
         return m

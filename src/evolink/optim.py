@@ -1,11 +1,17 @@
 """Adam optimizer over the tape leaves of a model.
 
-:class:`Adam` keeps one first- and one second-moment array per leaf and
-updates them and the leaf values in place, so a step allocates only its
-temporaries. A leaf whose ``.grad`` is ``None`` (it did not reach the
-loss) is skipped, as ``torch.optim.Adam`` skips it. Gradients are checked
-before any leaf moves: a wrong shape raises ShapeError and a non-finite
-entry raises TrainingDivergedError, leaving every leaf and moment as it was.
+:class:`Adam` keeps the first and second moments of every leaf in two
+flat buffers, in the order of its leaf dict; ``m[name]`` and ``v[name]``
+are views of a leaf's slice. A leaf whose ``.grad`` is ``None`` (it did
+not reach the loss) is skipped, moments included, as ``torch.optim.Adam``
+skips it. A step takes each maximal run of consecutive reached leaves as
+one vector: it concatenates their gradients, updates the run's moments
+in place and forms its update with one elementwise pass, and subtracts
+each leaf's slice from that leaf's value in place. The arithmetic is
+elementwise, so every entry gets the bits of a leaf-by-leaf update.
+Gradients are checked before any leaf moves: a wrong shape raises
+ShapeError and a non-finite entry raises TrainingDivergedError naming its
+leaf, leaving every leaf and moment as it was.
 """
 from __future__ import annotations
 
@@ -25,23 +31,49 @@ class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = float(lr)
-        self.m = {k: np.zeros_like(t.value) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.value) for k, t in params.items()}
+        # Each leaf's [lo, hi) slice of the flat moment buffers.
+        self._slices = {}
+        lo = 0
+        for name, leaf in params.items():
+            self._slices[name] = (lo, lo + leaf.value.size)
+            lo += leaf.value.size
+        self._m, self._v = np.zeros((2, lo))
+        self.m = {k: self._m[a:b].reshape(params[k].shape) for k, (a, b) in self._slices.items()}
+        self.v = {k: self._v[a:b].reshape(params[k].shape) for k, (a, b) in self._slices.items()}
         self.t = 0
 
-    def step(self) -> None:
-        """Apply one update using the ``.grad`` currently on each leaf."""
-        reached = {k: t for k, t in self.params.items() if t.grad is not None}
-        for name, leaf in reached.items():
+    def _runs(self) -> list[list]:
+        """The maximal runs of consecutive reached leaves, each as
+        ``[lo, hi, leaves]``: its slice of the moment buffers and its
+        ``(name, leaf)`` pairs in order. Checks each gradient's shape."""
+        runs: list[list] = []
+        for name, leaf in self.params.items():
+            if leaf.grad is None:
+                continue
             if leaf.grad.shape != leaf.value.shape:
                 raise ShapeError(f"Adam: gradient shape {leaf.grad.shape} for {name!r} "
                                  f"does not match parameter shape {leaf.value.shape}")
-            if not np.all(np.isfinite(leaf.grad)):
+            lo, hi = self._slices[name]
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+                runs[-1][2].append((name, leaf))
+            else:
+                runs.append([lo, hi, [(name, leaf)]])
+        return runs
+
+    def step(self) -> None:
+        """Apply one update using the ``.grad`` currently on each leaf."""
+        runs = self._runs()
+        grads = [np.concatenate([leaf.grad.ravel() for _, leaf in leaves])
+                 for _, _, leaves in runs]
+        for (_, _, leaves), g in zip(runs, grads):
+            if not np.all(np.isfinite(g)):
+                name = next(name for name, leaf in leaves if not np.all(np.isfinite(leaf.grad)))
                 raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bias1, bias2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
-        for name, leaf in reached.items():
-            g, m, v = leaf.grad, self.m[name], self.v[name]
+        for (lo, hi, leaves), g in zip(runs, grads):
+            m, v = self._m[lo:hi], self._v[lo:hi]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
@@ -53,4 +85,6 @@ class Adam:
             update = m / bias1
             update *= self.lr
             update /= denom
-            leaf.value -= update
+            for name, leaf in leaves:
+                a, b = self._slices[name]
+                leaf.value -= update[a - lo:b - lo].reshape(leaf.value.shape)

@@ -20,6 +20,13 @@ operations in the same order as its one-model call, so each model's values
 and gradients have the bits they would have alone. The other ops are
 elementwise, reductions, or products with a constant, which the caller
 makes block diagonal.
+
+:func:`edge_attention` also takes a second axis, the H heads of an
+attention transition, each its own leaf. It evaluates them as one op on
+H copies of the neighbour pattern, sharing the input rows, and forms for
+every head the operations of its one-head call; the heads' results and
+their gradients with respect to the shared input are added in head order,
+as :func:`add` would add H one-head ops.
 """
 from __future__ import annotations
 
@@ -422,34 +429,46 @@ def sqrt(a) -> Tensor:
 EDGE_BLOCK = 1024
 
 
-def edge_softmax(x: Array, transform: Array, score_vec: Array,
-                 edges: NeighbourLists) -> tuple[Array, Array, Array]:
-    """The coefficients of one attention head over neighbour lists.
+def _heads(transforms, score_vecs) -> tuple[Array, Array]:
+    """A transition's H heads as (G, H, d, d) and (G, H, 2d, 1) stacks.
 
-    ``x`` is (n, d), ``transform`` (d, d), ``score_vec`` (2d, 1) and
-    ``edges`` the symmetric neighbour lists of the n rows, every row
-    non-empty. With ``p = x transform^T``, the entry from ``u`` to ``v``
-    scores ``s = sigmoid(w_uv (p_u . score_vec[:d] + p_v . score_vec[d:]))``
-    and its coefficient ``alpha`` is the softmax of ``s`` over row ``u``'s
-    entries. Returns ``(p, s, alpha)``, the last two per entry. Records
-    nothing. For a stack of G heads, ``transform`` (G, d, d) and
-    ``score_vec`` (G, 2d, 1), ``x`` stacks the G models' rows and the
-    entries are those of ``edges.tile(G)``.
+    Each head is a (d, d) transform and a (2d, 1) score vector, or G of
+    each stacked on a leading model axis; every head has the shapes of
+    the first. One head is viewed, not copied.
     """
-    t3 = _stack(transform)
-    models, d = t3.shape[0], t3.shape[-1]
-    if t3.shape[1] != d:
-        raise ShapeError(f"head transform must be square, got {transform.shape}")
-    if score_vec.shape != transform.shape[:-2] + (2 * d, 1):
-        raise ShapeError(f"score vector shape {score_vec.shape} does not match (2*{d}, 1)")
-    lists = edges.tile(models)
-    if x.ndim != 2 or x.shape != (lists.n, d):
-        raise ShapeError(f"edge_softmax: rows {x.shape} do not match ({lists.n}, {d})")
+    if not transforms or len(transforms) != len(score_vecs):
+        raise ShapeError(f"attention needs one score vector per head and at least one "
+                         f"head, got {len(transforms)} transforms and {len(score_vecs)} "
+                         f"score vectors")
+    t0, a0 = transforms[0], score_vecs[0]
+    d = t0.shape[-1]
+    if t0.ndim not in (2, 3) or t0.shape[-2] != d:
+        raise ShapeError(f"head transform must be square, got {t0.shape}")
+    if a0.shape != t0.shape[:-2] + (2 * d, 1):
+        raise ShapeError(f"score vector shape {a0.shape} does not match (2*{d}, 1)")
+    if any(t.shape != t0.shape for t in transforms) or any(a.shape != a0.shape
+                                                          for a in score_vecs):
+        raise ShapeError("attention heads differ in shape")
+    if len(transforms) == 1:
+        return _stack(t0)[:, None], _stack(a0)[:, None]
+    return (np.stack([_stack(t) for t in transforms], axis=1),
+            np.stack([_stack(a) for a in score_vecs], axis=1))
+
+
+def _softmax(x: Array, t4: Array, a4: Array,
+             edges: NeighbourLists) -> tuple[Array, Array, Array]:
+    """:func:`edge_softmax` of the stacks :func:`_heads` makes."""
+    models, heads, d = t4.shape[0], t4.shape[1], t4.shape[-1]
+    if x.ndim != 2 or x.shape != (models * edges.n, d):
+        raise ShapeError(f"edge_softmax: rows {x.shape} do not match "
+                         f"({models * edges.n}, {d})")
     if np.any(edges.indptr[1:] == edges.indptr[:-1]):
         raise DegenerateSoftmaxError("softmax row with no neighbour entry")
-    a3 = _stack(score_vec)
-    p3 = x.reshape(models, -1, d) @ t3.swapaxes(1, 2)
-    pair = (p3 @ a3[:, :d]).reshape(-1)[lists.rows] + (p3 @ a3[:, d:]).reshape(-1)[lists.cols]
+    lists = edges.tile(models * heads)
+    # Every head of a model projects the same x: a broadcast product, with
+    # each head's GEMM of the shape it has alone.
+    p = x.reshape(models, 1, -1, d) @ t4.swapaxes(2, 3)
+    pair = (p @ a4[:, :, :d]).reshape(-1)[lists.rows] + (p @ a4[:, :, d:]).reshape(-1)[lists.cols]
     pair *= lists.weights
     s = expit(pair, out=pair)
     if not np.all(np.isfinite(s)):
@@ -457,57 +476,130 @@ def edge_softmax(x: Array, transform: Array, score_vec: Array,
     # Scores lie in [0, 1], so their exponentials need no shift.
     e = np.exp(s)
     alpha = e / np.bincount(lists.rows, e, minlength=lists.n)[lists.rows]
-    return p3.reshape(-1, d), s, alpha
+    return p.reshape(-1, d), s, alpha
 
 
-def edge_attention(x, transform, score_vec, edges: NeighbourLists) -> Tensor:
-    """One attention head over neighbour lists as one recorded op.
+def edge_softmax(x: Array, transforms, score_vecs,
+                 edges: NeighbourLists) -> tuple[Array, Array, Array]:
+    """The coefficients of a transition's H attention heads over neighbour
+    lists.
 
-    Row ``u`` of the (n, d) result is ``sum_v alpha_uv p_v`` with ``p`` and
-    ``alpha`` from :func:`edge_softmax`, which also states the shapes of a
-    stack of heads. The backward is derived by hand, so the tape holds
-    per-entry vectors and (n, d) matrices, never an (n, n) one.
+    ``x`` is (n, d), each of the H ``transforms`` (d, d) and each of the
+    ``score_vecs`` (2d, 1), and ``edges`` the symmetric neighbour lists of
+    the n rows, every row non-empty. For head ``h``, with
+    ``p = x transform_h^T``, the entry from ``u`` to ``v`` scores
+    ``s = sigmoid(w_uv (p_u . score_vec_h[:d] + p_v . score_vec_h[d:]))``
+    and its coefficient ``alpha`` is the softmax of ``s`` over row ``u``'s
+    entries. Returns ``(p, s, alpha)``: the H heads' ``p`` stacked by rows,
+    (H * n, d), and ``s`` and ``alpha`` per entry of ``edges.tile(H)``.
+    Records nothing. For G stacked models, each transform is (G, d, d) and
+    each score vector (G, 2d, 1), ``x`` stacks the G models' rows, and the
+    blocks run model-major over ``edges.tile(G * H)``: model ``m``'s head
+    ``h`` is block ``m * H + h``.
     """
-    x, transform, score_vec = as_tensor(x), as_tensor(transform), as_tensor(score_vec)
-    p, s, alpha = edge_softmax(x.value, transform.value, score_vec.value, edges)
-    t3, a3 = _stack(transform.value), _stack(score_vec.value)
-    models = t3.shape[0]
-    lists = edges.tile(models)
-    value = lists.matrix(alpha) @ p
-    if not (x.requires_grad or transform.requires_grad or score_vec.requires_grad):
+    return _softmax(x, *_heads(transforms, score_vecs), edges)
+
+
+def _head_sum(a: Array) -> Array:
+    """The sum over the head axis of a (G, H, ...) array, added in head
+    order into a new array; for one head, a view of its slice."""
+    if a.shape[1] == 1:
+        return a[:, 0]
+    total = a[:, 0] + a[:, 1]
+    for h in range(2, a.shape[1]):
+        total += a[:, h]
+    return total
+
+
+def edge_attention(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
+    """A transition's H attention heads over neighbour lists as one recorded
+    op, returning their mean.
+
+    Head ``h`` gives row ``u`` the mixture ``sum_v alpha_uv p_v`` with
+    ``p`` and ``alpha`` from :func:`edge_softmax`, which also states the
+    shapes of stacked models; the (n, d) result, (G * n, d) for a stack,
+    adds the heads' mixtures in head order and multiplies the sum by
+    ``1 / H``. Each head's transform and score vector stays its own leaf.
+    The backward is derived by hand, so the tape holds per-entry vectors
+    and (n, d) matrices, never an (n, n) one. A head's value and gradients
+    have the bits of the one-head call, and the sum and scaling those of
+    :func:`add` and :func:`scale`.
+    """
+    x = as_tensor(x)
+    transforms = [as_tensor(t) for t in transforms]
+    score_vecs = [as_tensor(a) for a in score_vecs]
+    t4, a4 = _heads([t.value for t in transforms], [a.value for a in score_vecs])
+    p, s, alpha = _softmax(x.value, t4, a4, edges)
+    models, heads, d = t4.shape[0], t4.shape[1], t4.shape[-1]
+    lists = edges.tile(models * heads)
+    z = lists.matrix(alpha) @ p
+    value = _head_sum(z.reshape(models, heads, -1, d))
+    if heads > 1:
+        value *= 1.0 / heads
+    value = value.reshape(-1, d)
+    leaves = (x, *transforms, *score_vecs)
+    if not any(t.requires_grad for t in leaves):
         return Tensor(value)
-    u, v, n, d = lists.rows, lists.cols, lists.n, p.shape[1]
+    u, v, n = lists.rows, lists.cols, lists.n
     # The transposed coefficients, on the same pattern. The closure holds
-    # this matrix until the backward pass runs, after every later head's
-    # forward pass, so each call's matrix must own its data.
+    # this matrix until the backward pass runs, after every later
+    # transition's forward pass, so each call's matrix must own its data.
     alpha_t = lists.matrix(alpha[lists.transpose])
+    if heads > 1:
+        # The row of its model's g that each row of every head reads.
+        model_row = np.arange(models * edges.n).reshape(models, 1, -1).repeat(heads, 1).ravel()
+
+    # One head's projection is held for the backward pass. Several heads'
+    # are formed again there, with the same bits, rather than held as H
+    # (n, d) arrays per transition beside the loss's buffers.
+    held = p if heads == 1 else None
 
     def bw(g: Array) -> None:
-        dp = alpha_t @ g
-        # Through the softmax: a row's sum of alpha * d_alpha is g_u . value_u.
+        proj = held
+        if heads > 1:
+            proj = (x.value.reshape(models, 1, -1, d) @ t4.swapaxes(2, 3)).reshape(-1, d)
+            # Each head's share of the mean's gradient, as scale gives it.
+            g = g * (1.0 / heads)
+        # Through the softmax: a row's sum of alpha * d_alpha is g_u . z_u.
         # Each entry's dot product is the same in any block of entries.
-        d_alpha = np.empty(u.size)
+        d_pair = np.empty(u.size)
         for lo in range(0, u.size, EDGE_BLOCK):
             hi = lo + EDGE_BLOCK
-            np.einsum("ij,ij->i", g[u[lo:hi]], p[v[lo:hi]], out=d_alpha[lo:hi])
-        d_s = alpha * (d_alpha - np.einsum("ij,ij->i", g, value)[u])
-        d_pair = d_s * s * (1.0 - s) * lists.weights
-        d_src = np.bincount(u, d_pair, minlength=n).reshape(models, -1, 1)
-        d_dst = np.bincount(v, d_pair, minlength=n).reshape(models, -1, 1)
-        dp3 = dp.reshape(models, -1, d)
-        dp3 += d_src * a3[:, None, :d, 0]
-        dp3 += d_dst * a3[:, None, d:, 0]
-        if score_vec.requires_grad:
-            pt = p.reshape(models, -1, d).swapaxes(1, 2)
-            _accumulate(score_vec, np.concatenate([pt @ d_src, pt @ d_dst], axis=1)
-                        .reshape(score_vec.shape), fresh=True)
-        if transform.requires_grad:
-            _accumulate(transform, (dp3.swapaxes(1, 2) @ x.value.reshape(models, -1, d))
-                        .reshape(transform.shape), fresh=True)
+            at = u[lo:hi] if heads == 1 else model_row[u[lo:hi]]
+            np.einsum("ij,ij->i", g[at], proj[v[lo:hi]], out=d_pair[lo:hi])
+        if heads > 1:
+            # Every head's copy of g, made after the entry blocks so that
+            # it is not held beside them.
+            g = np.broadcast_to(g.reshape(models, 1, -1, d),
+                                (models, heads, edges.n, d)).reshape(-1, d)
+        # d_pair = alpha * (d_alpha - (g . z)[u]) * s * (1 - s) * weights,
+        # formed in place in that order.
+        d_pair -= np.einsum("ij,ij->i", g, z)[u]
+        d_pair *= alpha
+        d_pair *= s
+        d_pair *= 1.0 - s
+        d_pair *= lists.weights
+        d_src = np.bincount(u, d_pair, minlength=n).reshape(models, heads, -1, 1)
+        d_dst = np.bincount(v, d_pair, minlength=n).reshape(models, heads, -1, 1)
+        dp4 = (alpha_t @ g).reshape(models, heads, -1, d)
+        del g, d_pair  # not held beside the gradient products below
+        dp4 += d_src * a4[:, :, None, :d, 0]
+        dp4 += d_dst * a4[:, :, None, d:, 0]
+        if any(a.requires_grad for a in score_vecs):
+            pt = proj.reshape(models, heads, -1, d).swapaxes(2, 3)
+            grad = np.concatenate([pt @ d_src, pt @ d_dst], axis=2)
+            for h, a in enumerate(score_vecs):
+                if a.requires_grad:
+                    _accumulate(a, grad[:, h].reshape(a.shape), fresh=True)
+        if any(t.requires_grad for t in transforms):
+            grad = dp4.swapaxes(2, 3) @ x.value.reshape(models, 1, -1, d)
+            for h, t in enumerate(transforms):
+                if t.requires_grad:
+                    _accumulate(t, grad[:, h].reshape(t.shape), fresh=True)
         if x.requires_grad:
-            _accumulate(x, (dp3 @ t3).reshape(x.shape), fresh=True)
+            _accumulate(x, _head_sum(dp4 @ t4).reshape(x.shape), fresh=True)
 
-    return Tensor(value, _parents=(x, transform, score_vec), _backward=bw)
+    return Tensor(value, _parents=leaves, _backward=bw)
 
 
 # Rows of ``expit(z z^T)`` that :func:`rmse_sigmoid_gram` holds at a time.

@@ -189,20 +189,28 @@ def test_head_shape_validation():
         attention_coefficients(g, short, Tensor(np.zeros((2, 2))))
     with pytest.raises(ShapeError):
         evolve_weights(g, Transition(heads=[]), Tensor(np.zeros((2, 2))))
+    # A stack of two models' heads has two coefficient matrices, not one.
+    stacked = AttentionHead(transform=param(np.ones((2, 2, 2))),
+                            score_vec=param(np.ones((2, 4, 1))))
+    with pytest.raises(ShapeError):
+        attention_coefficients(g, stacked, Tensor(np.zeros((2, 2))))
 
 
-def two_head_gradients_agree(rng) -> bool:
-    """Central differences against the analytic gradient of a two-head
-    transition's weighted readout, on every head parameter."""
+def two_transition_gradients_agree(rng) -> bool:
+    """Central differences against the analytic gradient of the weighted
+    readout of two two-head transitions into one snapshot, on every head
+    parameter."""
     g = random_graph(rng, 7, p=0.4)
-    transition = Transition(heads=[head_from(rng, 3), head_from(rng, 3)])
+    first, second = (Transition(heads=[head_from(rng, 3), head_from(rng, 3)])
+                     for _ in range(2))
     w_prev = param(rng.normal(size=(9, 3)), "w_prev")
     read = Tensor(rng.normal(size=(9, 3)))
 
     def loss():
-        return tsum(mul(evolve_weights(g, transition, w_prev), read))
+        return tsum(mul(evolve_weights(g, second, evolve_weights(g, first, w_prev)), read))
 
-    leaves = [w_prev] + [t for h in transition.heads for t in (h.transform, h.score_vec)]
+    leaves = [w_prev] + [t for tr in (first, second) for h in tr.heads
+                         for t in (h.transform, h.score_vec)]
     backward(loss())
     for leaf, grad in [(leaf, leaf.grad.copy()) for leaf in leaves]:
         flat = leaf.value.reshape(-1)
@@ -221,11 +229,12 @@ def two_head_gradients_agree(rng) -> bool:
 
 @pytest.mark.parametrize("share", ["object", "buffer"])
 def test_heads_whose_matrices_share_storage_fail_the_gradient_check(share, monkeypatch):
-    """Each head's backward holds a matrix built in its forward pass, so a
-    ``matrix()`` that handed every call on one pattern the same matrix
-    object, or the same data buffer, would give a two-head transition
-    wrong gradients. The real one passes the check; both mutants fail it."""
-    assert two_head_gradients_agree(np.random.default_rng(5))
+    """Each transition's backward holds a matrix built in its forward pass,
+    so a ``matrix()`` that handed every call on one pattern the same matrix
+    object, or the same data buffer, would give two transitions into one
+    snapshot wrong gradients. The real one passes the check; both mutants
+    fail it."""
+    assert two_transition_gradients_agree(np.random.default_rng(5))
     real = graphs.NeighbourLists.matrix
     shared = {}
 
@@ -241,4 +250,4 @@ def test_heads_whose_matrices_share_storage_fail_the_gradient_check(share, monke
 
     monkeypatch.setattr(graphs.NeighbourLists, "matrix",
                         one_object if share == "object" else one_buffer)
-    assert not two_head_gradients_agree(np.random.default_rng(5))
+    assert not two_transition_gradients_agree(np.random.default_rng(5))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import check_event, check_snapshot
 
 from evolink.errors import (EmptyEventError, MalformedGraphError,
-                            OutOfRangeError, WindowUnderflowError)
+                            OutOfRangeError, ShapeError, WindowUnderflowError)
 from evolink.graphs import (WEIGHT_EPS, EventSequence, RawEvent, SnapshotGraph,
                             WeightScale, build_window, normalize_adjacency,
                             normalize_weights, unobserved_links)
@@ -352,6 +352,10 @@ def test_matrix_is_the_checked_csr_build_without_a_copy(windows):
     assert np.array_equal(got @ x, want @ x)
     other = lists.matrix(2.0 * data)
     assert other is not got and got.data is data
+    # scipy reads only the first rows.size values of a longer array.
+    for wrong in (np.tile(data, 2), data[:-1], data[:, None]):
+        with pytest.raises(ShapeError):
+            lists.matrix(wrong)
 
 
 def test_tiled_lists_are_disjoint_copies(windows):

@@ -128,3 +128,50 @@ def test_wrapper_leaves_unreached_params_untouched():
     assert dead.value[0] == 7.0
     assert np.array_equal(opt.m["dead"], [0.0])
     assert w.value[0] != 1.0
+
+
+def test_runs_of_reached_leaves_skip_the_leaf_between_them():
+    # Two runs, "a" and "c"-"d", around an unreached "b": each reached leaf
+    # moves as it would alone, and "b" keeps its value and zero moments.
+    rng = np.random.default_rng(3)
+    values = {k: rng.normal(size=shape) for k, shape in
+              (("a", (2, 3)), ("b", (4,)), ("c", (3, 1)), ("d", (2, 2)))}
+    leaves = {k: param(v.copy(), k) for k, v in values.items()}
+    opt = Adam(leaves, lr=0.01)
+    grads = {k: rng.normal(size=values[k].shape) for k in ("a", "c", "d")}
+    grad_step(opt, **grads)
+    for k, g in grads.items():
+        alone = param(values[k].copy(), k)
+        grad_step(Adam({k: alone}, lr=0.01), **{k: g})
+        assert np.array_equal(leaves[k].value, alone.value), k
+    assert np.array_equal(leaves["b"].value, values["b"])
+    assert not opt.m["b"].any() and not opt.v["b"].any()
+
+
+def test_a_leaf_left_out_of_a_step_keeps_its_value_and_moments():
+    # As torch.optim.Adam skips a parameter whose grad is None.
+    a = param(np.array([1.0, 2.0]), "a")
+    b = param(np.array([[3.0]]), "b")
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    grad_step(opt, a=[0.5, -0.5], b=[[2.0]])
+    kept = (b.value.copy(), opt.m["b"].copy(), opt.v["b"].copy())
+    b.grad = None
+    grad_step(opt, a=[0.25, 0.75])
+    assert opt.t == 2
+    assert np.array_equal(b.value, kept[0])
+    assert np.array_equal(opt.m["b"], kept[1]) and np.array_equal(opt.v["b"], kept[2])
+
+
+def test_non_finite_gradient_in_a_later_run_moves_nothing():
+    leaves = {k: param(np.full(2, float(i)), k) for i, k in enumerate("abc")}
+    opt = Adam(leaves, lr=0.1)
+    grad_step(opt, a=np.ones(2), b=np.ones(2), c=np.ones(2))
+    before = {k: (t.value.copy(), opt.m[k].copy(), opt.v[k].copy())
+              for k, t in leaves.items()}
+    leaves["b"].grad = None
+    with pytest.raises(TrainingDivergedError, match="'c'"):
+        grad_step(opt, a=np.ones(2), c=[1.0, np.inf])
+    assert opt.t == 1
+    for k, (value, m, v) in before.items():
+        assert np.array_equal(leaves[k].value, value), k
+        assert np.array_equal(opt.m[k], m) and np.array_equal(opt.v[k], v), k

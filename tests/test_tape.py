@@ -184,10 +184,10 @@ def test_edge_attention_gradients_and_structure(rng):
     transform = param(rng.normal(0, 1.5, size=(3, 3)), "transform")
     score_vec = param(rng.normal(0, 1.5, size=(6, 1)), "score_vec")
     read = Tensor(rng.normal(size=(n, 3)))
-    fd_check(lambda: tsum(mul(edge_attention(x, transform, score_vec, lists), read)),
+    fd_check(lambda: tsum(mul(edge_attention(x, [transform], [score_vec], lists), read)),
              [x, transform, score_vec])
 
-    p, s, alpha = edge_softmax(x.value, transform.value, score_vec.value, lists)
+    p, s, alpha = edge_softmax(x.value, [transform.value], [score_vec.value], lists)
     pair = lists.weights * ((p @ score_vec.value[:3, 0])[lists.rows]
                             + (p @ score_vec.value[3:, 0])[lists.cols])
     assert np.abs(pair).max() > 8.0
@@ -209,7 +209,7 @@ def test_edge_attention_backward_in_entry_blocks(rng, monkeypatch):
     read = Tensor(rng.normal(size=(n, 3)))
 
     def loss():
-        return tsum(mul(edge_attention(*leaves, lists), read))
+        return tsum(mul(edge_attention(leaves[0], [leaves[1]], [leaves[2]], lists), read))
 
     grads = []
     for block in (tape.EDGE_BLOCK, 7, 1):
@@ -234,8 +234,8 @@ def test_edge_attention_matches_the_dense_formula(rng):
         score_vec = rng.normal(size=(2 * d, 1))
         lists = neighbour_lists(n, edges)
         alpha, mixed = dense_head(x, transform, score_vec, n, edges)
-        _, _, got_alpha = edge_softmax(x, transform, score_vec, lists)
-        got = edge_attention(Tensor(x), Tensor(transform), Tensor(score_vec), lists).value
+        _, _, got_alpha = edge_softmax(x, [transform], [score_vec], lists)
+        got = edge_attention(Tensor(x), [Tensor(transform)], [Tensor(score_vec)], lists).value
         assert np.max(np.abs(lists.matrix(got_alpha).toarray() - alpha)) < 1e-12, trial
         assert np.max(np.abs(got - mixed)) < 1e-12, trial
 
@@ -248,10 +248,10 @@ def test_edge_attention_stays_finite_under_large_scores():
     transform = np.eye(2)
     score_vec = np.array([[1.0], [2.0], [-3.0], [0.5]])
     alpha, mixed = dense_head(x, transform, score_vec, n, edges)
-    _, s, got_alpha = edge_softmax(x, transform, score_vec, lists)
+    _, s, got_alpha = edge_softmax(x, [transform], [score_vec], lists)
     assert np.all(np.minimum(s, 1.0 - s) < 1e-12)  # every score saturated
     assert np.allclose(lists.matrix(got_alpha).toarray(), alpha, rtol=0.0, atol=1e-12)
-    got = edge_attention(Tensor(x), Tensor(transform), Tensor(score_vec), lists).value
+    got = edge_attention(Tensor(x), [Tensor(transform)], [Tensor(score_vec)], lists).value
     assert np.allclose(got, mixed, rtol=1e-12, atol=0.0)
 
 
@@ -259,11 +259,85 @@ def test_edge_attention_rejects_an_empty_row():
     lists = NeighbourLists.symmetric(3, np.array([0]), np.array([1]), np.array([0.5]),
                                      np.array([], dtype=np.intp))
     with pytest.raises(DegenerateSoftmaxError):
-        edge_attention(Tensor(np.ones((3, 2))), Tensor(np.eye(2)), Tensor(np.ones((4, 1))),
+        edge_attention(Tensor(np.ones((3, 2))), [Tensor(np.eye(2))], [Tensor(np.ones((4, 1)))],
                        lists)
     with pytest.raises(ShapeError):
-        edge_attention(Tensor(np.ones((2, 2))), Tensor(np.eye(2)), Tensor(np.ones((4, 1))),
+        edge_attention(Tensor(np.ones((2, 2))), [Tensor(np.eye(2))], [Tensor(np.ones((4, 1)))],
                        neighbour_lists(3, [(0, 1, 0.5)]))
+
+
+# -- a transition's heads as one op ------------------------------------------
+
+def head_leaves(rng, n, heads, models):
+    """``x`` over ``models`` stacked copies of n rows, and ``heads`` heads
+    of transforms and score vectors (stacked when ``models`` > 1)."""
+    lead = (models,) if models > 1 else ()
+    x = param(rng.normal(0, 1.5, size=(models * n, 3)), "x")
+    transforms = [param(rng.normal(0, 1.5, size=lead + (3, 3)), f"transform/{h}")
+                  for h in range(heads)]
+    score_vecs = [param(rng.normal(0, 1.5, size=lead + (6, 1)), f"score/{h}")
+                  for h in range(heads)]
+    return x, transforms, score_vecs
+
+
+def one_head_calls(x, transforms, score_vecs, lists):
+    """The heads' mean as H one-head calls added in head order and scaled
+    by 1 / H."""
+    mixed = None
+    for transform, score_vec in zip(transforms, score_vecs):
+        z = edge_attention(x, [transform], [score_vec], lists)
+        mixed = z if mixed is None else add(mixed, z)
+    return scale(mixed, 1.0 / len(transforms))
+
+
+@pytest.mark.parametrize("models", [1, 2])
+def test_heads_as_one_op_keep_the_bits_of_one_head_calls(rng, monkeypatch, models):
+    """Three heads as one op give the value and every gradient (x, each
+    transform, each score vector) of three one-head calls combined with
+    add and scale, bit for bit, in any block of entries."""
+    n, edges = hub_graph()
+    lists = neighbour_lists(n, edges)
+    x, transforms, score_vecs = head_leaves(rng, n, 3, models)
+    leaves = [x, *transforms, *score_vecs]
+    read = Tensor(rng.normal(size=(models * n, 3)))
+
+    def run(op):
+        out = op(x, transforms, score_vecs, lists)
+        backward(tsum(mul(out, read)))
+        return out.value, [leaf.grad for leaf in leaves]
+
+    want, want_grads = run(one_head_calls)
+    for block in (1024, 7, 1):
+        monkeypatch.setattr(tape, "EDGE_BLOCK", block)
+        got, got_grads = run(edge_attention)
+        assert got.shape == (models * n, 3) and np.array_equal(got, want), block
+        for leaf, grad, expected in zip(leaves, got_grads, want_grads):
+            assert np.array_equal(grad, expected), (block, leaf.name)
+
+
+def test_stacked_heads_gradients(rng):
+    """Finite differences through three heads over a stack of two models."""
+    n, edges = hub_graph()
+    lists = neighbour_lists(n, edges)
+    x, transforms, score_vecs = head_leaves(rng, n, 3, 2)
+    read = Tensor(rng.normal(size=(2 * n, 3)))
+    fd_check(lambda: tsum(mul(edge_attention(x, transforms, score_vecs, lists), read)),
+             [x, *transforms, *score_vecs])
+
+
+def test_head_lists_must_match():
+    """No head, a score vector short, or heads of different shapes."""
+    lists = neighbour_lists(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    x = Tensor(np.ones((3, 2)))
+    eye, col = Tensor(np.eye(2)), Tensor(np.ones((4, 1)))
+    for transforms, score_vecs in (([], []), ([eye], []), ([eye, eye], [col]),
+                                   ([eye, Tensor(np.eye(3))], [col, Tensor(np.ones((6, 1)))]),
+                                   ([eye, eye], [col, Tensor(np.ones((1, 4, 1)))])):
+        with pytest.raises(ShapeError):
+            edge_attention(x, transforms, score_vecs, lists)
+        with pytest.raises(ShapeError):
+            edge_softmax(x.value, [t.value for t in transforms],
+                         [a.value for a in score_vecs], lists)
 
 
 def test_constant_matmul_takes_dense_and_sparse(rng):
@@ -601,7 +675,7 @@ def test_stacked_ops_give_every_model_its_own_bits(rng):
         stacked = p["w1"].value.ndim == 3
         copies = models if stacked else 1
         x = rows(p["w1"], ids)
-        mixed = elu(edge_attention(x, p["transform"], p["score"], g.attention_lists))
+        mixed = elu(edge_attention(x, [p["transform"]], [p["score"]], g.attention_lists))
         w1 = with_rows(p["w1"], ids, mixed)
         h = relu(constant_matmul(g.propagation(copies), rows(w1, g.node_ids)))
         z = matmul(constant_matmul(g.propagation(copies), h), p["w2"])
@@ -629,10 +703,10 @@ def test_stacked_edge_attention_gradients(rng):
     transform = param(rng.normal(0, 1.5, size=(2, 3, 3)), "transform")
     score_vec = param(rng.normal(0, 1.5, size=(2, 6, 1)), "score_vec")
     read = Tensor(rng.normal(size=(2 * n, 3)))
-    fd_check(lambda: tsum(mul(edge_attention(x, transform, score_vec, lists), read)),
+    fd_check(lambda: tsum(mul(edge_attention(x, [transform], [score_vec], lists), read)),
              [x, transform, score_vec])
     with pytest.raises(ShapeError):
-        edge_attention(Tensor(np.ones((n, 3))), transform, score_vec, lists)
+        edge_attention(Tensor(np.ones((n, 3))), [transform], [score_vec], lists)
 
 
 def test_stacked_loss_shape_checks(rng):

@@ -432,7 +432,10 @@ def test_no_n_by_n_value_is_recorded_outside_the_loss(viewers_320):
                  if isinstance(c.cell_contents, np.ndarray)]
     square = [a.shape for a in kept
               if a.ndim == 2 and a.shape[0] in sizes and a.shape[1] in sizes]
-    assert len(seen) > 50
+    # The walk covers the whole pass: every leaf the loss reads.
+    walked = {name for name, leaf in chain.trainable().items() if id(leaf) in seen}
+    assert walked == {"w1/0", "w2/3"} | {name for name in chain.trainable()
+                                         if name.startswith("attn/")}
     assert square == []
 
 
