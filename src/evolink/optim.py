@@ -42,11 +42,11 @@ class Adam:
         self.v = {k: self._v[a:b].reshape(params[k].shape) for k, (a, b) in self._slices.items()}
         self.t = 0
 
-    def _runs(self) -> list[list]:
-        """The maximal runs of consecutive reached leaves, each as
-        ``[lo, hi, leaves]``: its slice of the moment buffers and its
-        ``(name, leaf)`` pairs in order. Checks each gradient's shape."""
-        runs: list[list] = []
+    def _runs(self) -> list[list[tuple[str, Tensor, int, int]]]:
+        """The maximal runs of consecutive reached leaves, each a list of
+        ``(name, leaf, lo, hi)`` with the leaf's slice of the moment
+        buffers. Checks each gradient's shape."""
+        runs: list[list[tuple[str, Tensor, int, int]]] = []
         for name, leaf in self.params.items():
             if leaf.grad is None:
                 continue
@@ -54,25 +54,24 @@ class Adam:
                 raise ShapeError(f"Adam: gradient shape {leaf.grad.shape} for {name!r} "
                                  f"does not match parameter shape {leaf.value.shape}")
             lo, hi = self._slices[name]
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-                runs[-1][2].append((name, leaf))
+            if runs and runs[-1][-1][3] == lo:
+                runs[-1].append((name, leaf, lo, hi))
             else:
-                runs.append([lo, hi, [(name, leaf)]])
+                runs.append([(name, leaf, lo, hi)])
         return runs
 
     def step(self) -> None:
         """Apply one update using the ``.grad`` currently on each leaf."""
         runs = self._runs()
-        grads = [np.concatenate([leaf.grad.ravel() for _, leaf in leaves])
-                 for _, _, leaves in runs]
-        for (_, _, leaves), g in zip(runs, grads):
-            if not np.all(np.isfinite(g)):
-                name = next(name for name, leaf in leaves if not np.all(np.isfinite(leaf.grad)))
+        grads = [np.concatenate([leaf.grad.ravel() for _, leaf, _, _ in run]) for run in runs]
+        for run, g in zip(runs, grads):
+            if not np.isfinite(g).all():
+                name = next(name for name, leaf, _, _ in run if not np.isfinite(leaf.grad).all())
                 raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bias1, bias2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
-        for (lo, hi, leaves), g in zip(runs, grads):
+        for run, g in zip(runs, grads):
+            lo, hi = run[0][2], run[-1][3]
             m, v = self._m[lo:hi], self._v[lo:hi]
             m *= BETA1
             m += (1.0 - BETA1) * g
@@ -85,6 +84,5 @@ class Adam:
             update = m / bias1
             update *= self.lr
             update /= denom
-            for name, leaf in leaves:
-                a, b = self._slices[name]
+            for _, leaf, a, b in run:
                 leaf.value -= update[a - lo:b - lo].reshape(leaf.value.shape)

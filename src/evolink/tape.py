@@ -446,13 +446,20 @@ def _heads(transforms, score_vecs) -> tuple[Array, Array]:
         raise ShapeError(f"head transform must be square, got {t0.shape}")
     if a0.shape != t0.shape[:-2] + (2 * d, 1):
         raise ShapeError(f"score vector shape {a0.shape} does not match (2*{d}, 1)")
+    if len(transforms) == 1:
+        return t0.reshape(-1, 1, d, d), a0.reshape(-1, 1, 2 * d, 1)
     if any(t.shape != t0.shape for t in transforms) or any(a.shape != a0.shape
                                                           for a in score_vecs):
         raise ShapeError("attention heads differ in shape")
-    if len(transforms) == 1:
-        return _stack(t0)[:, None], _stack(a0)[:, None]
-    return (np.stack([_stack(t) for t in transforms], axis=1),
-            np.stack([_stack(a) for a in score_vecs], axis=1))
+    return (np.stack([t.reshape(-1, d, d) for t in transforms], axis=1),
+            np.stack([a.reshape(-1, 2 * d, 1) for a in score_vecs], axis=1))
+
+
+def _project(x: Array, t4: Array) -> Array:
+    """Every head's ``x transform^T``, (G, H, n, d). A model's heads share
+    its rows of ``x`` through a broadcast product, so each head's GEMM has
+    the shape it has alone."""
+    return x.reshape(t4.shape[0], 1, -1, t4.shape[-1]) @ t4.swapaxes(2, 3)
 
 
 def _softmax(x: Array, t4: Array, a4: Array,
@@ -462,16 +469,14 @@ def _softmax(x: Array, t4: Array, a4: Array,
     if x.ndim != 2 or x.shape != (models * edges.n, d):
         raise ShapeError(f"edge_softmax: rows {x.shape} do not match "
                          f"({models * edges.n}, {d})")
-    if np.any(edges.indptr[1:] == edges.indptr[:-1]):
+    if (edges.indptr[1:] == edges.indptr[:-1]).any():
         raise DegenerateSoftmaxError("softmax row with no neighbour entry")
     lists = edges.tile(models * heads)
-    # Every head of a model projects the same x: a broadcast product, with
-    # each head's GEMM of the shape it has alone.
-    p = x.reshape(models, 1, -1, d) @ t4.swapaxes(2, 3)
+    p = _project(x, t4)
     pair = (p @ a4[:, :, :d]).reshape(-1)[lists.rows] + (p @ a4[:, :, d:]).reshape(-1)[lists.cols]
     pair *= lists.weights
     s = expit(pair, out=pair)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NumericError("non-finite attention score")
     # Scores lie in [0, 1], so their exponentials need no shift.
     e = np.exp(s)
@@ -532,11 +537,10 @@ def edge_attention(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
     p, s, alpha = _softmax(x.value, t4, a4, edges)
     models, heads, d = t4.shape[0], t4.shape[1], t4.shape[-1]
     lists = edges.tile(models * heads)
-    z = lists.matrix(alpha) @ p
-    value = _head_sum(z.reshape(models, heads, -1, d))
+    z = value = lists.matrix(alpha) @ p
     if heads > 1:
+        value = _head_sum(z.reshape(models, heads, -1, d)).reshape(-1, d)
         value *= 1.0 / heads
-    value = value.reshape(-1, d)
     leaves = (x, *transforms, *score_vecs)
     if not any(t.requires_grad for t in leaves):
         return Tensor(value)
@@ -557,7 +561,7 @@ def edge_attention(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
     def bw(g: Array) -> None:
         proj = held
         if heads > 1:
-            proj = (x.value.reshape(models, 1, -1, d) @ t4.swapaxes(2, 3)).reshape(-1, d)
+            proj = _project(x.value, t4).reshape(-1, d)
             # Each head's share of the mean's gradient, as scale gives it.
             g = g * (1.0 / heads)
         # Through the softmax: a row's sum of alpha * d_alpha is g_u . z_u.
