@@ -21,13 +21,14 @@ from .errors import (
     EvolinkError,
     InsufficientLinksError,
     OutOfRangeError,
+    ShapeError,
     WindowUnderflowError,
 )
 from .gcn import Embeddings, count_params
 from .graphs import EventSequence, LinkSet, SnapshotGraph, build_window, unobserved_links
 from .model import ModelConfig
 from .optim import Adam
-from .tape import Tensor, add, backward, matmul, mean, param, relu, sigmoid, square, sub
+from .tape import backward, mlp_mse, param
 from .training import DistillationBundle, distill_student, distill_students, train_teacher
 
 Array = np.ndarray
@@ -92,6 +93,45 @@ def _mlp_dims(embed_dim: int) -> int:
     return math.ceil(embed_dim / 2)
 
 
+def _sample_negatives(rng: np.random.Generator, ids, links, wanted: int,
+                      max_attempts: int) -> tuple[list[tuple[int, int]], int]:
+    """Draw up to ``wanted`` non-link pairs of ``ids`` in at most
+    ``max_attempts`` attempts; returns them as ``(i, j)`` positions with
+    ``ids[i] < ids[j]``, in draw order, and the attempts made.
+
+    An attempt draws two positions. It fails on a self-pair or on a pair
+    of ``links`` or already drawn. Attempts are drawn in batches, one call
+    on ``rng`` each; when a batch holds more attempts than were needed,
+    ``rng`` is rewound and draws exactly the ones used again. Either way it
+    ends where one two-position draw per attempt leaves it, with the same
+    pairs.
+    """
+    taken = set(links)
+    pairs: list[tuple[int, int]] = []
+    attempts = 0
+    while len(pairs) < wanted and attempts < max_attempts:
+        state = rng.bit_generator.state
+        size = min(2 * (wanted - len(pairs)), max_attempts - attempts)
+        used = 0
+        for i, j in rng.integers(0, len(ids), size=(size, 2)).tolist():
+            used += 1
+            if i == j:
+                continue
+            if ids[j] < ids[i]:
+                i, j = j, i
+            if (ids[i], ids[j]) in taken:
+                continue
+            taken.add((ids[i], ids[j]))
+            pairs.append((i, j))
+            if len(pairs) == wanted:
+                break
+        if used < size:
+            rng.bit_generator.state = state
+            rng.integers(0, len(ids), size=(used, 2))
+        attempts += used
+    return pairs, attempts
+
+
 def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
                      lr: float = 1e-3, epochs: int = 200) -> MlpScorer:
     """Fit the decoder on the window's observed links plus sampled non-links.
@@ -100,37 +140,30 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
     equal number of seeded non-link pairs (absent from every window
     snapshot, both endpoints embedded) takes the low target 0.05. A dense
     window can run out of non-links before that number is reached; the
-    scorer then trains on all of them and records how many.
+    scorer then trains on all of them and records how many. Each epoch's
+    loss is one :func:`~evolink.tape.mlp_mse` op.
     """
+    if epochs < 0:
+        raise ConfigError(f"train_mlp_scorer: epochs must be >= 0, got {epochs}")
     pos_weight: dict[tuple[int, int], float] = {}
     for g in window:
         for u, v, w in g.edges:
             pos_weight[(u, v)] = w
-    known = set(emb.ids)
+    where = {u: i for i, u in enumerate(emb.ids)}
     positives = [(u, v, w) for (u, v), w in sorted(pos_weight.items())
-                 if u in known and v in known]
+                 if u in where and v in where]
     if not positives:
         raise InsufficientLinksError("no window links with embedded endpoints")
     rng = np.random.default_rng(seed)
-    ids = list(emb.ids)
-    taken = set(pos_weight)
-    negatives: list[tuple[int, int, float]] = []
+    n = len(emb.ids)
     # Every pair of embedded nodes that is not a positive is a non-link.
-    wanted = min(len(positives), len(ids) * (len(ids) - 1) // 2 - len(positives))
-    attempts = 0
-    while len(negatives) < wanted and attempts < 200 * len(positives):
-        attempts += 1
-        i, j = rng.integers(0, len(ids), size=2)
-        if i == j:
-            continue
-        u, v = (ids[i], ids[j]) if ids[i] < ids[j] else (ids[j], ids[i])
-        if (u, v) in taken:
-            continue
-        taken.add((u, v))
-        negatives.append((u, v, NEGATIVE_TARGET))
-    samples = positives + negatives
-    feats = np.stack([emb.row(u) * emb.row(v) for u, v, _ in samples])
-    targets = np.array([[w] for _, _, w in samples])
+    wanted = min(len(positives), n * (n - 1) // 2 - len(positives))
+    negatives, _ = _sample_negatives(rng, emb.ids, pos_weight, wanted, 200 * len(positives))
+    iu = [where[u] for u, _, _ in positives] + [i for i, _ in negatives]
+    iv = [where[v] for _, v, _ in positives] + [j for _, j in negatives]
+    feats = emb.z[iu] * emb.z[iv]
+    targets = np.array([w for _, _, w in positives]
+                       + [NEGATIVE_TARGET] * len(negatives)).reshape(-1, 1)
 
     d = emb.z.shape[1]
     hidden = _mlp_dims(d)
@@ -141,14 +174,10 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
         "w_out": param(rng.uniform(-r, r, size=(hidden, 1)), "w_out"),
         "b_out": param(np.zeros((1, 1)), "b_out"),
     }
-    x = Tensor(feats)
-    y = Tensor(targets)
     opt = Adam(params, lr=lr)
     for _ in range(epochs):
-        h = relu(add(matmul(x, params["w_hidden"]), params["b_hidden"]))
-        pred = sigmoid(add(matmul(h, params["w_out"]), params["b_out"]))
-        loss = mean(square(sub(pred, y)))
-        backward(loss)
+        backward(mlp_mse(feats, params["w_hidden"], params["b_hidden"],
+                         params["w_out"], params["b_out"], targets))
         opt.step()
     return MlpScorer(w_hidden=params["w_hidden"].value.copy(),
                      b_hidden=params["b_hidden"].value.copy(),
@@ -161,6 +190,9 @@ def score_mlp(emb: Embeddings, scorer: MlpScorer, u: int, v: int) -> float:
     """Decoder score for a pair; symmetric because the feature is Hadamard."""
     if scorer is None:
         raise ConfigError("score_mlp needs a trained scorer")
+    if emb.z.shape[1] != scorer.w_hidden.shape[0]:
+        raise ShapeError(f"score_mlp: the scorer was trained on embeddings of width "
+                         f"{scorer.w_hidden.shape[0]}, got width {emb.z.shape[1]}")
     f = emb.row(u) * emb.row(v)
     h = np.maximum(f @ scorer.w_hidden + scorer.b_hidden, 0.0)
     # scipy's expit, as in score_dot: one scalar per call.

@@ -10,6 +10,8 @@ time- or host-dependent quarantined under ``meta``.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import math
 import platform
@@ -252,15 +254,52 @@ def resolve_event(cfg: RunConfig) -> EventSequence:
     return normalize_weights(simulate_event(cfg.sim))
 
 
+@functools.cache
+def _blas_thread_getter():
+    """The loaded OpenBLAS's thread-count function, or None where the loaded
+    libraries cannot be listed or none exposes one."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for fn in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+            if hasattr(lib, fn):
+                getter = getattr(lib, fn)
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, read from the library."""
+    getter = _blas_thread_getter()
+    return None if getter is None else int(getter())
+
+
 def _meta() -> dict:
     """Facts of the run that the report payload must not depend on. Training
-    bits depend on the numpy build's exp, so the versions are recorded."""
+    bits depend on the numpy build's exp and on the BLAS build and its thread
+    count, so those are recorded."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy builds without the dict report
+        blas = {}
     return {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "host": platform.node(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
         "evolink": __version__,
     }
 

@@ -27,6 +27,10 @@ H copies of the neighbour pattern, sharing the input rows, and forms for
 every head the operations of its one-head call; the heads' results and
 their gradients with respect to the shared input are added in head order,
 as :func:`add` would add H one-head ops.
+
+:func:`mlp_mse` is the MLP link scorer's whole decoder and squared error
+as one op. Its value and weight gradients have the bits of the composed
+elementwise, product and reduction ops, which stay here as its oracle.
 """
 from __future__ import annotations
 
@@ -747,3 +751,55 @@ def rmse_sigmoid_gram(z, terms) -> Tensor:
         _accumulate(z, (np.reshape(g, (-1, 1, 1)) * prod).reshape(zv.shape), fresh=True)
 
     return Tensor(value, _parents=(z,), _backward=bw)
+
+
+def mlp_mse(x, w_hidden, b_hidden, w_out, b_out, y) -> Tensor:
+    """``mean((sigmoid(relu(x w_hidden + b_hidden) w_out + b_out) - y)^2)``
+    as one recorded op.
+
+    ``x`` is a constant (N, d) feature matrix and ``y`` the constant (N, 1)
+    targets; ``w_hidden`` is (d, k), ``b_hidden`` (1, k), ``w_out`` (k, 1)
+    and ``b_out`` (1, 1). The value and each weight's gradient have the bits
+    of the composed chain :func:`matmul`, :func:`add`, :func:`relu`,
+    :func:`matmul`, :func:`add`, :func:`sigmoid`, :func:`sub`,
+    :func:`square`, :func:`mean`: the same 2-d products, the bias gradients
+    as the same column sums, and the hidden gradient of the one-column
+    output product as the broadcast product that the k = 1 ``matmul`` of
+    that chain equals. Only the activations are held for the backward pass.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    w_hidden, b_hidden, w_out, b_out = leaves = [as_tensor(t) for t in
+                                                 (w_hidden, b_hidden, w_out, b_out)]
+    n, d = x.shape if x.ndim == 2 else (0, 0)
+    k = w_hidden.shape[-1] if w_hidden.value.ndim else 0
+    want = ((d, k), (1, k), (k, 1), (1, 1))
+    if n == 0 or y.shape != (n, 1) or any(t.shape != s for t, s in zip(leaves, want)):
+        raise ShapeError(f"mlp_mse: shapes x {x.shape}, w_hidden {w_hidden.shape}, b_hidden "
+                         f"{b_hidden.shape}, w_out {w_out.shape}, b_out {b_out.shape} and y "
+                         f"{y.shape} do not chain")
+    pre = x @ w_hidden.value
+    pre += b_hidden.value
+    h = np.maximum(pre, 0.0)
+    s = h @ w_out.value
+    s += b_out.value
+    expit(s, out=s)
+    diff = s - y
+    value = (diff * diff).mean()
+    if not any(t.requires_grad for t in leaves):
+        return Tensor(value)
+
+    def bw(g: Array) -> None:
+        # Through mean, square and sigmoid, in the chain's order.
+        d_out = 2.0 * diff
+        d_out *= g / n
+        d_out *= s
+        d_out *= 1.0 - s
+        d_pre = d_out * w_out.value.reshape(1, -1)
+        d_pre *= pre > 0.0
+        grads = (x.T @ d_pre, d_pre.sum(axis=0, keepdims=True),
+                 h.T @ d_out, d_out.sum(axis=0, keepdims=True))
+        for t, grad in zip(leaves, grads):
+            if t.requires_grad:
+                _accumulate(t, grad, fresh=True)
+
+    return Tensor(value, _parents=tuple(leaves), _backward=bw)

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolink.errors import ConfigError, EvolinkError, InsufficientLinksError
+from evolink.errors import ConfigError, EvolinkError, InsufficientLinksError, ShapeError
 from evolink.evaluation import (
     GAMMA_GRID,
     MlpScorer,
+    _sample_negatives,
     compression_label,
     constant_baseline,
     derive_seed,
@@ -169,22 +170,137 @@ def scorer_digest(scorer):
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("seed,digest", [(0, "3e6e0f7ce359de4f"), (5, "8cec27202e380c19")])
-def test_mlp_scorer_draws_are_pinned_where_non_links_remain(seed, digest):
-    """With non-links to spare, the sampler makes the same draws as it
-    always has: the untrained scorer (its initial weights come from the
-    same generator after the negatives) matches a golden digest."""
+def pinned_window(width):
+    """Embeddings of width ``width`` for 30 ids and a two-snapshot window
+    over some of their pairs, with non-links to spare."""
     rng = np.random.default_rng(7)
     ids = tuple(range(3, 63, 2))
-    emb = Embeddings(z=rng.normal(0, 0.8, size=(len(ids), 8)), ids=ids)
+    emb = Embeddings(z=rng.normal(0, 0.8, size=(len(ids), width)), ids=ids)
     pairs = sorted({tuple(sorted(p)) for p in rng.choice(ids, size=(60, 2)).tolist()
                     if p[0] != p[1]})
     window = [SnapshotGraph(index=k, nodes=ids,
                             edges=tuple((u, v, 0.3 + 0.1 * k) for u, v in pairs[k::2]))
               for k in range(2)]
+    return emb, window
+
+
+@pytest.mark.parametrize("seed,digest", [(0, "3e6e0f7ce359de4f"), (5, "8cec27202e380c19")])
+def test_mlp_scorer_draws_are_pinned_where_non_links_remain(seed, digest):
+    """With non-links to spare, the sampler makes the same draws as it
+    always has: the untrained scorer (its initial weights come from the
+    same generator after the negatives) matches a golden digest."""
+    emb, window = pinned_window(8)
     scorer = train_mlp_scorer(emb, window, seed=seed, epochs=0)
     assert (scorer.n_positives, scorer.n_negatives) == (57, 57)
     assert scorer_digest(scorer) == digest
+
+
+@pytest.mark.parametrize("width,seed,positives,digest", [(8, 0, 57, "84d5353854f7c2dc"),
+                                                         (4, 5, 51, "630cc448d3a6fb19")])
+def test_trained_mlp_scorer_is_pinned(width, seed, positives, digest):
+    """A default 200-epoch fit keeps the bits it has always had."""
+    emb, window = pinned_window(width)
+    scorer = train_mlp_scorer(emb, window, seed=seed)
+    assert (scorer.n_positives, scorer.n_negatives) == (positives, positives)
+    assert scorer_digest(scorer) == digest
+
+
+def per_attempt_negatives(rng, ids, links, wanted, max_attempts):
+    """The sampler as one two-position draw per attempt: the pairs, the
+    attempts, and how many attempts drew a self-pair, a link or an earlier
+    negative."""
+    taken = set(links)
+    pairs = []
+    attempts = 0
+    rejected = {"self": 0, "link": 0, "repeat": 0}
+    while len(pairs) < wanted and attempts < max_attempts:
+        attempts += 1
+        i, j = rng.integers(0, len(ids), size=2)
+        if i == j:
+            rejected["self"] += 1
+            continue
+        u, v = (ids[i], ids[j]) if ids[i] < ids[j] else (ids[j], ids[i])
+        if (u, v) in taken:
+            rejected["link" if (u, v) in links else "repeat"] += 1
+            continue
+        taken.add((u, v))
+        pairs.append((u, v))
+    return pairs, attempts, rejected
+
+
+def dense_window():
+    """Twelve ids with 46 of their 66 pairs linked, so every one of the 20
+    non-links is wanted."""
+    rng = np.random.default_rng(11)
+    ids = tuple(range(12))
+    pairs = [(u, v) for u in ids for v in ids if u < v]
+    linked = sorted(rng.choice(len(pairs), size=46, replace=False))
+    emb = Embeddings(z=rng.normal(0, 0.8, size=(12, 4)), ids=ids)
+    return emb, [SnapshotGraph(index=0, nodes=ids,
+                               edges=tuple((*pairs[i], 0.5) for i in linked))]
+
+
+class Confined:
+    """A generator whose integer draws reach only the first two positions.
+    No real window uses up its attempts (P positives leave a non-link
+    within far fewer than 200 P draws), but with the first two ids linked
+    every draw of this one fails."""
+
+    def __init__(self, seed):
+        # default_rng's generator, built without default_rng, which the
+        # test replaces with this class.
+        self.gen = np.random.Generator(np.random.PCG64(seed))
+
+    def integers(self, low, high, size):
+        return self.gen.integers(low, 2, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("case", ["crosses-batches", "rejects-self-and-repeats",
+                                  "uses-up-attempts"])
+def test_batched_negative_draws_match_one_draw_per_attempt(case, monkeypatch):
+    """Drawing the attempts in batches gives the pairs, the attempt count,
+    the generator state and so the untrained scorer of one draw per
+    attempt."""
+    make = np.random.default_rng
+    if case == "crosses-batches":
+        (emb, window), seed = dense_window(), 0
+    elif case == "rejects-self-and-repeats":
+        (emb, window), seed = pinned_window(8), 2
+    else:
+        (emb, window), seed, make = dense_window(), 3, Confined
+        assert (emb.ids[0], emb.ids[1]) in window[0].edge_pairs()
+    links = {(u, v): w for g in window for u, v, w in g.edges}
+    n, positives = len(emb.ids), len(links)
+    wanted = min(positives, n * (n - 1) // 2 - positives)
+    oracle = make(seed)
+    want, attempts, rejected = per_attempt_negatives(oracle, emb.ids, links, wanted,
+                                                     200 * positives)
+    batched = make(seed)
+    got, got_attempts = _sample_negatives(batched, emb.ids, links, wanted, 200 * positives)
+    assert [(emb.ids[i], emb.ids[j]) for i, j in got] == want
+    assert got_attempts == attempts
+    assert batched.bit_generator.state == oracle.bit_generator.state
+    if case == "crosses-batches":
+        assert len(want) == wanted and attempts > 2 * wanted  # past the first batch
+    elif case == "rejects-self-and-repeats":
+        assert len(want) == wanted and all(rejected.values())
+    else:
+        assert not want and attempts == 200 * positives
+
+    # The parent's untrained scorer: the initial weights follow the draws.
+    d = emb.z.shape[1]
+    r = 1.0 / np.sqrt(d)
+    w_hidden = oracle.uniform(-r, r, size=(d, (d + 1) // 2))
+    w_out = oracle.uniform(-r, r, size=((d + 1) // 2, 1))
+    expected = MlpScorer(w_hidden=w_hidden, b_hidden=np.zeros((1, w_hidden.shape[1])),
+                         w_out=w_out, b_out=np.zeros((1, 1)),
+                         n_positives=positives, n_negatives=len(want))
+    monkeypatch.setattr(np.random, "default_rng", make)
+    scorer = train_mlp_scorer(emb, window, seed=seed, epochs=0)
+    assert scorer_digest(scorer) == scorer_digest(expected)
 
 
 def test_mlp_scorer_stops_drawing_when_non_links_run_out(monkeypatch):
@@ -221,6 +337,20 @@ def test_mlp_scorer_requires_training_and_positives():
     window = [SnapshotGraph(index=0, nodes=(0, 1), edges=((0, 1, 0.5),))]
     with pytest.raises(InsufficientLinksError):
         train_mlp_scorer(emb, window, seed=0)
+
+
+def test_score_mlp_refuses_embeddings_of_another_width():
+    emb, window = pinned_window(8)
+    scorer = train_mlp_scorer(emb, window, seed=0, epochs=1)
+    narrow = Embeddings(z=emb.z[:, :4].copy(), ids=emb.ids)
+    with pytest.raises(ShapeError, match="width 8.*width 4"):
+        score_mlp(narrow, scorer, emb.ids[0], emb.ids[1])
+
+
+def test_train_mlp_scorer_refuses_negative_epochs():
+    emb, window = pinned_window(4)
+    with pytest.raises(ConfigError, match="epochs"):
+        train_mlp_scorer(emb, window, seed=0, epochs=-4)
 
 
 # -- metrics and baseline ----------------------------------------------------

@@ -4,7 +4,10 @@ Snapshot CSVs write weights with repr, so export -> load is an exact
 float round trip, not an approximate one.
 """
 import json
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -372,6 +375,24 @@ def test_write_report_quarantines_meta(tmp_path):
     assert b1["meta"]["scipy"] == scipy.__version__
     assert b1["meta"]["evolink"] == evolink.__version__
     assert c1.read_text() == c2.read_text()
+
+
+def test_report_meta_records_the_blas_build():
+    """``meta`` names the BLAS that numpy was built with, its version, and
+    the thread count of the loaded OpenBLAS, which the training bits depend
+    on; here a process pinned to one thread reads 1."""
+    code = "import json; from evolink.eventio import _meta; print(json.dumps(_meta()))"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(evolink.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    meta = json.loads(out)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (meta["blas"], meta["blas_version"]) == (blas["name"], blas["version"])
+    if "openblas" in blas["name"]:
+        assert meta["blas_threads"] == 1
+    else:
+        assert meta["blas_threads"] is None or meta["blas_threads"] >= 1
 
 
 def test_report_csv_round_trips_floats(tmp_path):

@@ -16,9 +16,9 @@ from evolink.errors import DegenerateSoftmaxError, NumericError, ShapeError
 from evolink.graphs import NeighbourLists, SnapshotGraph, normalize_adjacency
 from evolink import tape
 from evolink.tape import (LOSS_BLOCK, SigmoidGram, Tensor, add, backward, constant_matmul,
-                          edge_attention, edge_softmax, elu, matmul, mean, mul, param,
-                          relu, rmse_sigmoid_gram, rows, scale, sigmoid, sqrt, square,
-                          sub, tsum, transpose, with_rows)
+                          edge_attention, edge_softmax, elu, matmul, mean, mlp_mse, mul,
+                          param, relu, rmse_sigmoid_gram, rows, scale, sigmoid, sqrt,
+                          square, sub, tsum, transpose, with_rows)
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -717,3 +717,57 @@ def test_stacked_loss_shape_checks(rng):
                   [([0.5, 0.5], lists), ([0.5, 0.5, 0.5], lists)]):
         with pytest.raises(ShapeError):
             rmse_sigmoid_gram(z, terms)
+
+
+def mlp_inputs(rng, n, d, k):
+    """Features, targets and the four decoder leaves of an MLP scorer fit.
+    The first hidden unit's bias keeps it below zero on every row, so its
+    gradients are all signed zeros."""
+    x = rng.normal(0, 0.8, size=(n, d))
+    y = rng.uniform(0.05, 1.0, size=(n, 1))
+    b_hidden = rng.normal(0, 0.1, size=(1, k))
+    b_hidden[0, 0] = -100.0
+    leaves = [param(rng.uniform(-0.5, 0.5, size=(d, k)), "w_hidden"),
+              param(b_hidden, "b_hidden"),
+              param(rng.uniform(-0.5, 0.5, size=(k, 1)), "w_out"),
+              param(rng.normal(0, 0.1, size=(1, 1)), "b_out")]
+    return x, leaves, y
+
+
+def mlp_chain(x, w_hidden, b_hidden, w_out, b_out, y) -> Tensor:
+    """The decoder's squared error as the composed ops."""
+    h = relu(add(matmul(Tensor(x), w_hidden), b_hidden))
+    return mean(square(sub(sigmoid(add(matmul(h, w_out), b_out)), Tensor(y))))
+
+
+@pytest.mark.parametrize("n", [7, 4672])
+@pytest.mark.parametrize("d,k", [(16, 8), (4, 2)])
+def test_mlp_mse_is_the_composed_chain_bit_for_bit(rng, n, d, k):
+    x, leaves, y = mlp_inputs(rng, n, d, k)
+    chain = mlp_chain(x, *leaves, y)
+    backward(chain)
+    want = [t.grad for t in leaves]
+    fused = mlp_mse(x, *leaves, y)
+    backward(fused)
+    assert fused.value.shape == () and fused.value.tobytes() == chain.value.tobytes()
+    for t, g in zip(leaves, want):
+        assert t.grad.shape == t.shape and t.grad.tobytes() == g.tobytes(), t.name
+    assert not want[1][0, 0] and not want[0][:, 0].any()
+
+
+@pytest.mark.parametrize("d,k", [(16, 8), (4, 2)])
+def test_mlp_mse_gradients(rng, d, k):
+    x, leaves, y = mlp_inputs(rng, 7, d, k)
+    fd_check(lambda: mlp_mse(x, *leaves, y), leaves)
+
+
+def test_mlp_mse_shape_checks_and_constants(rng):
+    x, leaves, y = mlp_inputs(rng, 5, 4, 2)
+    assert not mlp_mse(x, *[t.value for t in leaves], y).requires_grad
+    constant = Tensor(leaves[1].value)
+    backward(mlp_mse(x, leaves[0], constant, leaves[2], leaves[3], y))
+    assert constant.grad is None and all(t.grad is not None for t in leaves[::2])
+    for bad in ((x[:, :3], *leaves, y), (x, *leaves, y[:4]), (x[:0], *leaves, y[:0]),
+                (x, leaves[0], leaves[2], leaves[2], leaves[3], y)):
+        with pytest.raises(ShapeError):
+            mlp_mse(*bad)
