@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
@@ -23,6 +24,7 @@ from .errors import (
     OutOfRangeError,
     ShapeError,
     WindowUnderflowError,
+    check_numbers,
 )
 from .gcn import Embeddings, count_params
 from .graphs import EventSequence, LinkSet, SnapshotGraph, build_window, unobserved_links
@@ -143,12 +145,16 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
     scorer then trains on all of them and records how many. Each epoch's
     loss is one :func:`~evolink.tape.mlp_mse` op.
     """
+    check_numbers(SimpleNamespace(epochs=epochs, lr=lr), ("epochs",), ("lr",))
     if epochs < 0:
         raise ConfigError(f"train_mlp_scorer: epochs must be >= 0, got {epochs}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ConfigError(f"train_mlp_scorer: lr must be positive and finite, got {lr}")
     pos_weight: dict[tuple[int, int], float] = {}
     for g in window:
-        for u, v, w in g.edges:
-            pos_weight[(u, v)] = w
+        rows, cols, w = g.edge_arrays
+        pos_weight.update(zip(zip(g.node_ids[rows].tolist(), g.node_ids[cols].tolist()),
+                              w.tolist()))
     where = {u: i for i, u in enumerate(emb.ids)}
     positives = [(u, v, w) for (u, v), w in sorted(pos_weight.items())
                  if u in where and v in where]
@@ -217,10 +223,10 @@ def constant_baseline(window: list[SnapshotGraph]) -> float:
     The weakest sensible predictor: score every candidate pair with this
     single constant.
     """
-    weights = [w for g in window for _, _, w in g.edges]
-    if not weights:
+    weights = [g.edge_arrays[2] for g in window]
+    if not sum(map(len, weights)):
         raise EvolinkError("window with no edges has no baseline")
-    return float(np.mean(weights))
+    return float(np.mean(np.concatenate(weights)))
 
 
 def compression_label(ratio) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import io
 import json
 import math
 import platform
@@ -25,7 +26,7 @@ import scipy
 from . import __version__
 from .errors import ConfigError, EventFormatError, EvolinkError
 from .evaluation import EvalReport
-from .graphs import EventSequence, RawEvent, normalize_weights
+from .graphs import EventSequence, RawEvent, normalize_edges, normalize_weights
 from .model import ModelConfig, student_defaults
 from .simulate import SimConfig
 from .training import TrainingTrace
@@ -45,7 +46,7 @@ def export_event(raw: RawEvent, out_dir: str | Path) -> Path:
         files.append(fname)
         with open(out / fname, "w", newline="") as fh:
             for u, v, w in edges:
-                fh.write(f"{u},{v},{w!r}\n")
+                fh.write(f"{int(u)},{int(v)},{float(w)!r}\n")
     manifest = {
         "name": raw.name,
         "num_snapshots": len(raw.snapshots),
@@ -76,12 +77,86 @@ def read_file(path: Path, what: str, error: type[EvolinkError] = EventFormatErro
         raise error(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
+# A snapshot file's rows; the line loop's keep their ids as Python ints,
+# which need not fit in 64 bits.
+_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_LOOP_ROW = np.dtype([("u", object), ("v", object), ("w", np.float64)])
+# On text of these characters alone, np.loadtxt reads the lines and values
+# that the line loop reads and rejects the fields int() and float() reject.
+_PLAIN = b"0123456789+-.eE,\n"
+
+
+def _read_snapshot(fpath: Path) -> np.ndarray:
+    """A snapshot file's rows. A non-blank file of plain characters is parsed
+    in one pass and checked as arrays; any other file, and one that fails a
+    check, goes through the line loop, which names the first bad line."""
+    text = read_file(fpath, "snapshot file")
+    if text.isascii() and text.strip() and not text.encode().translate(None, _PLAIN):
+        try:
+            rows = np.loadtxt(io.StringIO(text), _ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            rows = None
+        if rows is not None:
+            u, v, w = rows["u"], rows["v"], rows["w"]
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            if (((lo >= 0) & (lo != hi)).all() and ((w > 0) & (w < math.inf)).all()
+                    and not ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()):
+                return rows
+    return np.array(_parse_lines(fpath, text), dtype=_LOOP_ROW)
+
+
+def _parse_lines(fpath: Path, text: str) -> list[tuple[int, int, float]]:
+    """The edges of a snapshot file's text, read line by line."""
+    edges = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise EventFormatError(f"{fpath}:{lineno}: expected 'u,v,weight', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2])
+        except ValueError:
+            raise EventFormatError(f"{fpath}:{lineno}: unparseable edge {line!r}") from None
+        if u < 0 or v < 0:
+            raise EventFormatError(f"{fpath}:{lineno}: negative node id")
+        if u == v:
+            raise EventFormatError(f"{fpath}:{lineno}: self-loop on node {u}")
+        if not (math.isfinite(w) and w > 0):
+            raise EventFormatError(f"{fpath}:{lineno}: weight must be a positive "
+                                   f"finite number, got {parts[2]!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise EventFormatError(f"{fpath}:{lineno}: duplicate edge {key}")
+        seen.add(key)
+        edges.append((u, v, w))
+    return edges
+
+
 def load_raw_event(manifest_path: str | Path) -> RawEvent:
     """Parse an event directory without normalizing.
 
     Anything wrong with the manifest or a snapshot file raises
     ``EventFormatError`` naming the file (and line) at fault.
     """
+    name, tables = _read_event(manifest_path)
+    return RawEvent(name=name, snapshots=tuple(tuple(t.tolist()) for t in tables))
+
+
+def load_event(manifest_path: str | Path) -> EventSequence:
+    """Parse and normalize an event directory, as ``load_raw_event`` then
+    ``normalize_weights`` would, without building the edge tuples."""
+    name, tables = _read_event(manifest_path)
+    return normalize_edges(name, list(map(len, tables)),
+                           np.concatenate([np.empty(0, _ROW), *tables]))
+
+
+def _read_event(manifest_path: str | Path) -> tuple[str, list[np.ndarray]]:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
@@ -94,7 +169,9 @@ def load_raw_event(manifest_path: str | Path) -> RawEvent:
     for key in ("name", "num_snapshots", "files"):
         if key not in manifest:
             raise EventFormatError(f"{manifest_path}: missing key {key!r}")
-    files, count = manifest["files"], manifest["num_snapshots"]
+    name, files, count = manifest["name"], manifest["files"], manifest["num_snapshots"]
+    if not isinstance(name, str):
+        raise EventFormatError(f"{manifest_path}: name must be a string, got {name!r}")
     if not isinstance(count, int) or isinstance(count, bool):
         raise EventFormatError(f"{manifest_path}: num_snapshots must be an integer, "
                                f"got {count!r}")
@@ -103,45 +180,7 @@ def load_raw_event(manifest_path: str | Path) -> RawEvent:
     if len(files) != count:
         raise EventFormatError(f"{manifest_path}: {len(files)} files listed for "
                                f"{count} snapshots")
-    snapshots = []
-    for fname in files:
-        fpath = manifest_path.parent / fname
-        lines = read_file(fpath, "snapshot file").splitlines()
-        edges = []
-        seen: set[tuple[int, int]] = set()
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise EventFormatError(f"{fpath}:{lineno}: expected 'u,v,weight', "
-                                       f"got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2])
-            except ValueError:
-                raise EventFormatError(f"{fpath}:{lineno}: unparseable edge "
-                                       f"{line!r}") from None
-            if u < 0 or v < 0:
-                raise EventFormatError(f"{fpath}:{lineno}: negative node id")
-            if u == v:
-                raise EventFormatError(f"{fpath}:{lineno}: self-loop on node {u}")
-            if not (math.isfinite(w) and w > 0):
-                raise EventFormatError(f"{fpath}:{lineno}: weight must be a positive "
-                                       f"finite number, got {parts[2]!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise EventFormatError(f"{fpath}:{lineno}: duplicate edge {key}")
-            seen.add(key)
-            edges.append((u, v, w))
-        snapshots.append(tuple(edges))
-    return RawEvent(name=str(manifest["name"]), snapshots=tuple(snapshots))
-
-
-def load_event(manifest_path: str | Path) -> EventSequence:
-    """Parse and normalize an event directory."""
-    return normalize_weights(load_raw_event(manifest_path))
+    return name, [_read_snapshot(manifest_path.parent / fname) for fname in files]
 
 
 @dataclass(frozen=True)

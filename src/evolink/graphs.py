@@ -12,9 +12,9 @@ from __future__ import annotations
 import copy
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -36,45 +36,53 @@ WEIGHT_EPS = 0.05
 Edge = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SnapshotGraph:
     """One undirected weighted snapshot. Immutable after construction.
 
     ``nodes`` are sorted global ids; ``edges`` hold each undirected pair
     once as ``(u, v, w)`` with ``u < v`` and ``0 < w <= 1``, as Python
     scalars. Dense matrix positions follow the sorted node order. The
-    snapshot is checked on arrays when it is built, and keeps them:
-    ``node_ids``, ``nodes`` as an index array, and ``edge_arrays``, each
-    edge's matrix positions and weight as ``(rows, cols, weights)``. The
-    cached properties are the constants that training and inference read:
-    each is built on first use, read-only, and kept as long as the
-    snapshot, so every window over it reuses them. None of them is n×n.
+    snapshot is built from ``edges`` or from arrays (node ids, u, v, w),
+    checked on arrays, and keeps them: ``node_ids``, ``nodes`` as an index
+    array, and ``edge_arrays``, each edge's matrix positions and weight as
+    ``(rows, cols, weights)``. The cached properties, ``edges`` among them
+    when not given, are built on first use, read-only, and kept as long as
+    the snapshot, so every window over it reuses them. None of them is n×n.
     Only ``index``, ``nodes`` and ``edges`` take part in ``==``.
     """
 
     index: int
     nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...]  # read through the cached property below
     node_ids: Array = field(init=False, repr=False, compare=False)
     edge_arrays: tuple[Array, Array, Array] = field(init=False, repr=False, compare=False)
-    # ``nodes`` and ``edges`` as arrays (node ids, u, v, w), when the
-    # caller holds them already; the snapshot makes them read-only and
-    # keeps them instead of converting its tuples back.
-    arrays: InitVar[tuple[Array, Array, Array, Array] | None] = None
 
-    def __post_init__(self, arrays):
+    def __init__(self, index: int, nodes: tuple[int, ...], edges: tuple[Edge, ...] | None = None,
+                 arrays: tuple[Array, Array, Array, Array] | None = None):
         if arrays is None:
             try:
-                ids = np.array(self.nodes, dtype=np.intp)
+                ids = np.array(nodes, dtype=np.intp)
             except OverflowError:
                 raise MalformedGraphError("node ids must fit in 64 bits") from None
-            arrays = (ids, *_edge_columns(self.edges, len(self.edges)))
+            arrays = (ids, *_edge_columns(edges, len(edges)))
         ids, u, v, w = arrays
-        rows, cols = _edge_positions(self.index, ids, u, v, w)
+        rows, cols = _edge_positions(index, ids, u, v, w)
         for arr in (ids, rows, cols, w):
             arr.flags.writeable = False
-        object.__setattr__(self, "node_ids", ids)
-        object.__setattr__(self, "edge_arrays", (rows, cols, w))
+        self.__dict__.update(index=index, nodes=nodes, node_ids=ids, edge_arrays=(rows, cols, w))
+        if edges is not None:
+            self.__dict__["edges"] = edges
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return self.edges_at(slice(None))
+
+    def edges_at(self, keep) -> tuple[Edge, ...]:
+        """The edges at ``keep`` in ``edge_arrays`` as ``(u, v, w)`` Python scalars."""
+        rows, cols, weights = (a[keep] for a in self.edge_arrays)
+        return tuple(zip(self.node_ids[rows].tolist(), self.node_ids[cols].tolist(),
+                         weights.tolist()))
 
     @property
     def n(self) -> int:
@@ -141,17 +149,18 @@ class SnapshotGraph:
         return a
 
     def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
+        return frozenset((u, v) for u, v, _ in self.edges_at(slice(None)))
 
 
 _EDGE = np.dtype([("u", np.intp), ("v", np.intp), ("w", np.float64)])
 
 
-def _edge_columns(edges: Iterable[Edge], m: int) -> tuple[Array, Array, Array]:
-    """The endpoints and the weights of ``m`` ``(u, v, w)`` tuples as
-    three contiguous arrays."""
+def _edge_columns(edges: Iterable[Edge] | Array, m: int) -> tuple[Array, Array, Array]:
+    """The endpoints and the weights of ``m`` ``(u, v, w)`` tuples, or of a
+    table of them, as three contiguous arrays."""
     try:
-        table = np.fromiter(edges, dtype=_EDGE, count=m)
+        table = (edges.astype(_EDGE) if isinstance(edges, np.ndarray)
+                 else np.fromiter(edges, dtype=_EDGE, count=m))
     except OverflowError:
         raise MalformedGraphError("node ids must fit in 64 bits") from None
     return table["u"].copy(), table["v"].copy(), table["w"].copy()
@@ -365,10 +374,17 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     whole event into ``[WEIGHT_EPS, 1 - WEIGHT_EPS]``; a degenerate raw
     range (all weights equal) maps everything to 0.5.
     """
-    bounds = [0, *accumulate(len(snap) for snap in raw.snapshots)]
+    sizes = [len(snap) for snap in raw.snapshots]
+    return normalize_edges(raw.name, sizes, chain.from_iterable(raw.snapshots))
+
+
+def normalize_edges(name: str, sizes: list[int], edges: Iterable[Edge] | Array) -> EventSequence:
+    """:func:`normalize_weights` of an event given as ``sizes[k]`` raw edges
+    per snapshot ``k``, all snapshots' edges in one table or iterable."""
+    bounds = [0, *accumulate(sizes)]
     if not bounds[-1]:
-        raise EmptyEventError(f"event {raw.name!r} has no edges")
-    u, v, raw_w = _edge_columns(chain.from_iterable(raw.snapshots), bounds[-1])
+        raise EmptyEventError(f"event {name!r} has no edges")
+    u, v, raw_w = _edge_columns(edges, bounds[-1])
     _require(np.isfinite(raw_w), lambda e: "non-finite raw weight")
     _require((u >= 0) & (v >= 0), lambda e: f"negative node id {min(u[e], v[e])}")
     _require(u != v, lambda e: f"self-loop on node {u[e]} in snapshot "
@@ -388,8 +404,6 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
     lo = np.minimum(dense[0::2], dense[1::2])
     hi = np.maximum(dense[0::2], dense[1::2])
 
-    # One Python int per dense id, which the registry and every tuple share.
-    as_int = np.arange(raw_ids.size).astype(object)
     snapshots = []
     for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         order = start + np.lexsort((hi[start:stop], lo[start:stop]))
@@ -397,10 +411,9 @@ def normalize_weights(raw: RawEvent) -> EventSequence:
         present = np.zeros(raw_ids.size, dtype=bool)
         present[a] = present[b] = True
         ids = np.flatnonzero(present)
-        edges = tuple(zip(as_int[a].tolist(), as_int[b].tolist(), wk.tolist()))
-        snapshots.append(SnapshotGraph(k, tuple(as_int[ids].tolist()), edges, (ids, a, b, wk)))
-    registry = dict(zip(raw_ids[by_appearance].tolist(), as_int.tolist()))
-    return EventSequence(name=raw.name, snapshots=tuple(snapshots),
+        snapshots.append(SnapshotGraph(k, tuple(ids.tolist()), arrays=(ids, a, b, wk)))
+    registry = dict(zip(raw_ids[by_appearance].tolist(), range(raw_ids.size)))
+    return EventSequence(name=name, snapshots=tuple(snapshots),
                          registry=registry, weight_scale=scale)
 
 
@@ -461,8 +474,7 @@ def unobserved_links(event: EventSequence, k: int, length: int) -> LinkSet:
     window = build_window(event, k, length)
     seen = np.concatenate([_pair_keys(g, event.n_global) for g in window])
     target = event.snapshots[k + 1]
-    new = ~np.isin(_pair_keys(target, event.n_global), seen)
-    return LinkSet(links=tuple(compress(target.edges, new.tolist())))
+    return LinkSet(links=target.edges_at(~np.isin(_pair_keys(target, event.n_global), seen)))
 
 
 def _pair_keys(g: SnapshotGraph, base: int) -> Array:

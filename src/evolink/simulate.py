@@ -318,7 +318,7 @@ def describe_event(event) -> list[tuple[int, int, int]]:
             rows.append((k, event.node_count(k), len(edges)))
     elif isinstance(event, EventSequence):
         for g in event.snapshots:
-            rows.append((g.index, g.n, len(g.edges)))
+            rows.append((g.index, g.n, len(g.edge_arrays[2])))
     else:
         raise ConfigError(f"cannot describe a {type(event).__name__}")
     return rows

@@ -339,6 +339,22 @@ def test_mlp_scorer_requires_training_and_positives():
         train_mlp_scorer(emb, window, seed=0)
 
 
+@pytest.mark.parametrize("kwargs,fragment", [
+    ({"lr": -1.0}, "lr must be positive and finite, got -1.0"),
+    ({"lr": 0.0}, "lr must be positive and finite"),
+    ({"lr": float("nan")}, "lr must be positive and finite"),
+    ({"lr": float("inf")}, "lr must be positive and finite"),
+    ({"lr": "0.1"}, "lr must be a real number"),
+    ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+    ({"epochs": True}, "epochs must be an integer, got True"),
+    ({"epochs": -1}, "epochs must be >= 0"),
+])
+def test_mlp_scorer_refuses_a_bad_rate_or_epoch_count(kwargs, fragment):
+    emb, window = pinned_window(8)
+    with pytest.raises(ConfigError, match=fragment):
+        train_mlp_scorer(emb, window, seed=0, **kwargs)
+
+
 def test_score_mlp_refuses_embeddings_of_another_width():
     emb, window = pinned_window(8)
     scorer = train_mlp_scorer(emb, window, seed=0, epochs=1)

@@ -9,6 +9,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evolink
+from evolink import eventio
 from evolink.errors import ConfigError, EventFormatError, EvolinkError
 from evolink.eventio import (
     RunConfig,
@@ -59,6 +61,18 @@ def test_export_load_round_trip_is_exact(tmp_path):
     assert load_raw_event(tmp_path / "ev") == raw
 
 
+def test_export_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    """Ids and weights held as numpy scalars export as the numbers they
+    hold, so the event loads back equal to the one exported."""
+    raw = RawEvent(name="np", snapshots=(((np.int64(1), np.int64(2), np.float64(0.5)),
+                                          (np.int32(3), np.uint8(1), np.float32(0.25))),))
+    export_event(raw, tmp_path)
+    assert (tmp_path / "snapshot_000.csv").read_text() == "1,2,0.5\n3,1,0.25\n"
+    loaded = load_raw_event(tmp_path)
+    assert loaded == raw
+    assert repr(loaded) == "RawEvent(name='np', snapshots=(((1, 2, 0.5), (3, 1, 0.25)),))"
+
+
 def test_load_event_matches_in_memory_normalization(tmp_path):
     raw = small_raw(seed=4)
     export_event(raw, tmp_path / "ev")
@@ -69,6 +83,23 @@ def test_blank_lines_ignored(tmp_path):
     path = write_lines(tmp_path, ["0,1,5.0", "", "  ", "1,2,7.5"])
     raw = load_raw_event(path)
     assert raw.snapshots == (((0, 1, 5.0), (1, 2, 7.5)),)
+
+
+def test_empty_and_blank_snapshot_files_load_without_warnings(tmp_path):
+    """An empty file and a blank-only one are snapshots without edges."""
+    (tmp_path / "a.csv").write_text("0,1,5.0\n")
+    (tmp_path / "b.csv").write_text("")
+    (tmp_path / "c.csv").write_text("\n\n")
+    (tmp_path / "d.csv").write_text(" \n\t\n")
+    path = write_manifest(tmp_path, {"name": "x", "num_snapshots": 4,
+                                     "files": ["a.csv", "b.csv", "c.csv", "d.csv"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = load_raw_event(path)
+        event = load_event(path)
+    assert raw.snapshots == (((0, 1, 5.0),), (), (), ())
+    assert [(g.n, g.edges) for g in event.snapshots] == [(2, ((0, 1, 0.5),)), (0, ()),
+                                                         (0, ()), (0, ())]
 
 
 def test_missing_manifest(tmp_path):
@@ -148,6 +179,10 @@ def write_manifest(tmp_path, manifest) -> Path:
     ({"name": "x", "num_snapshots": 1.0, "files": ["s.csv"]}, "integer"),
     ({"name": "x", "num_snapshots": "1", "files": ["s.csv"]}, "integer"),
     ({"name": "x", "num_snapshots": True, "files": ["s.csv"]}, "integer"),
+    ({"name": None, "num_snapshots": 1, "files": ["s.csv"]}, "name must be a string, got None"),
+    ({"name": 5, "num_snapshots": 1, "files": ["s.csv"]}, "name must be a string, got 5"),
+    ({"name": [1], "num_snapshots": 1, "files": ["s.csv"]}, "name must be a string"),
+    ({"name": {"a": 1}, "num_snapshots": 1, "files": ["s.csv"]}, "name must be a string"),
 ])
 def test_malformed_manifest_rejected(tmp_path, manifest, fragment):
     (tmp_path / "s.csv").write_text("0,1,5.0\n")
@@ -231,6 +266,54 @@ def test_fuzzed_event_directories_raise_only_evolink_errors(manifest, csv):
             load_event(root)
         except EvolinkError:
             pass
+
+
+def mostly(common, rare):
+    """``common``, or ``rare`` when a drawn digit is 0."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else common)
+
+
+# Snapshot files of plain characters, which the vectorized parse reads:
+# rows of mostly well-formed fields, with ids that repeat, are negative,
+# or lie at or beyond 64 bits, and weights that underflow or overflow.
+plain_ids = mostly(st.integers(0, 40).map(str), st.sampled_from([
+    "-1", "-0", "+3", "007", "", "1e3", "5.0", "9223372036854775807", "9223372036854775808",
+    "9" * 25]))
+plain_weights = mostly(st.sampled_from(["5.0", ".5", "5.", "1E5", "2", "+3.5", "0.25", "5e-324"]),
+                       st.sampled_from(["0.0", "-2.5", "1e400", "1e-400", "", ".", "e5", "1e+"]))
+plain_csv = st.lists(mostly(st.tuples(plain_ids, plain_ids, plain_weights).map(",".join),
+                            st.sampled_from(["", "0,1", "0,1,2,3"])), max_size=8).map(
+    lambda lines: "\n".join(lines).encode())
+
+
+def outcome(read):
+    """What ``read()`` returns, or the message of the EvolinkError it raises."""
+    try:
+        return read()
+    except EvolinkError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv=csv_bytes | plain_csv)
+def test_vectorized_parse_reads_what_the_line_loop_reads(csv):
+    """Loading a snapshot file gives the event that the line loop reads
+    from it, with the same Python types, or the loop's error message; and
+    ``load_event`` gives what ``normalize_weights`` makes of that event."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "s.csv").write_bytes(csv)
+        path = write_manifest(root, VALID_MANIFEST)
+
+        def looped():
+            text = eventio.read_file(root / "s.csv", "snapshot file")
+            return RawEvent("fuzz", (tuple(eventio._parse_lines(root / "s.csv", text)),))
+
+        loaded, reference = outcome(lambda: load_raw_event(path)), outcome(looped)
+        assert loaded == reference and repr(loaded) == repr(reference)
+        if isinstance(reference, RawEvent):
+            assert outcome(lambda: load_event(path)) == \
+                outcome(lambda: normalize_weights(reference))
 
 
 # -- run configs --------------------------------------------------------------

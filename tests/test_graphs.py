@@ -196,6 +196,30 @@ def test_golden_normalized_event_after_a_csv_round_trip(tmp_path):
     assert loaded == normalize_weights(raw)
 
 
+def test_snapshot_and_event_equality_hash_and_repr_are_pinned():
+    """``==``, ``hash`` and ``repr`` of a snapshot read its index, nodes and
+    edge tuples, whether it was built from arrays or from the tuples; an
+    event compares its snapshots, and its registry makes it unhashable."""
+    cfg, _ = NORMALIZED_GOLDEN["desk"]
+    event, again = normalize_weights(simulate_event(cfg)), normalize_weights(simulate_event(cfg))
+    hashes = [hash(g) for g in event.snapshots]
+    assert hashlib.sha256(repr((repr(event), hashes)).encode()).hexdigest() == \
+        "5fef5b8febc2e6cd3649a74602b588cef189cfcbdeccfe8cb522b2e44513fd09"
+    for g, h in zip(event.snapshots, again.snapshots):
+        built = SnapshotGraph(g.index, g.nodes, g.edges)
+        assert g == h == built and hash(g) == hash(h) == hash(built) == \
+            hash((g.index, g.nodes, g.edges))
+        assert repr(g) == repr(built) == \
+            f"SnapshotGraph(index={g.index!r}, nodes={g.nodes!r}, edges={g.edges!r})"
+        u, v, w = g.edges[-1]
+        moved = SnapshotGraph(g.index, g.nodes, g.edges[:-1] + ((u, v, w / 2),))
+        assert g != moved and g != (g.index, g.nodes, g.edges)
+    assert event == again and event != EventSequence(event.name, event.snapshots[:-1],
+                                                     event.registry, event.weight_scale)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(event)
+
+
 class TestNormalizeAdjacency:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
