@@ -43,6 +43,9 @@ Array = np.ndarray
 
 
 def save_checkpoint(model: GcnChain) -> bytes:
+    if model.models != 1:
+        raise ShapeError(f"save_checkpoint: a checkpoint holds one model, got a stack of "
+                         f"{model.models}; save each model on its own")
     header = json.dumps(
         {"config": dataclasses.asdict(model.config), "n_global": model.n_global},
         sort_keys=True,

@@ -9,12 +9,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, EvolinkError
-from .evaluation import SCORERS, derive_seed, evaluate_scorers, sweep_gamma, sweep_hparam
+from .evaluation import (
+    SCORERS,
+    SWEEP_AXES,
+    GammaSweepRow,
+    HparamSweepRow,
+    derive_seed,
+    evaluate_scorers,
+    sweep_gamma,
+    sweep_hparam,
+)
 from .eventio import (
     RunConfig,
     export_event,
@@ -24,7 +33,7 @@ from .eventio import (
     write_rows_csv,
     write_trace,
 )
-from .graphs import build_window
+from .graphs import EventSequence, build_window
 from .simulate import describe_event, simulate_event
 from .training import DistillationBundle, check_same_event, distill_student, train_teacher
 
@@ -42,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--out", default=None, help="override the output directory")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, default=None,
+                       help="override the output directory")
 
     p = sub.add_parser("simulate", help="synthesize an event and write it to disk")
     common(p)
@@ -66,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--scorer", choices=["dot", "mlp", "both"], default=None)
+    p.add_argument("--scorer", choices=[*SCORERS, "both"], default=None)
 
     p = sub.add_parser("sweep-gamma", help="student error across blend weights")
     common(p)
@@ -77,32 +87,33 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--axis", choices=["d", "l", "h", "all"], default="all")
+    p.add_argument("--axis", choices=[*SWEEP_AXES, "all"], default="all")
     return parser
 
 
 def _load(args) -> RunConfig:
     cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=Path(args.out))
-    for name in ("trials", "scorer"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
-    if getattr(args, "k", None) is not None:
-        cfg = replace(cfg, k=args.k)
+    for name in ("seed", "out_dir", "trials", "scorer", "k"):
+        if getattr(args, name, None) is not None:
+            cfg = replace(cfg, **{name: getattr(args, name)})
     return cfg
 
 
-def _pick_k(cfg: RunConfig, num_snapshots: int) -> int:
+def _load_event(args) -> tuple[RunConfig, EventSequence, int]:
+    """The run config, its event, and the final window snapshot ``k``."""
+    cfg = _load(args)
+    event = resolve_event(cfg)
     # The protocol needs snapshot k+1 for targets, so the default final
     # training snapshot is the next-to-last one.
-    k = cfg.k if cfg.k is not None else num_snapshots - 2
-    if not 0 <= k < num_snapshots:
-        raise ConfigError(f"k={k} out of range for {num_snapshots} snapshots")
-    return k
+    k = cfg.k if cfg.k is not None else len(event) - 2
+    if not 0 <= k < len(event):
+        raise ConfigError(f"k={k} out of range for {len(event)} snapshots")
+    return cfg, event, k
+
+
+def _write_sweep(path: Path, row_type: type, rows: list) -> Path:
+    """A sweep's rows as CSV, one column per field of ``row_type``."""
+    return write_rows_csv(path, [f.name for f in fields(row_type)], [astuple(r) for r in rows])
 
 
 def _cmd_simulate(args) -> int:
@@ -118,9 +129,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train_teacher(args) -> int:
-    cfg = _load(args)
-    event = resolve_event(cfg)
-    k = _pick_k(cfg, len(event))
+    cfg, event, k = _load_event(args)
     window = build_window(event, k, cfg.teacher.window)
     teacher_cfg = replace(cfg.teacher, seed=derive_seed(cfg.seed, TEACHER_TAG))
     init_from = None
@@ -138,9 +147,7 @@ def _cmd_train_teacher(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    cfg = _load(args)
-    event = resolve_event(cfg)
-    k = _pick_k(cfg, len(event))
+    cfg, event, k = _load_event(args)
     window = build_window(event, k, cfg.teacher.window)
     teacher_path = Path(args.teacher) if args.teacher else Path(cfg.out_dir) / "teacher.ckpt"
     teacher = read_checkpoint(teacher_path)
@@ -162,9 +169,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load(args)
-    event = resolve_event(cfg)
-    k = _pick_k(cfg, len(event))
+    cfg, event, k = _load_event(args)
     scorers = SCORERS if cfg.scorer == "both" else (cfg.scorer,)
     reports = evaluate_scorers(event, k, cfg.teacher, cfg.student, scorers=scorers,
                                trials=cfg.trials, seed=cfg.seed)
@@ -181,17 +186,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep_gamma(args) -> int:
-    cfg = _load(args)
-    event = resolve_event(cfg)
-    k = _pick_k(cfg, len(event))
+    cfg, event, k = _load_event(args)
     rows = sweep_gamma(event, k, cfg.teacher, cfg.student,
                        trials=cfg.trials, seed=cfg.seed)
-    path = write_rows_csv(
-        Path(cfg.out_dir) / "gamma_sweep.csv",
-        ["gamma", "student_rmse_mean", "student_rmse_std",
-         "student_mae_mean", "student_mae_std", "teacher_rmse_mean"],
-        [(r.gamma, r.student_rmse_mean, r.student_rmse_std,
-          r.student_mae_mean, r.student_mae_std, r.teacher_rmse_mean) for r in rows])
+    path = _write_sweep(Path(cfg.out_dir) / "gamma_sweep.csv", GammaSweepRow, rows)
     best = min(rows, key=lambda r: r.student_rmse_mean)
     for r in rows:
         marker = "  <-- best" if r is best else ""
@@ -202,21 +200,13 @@ def _cmd_sweep_gamma(args) -> int:
 
 
 def _cmd_sweep_hparam(args) -> int:
-    cfg = _load(args)
-    event = resolve_event(cfg)
-    k = _pick_k(cfg, len(event))
-    axes = ["d", "l", "h"] if args.axis == "all" else [args.axis]
+    cfg, event, k = _load_event(args)
+    axes = list(SWEEP_AXES) if args.axis == "all" else [args.axis]
     for axis in axes:
         rows = sweep_hparam(event, k, cfg.teacher, cfg.student, axis,
                             trials=cfg.trials, seed=cfg.seed)
-        path = write_rows_csv(
-            Path(cfg.out_dir) / f"hparam_sweep_{axis}.csv",
-            ["axis", "value", "teacher_rmse_mean", "teacher_rmse_std",
-             "student_rmse_mean", "student_rmse_std",
-             "param_count_teacher", "param_count_student"],
-            [(r.axis, r.value, r.teacher_rmse_mean, r.teacher_rmse_std,
-              r.student_rmse_mean, r.student_rmse_std,
-              r.param_count_teacher, r.param_count_student) for r in rows])
+        path = _write_sweep(Path(cfg.out_dir) / f"hparam_sweep_{axis}.csv",
+                            HparamSweepRow, rows)
         for r in rows:
             print(f"{axis}={r.value}: teacher rmse {r.teacher_rmse_mean:.4f}, "
                   f"student rmse {r.student_rmse_mean:.4f}")

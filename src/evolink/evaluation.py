@@ -368,6 +368,7 @@ def _prepare(event: EventSequence, k: int, window_len: int
 
 
 def _check_trials(trials: int) -> None:
+    check_numbers(SimpleNamespace(trials=trials), ("trials",), ())
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
@@ -530,40 +531,33 @@ class HparamSweepRow:
     param_count_student: int
 
 
+# Each sweep axis: its grid, and the (teacher, student) configs at one of
+# its values. ``d`` sweeps the embedding width (hidden stays at twice the
+# embedding), ``l`` the window span (teacher and student together, since
+# they must match), ``h`` the teacher's head count.
+SWEEP_AXES = {
+    "d": (EMBED_GRID, lambda t, s, v: (replace(t, embed_dim=v, hidden_dim=2 * v), s)),
+    "l": (WINDOW_GRID, lambda t, s, v: (replace(t, window=v), replace(s, window=v))),
+    "h": (HEAD_GRID, lambda t, s, v: (replace(t, heads=v), s)),
+}
+
+
 def sweep_hparam(event: EventSequence, k: int, teacher_cfg: ModelConfig,
                  student_cfg: ModelConfig, axis: str, *, trials: int = 5,
                  seed: int = 0) -> list[HparamSweepRow]:
     """Vary one architecture axis of the teacher, holding the rest.
 
-    ``d`` sweeps the embedding width (hidden stays at twice the embedding),
-    ``l`` the window span (teacher and student together, since they must
-    match), ``h`` the teacher's head count. Values that do not fit the
+    ``axis`` is a key of :data:`SWEEP_AXES`. Values that do not fit the
     event (window reaching before snapshot 0) are skipped.
     """
-    if axis == "d":
-        values = EMBED_GRID
-
-        def make(value):
-            return (replace(teacher_cfg, embed_dim=value, hidden_dim=2 * value),
-                    student_cfg)
-    elif axis == "l":
-        values = WINDOW_GRID
-
-        def make(value):
-            return (replace(teacher_cfg, window=value),
-                    replace(student_cfg, window=value))
-    elif axis == "h":
-        values = HEAD_GRID
-
-        def make(value):
-            return (replace(teacher_cfg, heads=value), student_cfg)
-    else:
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-
-    axis_ord = {"d": 0, "l": 1, "h": 2}[axis]
+    _check_trials(trials)
+    values, make = SWEEP_AXES[axis]
+    axis_ord = list(SWEEP_AXES).index(axis)
     rows = []
     for value in values:
-        t_cfg, s_cfg = make(value)
+        t_cfg, s_cfg = make(teacher_cfg, student_cfg, value)
         try:
             report = run_evaluation(event, k, t_cfg, s_cfg, trials=trials,
                                     scorer="dot",

@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from .errors import ConfigError, EventFormatError, EvolinkError
-from .evaluation import EvalReport
+from .evaluation import SCORERS, EvalReport
 from .graphs import EventSequence, RawEvent, normalize_edges, normalize_weights
 from .model import ModelConfig, student_defaults
 from .simulate import SimConfig
@@ -205,8 +205,9 @@ class RunConfig:
     def __post_init__(self):
         if (self.manifest is None) == (self.sim is None):
             raise ConfigError("data must give exactly one of 'manifest' or 'simulate'")
-        if self.scorer not in ("dot", "mlp", "both"):
-            raise ConfigError(f"scorer must be dot, mlp, or both, got {self.scorer!r}")
+        if self.scorer not in (*SCORERS, "both"):
+            raise ConfigError(f"scorer must be {', '.join(SCORERS)}, or both, "
+                              f"got {self.scorer!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -241,8 +242,8 @@ def load_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: section {name!r} must be an object")
         return dict(value)
 
-    def integer(name, default, nullable=False):
-        value = blob.get(name, default)
+    def integer(name, nullable=False):
+        value = blob[name]
         if value is None and nullable:
             return None
         if not isinstance(value, int) or isinstance(value, bool):
@@ -269,16 +270,20 @@ def load_run_config(path: str | Path) -> RunConfig:
             sim = SimConfig(**sim_fields)
         if manifest is not None and sim is not None:
             raise ConfigError(f"{path}: data gives both a manifest and a simulation")
+        # Only the keys the config gives: RunConfig holds the defaults.
+        given = {}
+        if "out" in blob:
+            given["out_dir"] = Path(blob["out"])
+        if "scorer" in blob:
+            given["scorer"] = str(blob["scorer"])
+        given.update((name, integer(name, nullable=name == "k"))
+                     for name in ("trials", "k", "seed") if name in blob)
         return RunConfig(
             teacher=teacher,
             student=student,
             manifest=Path(path.parent / manifest) if manifest is not None else None,
             sim=sim,
-            out_dir=Path(blob.get("out", "runs/out")),
-            scorer=str(blob.get("scorer", "dot")),
-            trials=integer("trials", 5),
-            k=integer("k", None, nullable=True),
-            seed=integer("seed", 0),
+            **given,
         )
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -351,27 +356,19 @@ def write_report(report: EvalReport, out_dir: str | Path,
     json_path = out / f"{stem}.json"
     payload = {"meta": _meta(), "report": report.to_payload()}
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    csv_path = out / f"{stem}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "model", "metric", "value"])
-        for row in report.csv_rows():
-            writer.writerow([row[0], row[1], row[2], repr(row[3])])
+    csv_path = write_rows_csv(out / f"{stem}.csv", ["trial", "model", "metric", "value"],
+                              report.csv_rows())
     return json_path, csv_path
 
 
 def write_trace(trace: TrainingTrace, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "seconds"])
-        for epoch, (loss, secs) in enumerate(zip(trace.losses, trace.seconds)):
-            writer.writerow([epoch, repr(loss), f"{secs:.6f}"])
-    return path
+    return write_rows_csv(path, ["epoch", "loss", "seconds"],
+                          [(epoch, loss, f"{secs:.6f}")
+                           for epoch, (loss, secs) in enumerate(zip(trace.losses, trace.seconds))])
 
 
 def write_rows_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
+    """Write ``header`` and ``rows`` as CSV, each float as its ``repr``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:

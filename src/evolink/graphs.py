@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import block_diag, csr_matrix
 
 from .errors import (
     EmptyEventError,
@@ -43,12 +43,13 @@ class SnapshotGraph:
     ``nodes`` are sorted global ids; ``edges`` hold each undirected pair
     once as ``(u, v, w)`` with ``u < v`` and ``0 < w <= 1``, as Python
     scalars. Dense matrix positions follow the sorted node order. The
-    snapshot is built from ``edges`` or from arrays (node ids, u, v, w),
-    checked on arrays, and keeps them: ``node_ids``, ``nodes`` as an index
-    array, and ``edge_arrays``, each edge's matrix positions and weight as
-    ``(rows, cols, weights)``. The cached properties, ``edges`` among them
-    when not given, are built on first use, read-only, and kept as long as
-    the snapshot, so every window over it reuses them. None of them is n×n.
+    snapshot is built from exactly one of ``edges`` and ``arrays`` (node
+    ids equal to ``nodes``, u, v, w), checked on arrays, and keeps them:
+    ``node_ids``, ``nodes`` as an index array, and ``edge_arrays``, each
+    edge's matrix positions and weight as ``(rows, cols, weights)``. The
+    cached properties, ``edges`` among them when not given, are built on
+    first use, read-only, and kept as long as the snapshot, so every window
+    over it reuses them. None of them is n×n.
     Only ``index``, ``nodes`` and ``edges`` take part in ``==``.
     """
 
@@ -60,12 +61,16 @@ class SnapshotGraph:
 
     def __init__(self, index: int, nodes: tuple[int, ...], edges: tuple[Edge, ...] | None = None,
                  arrays: tuple[Array, Array, Array, Array] | None = None):
+        if (edges is None) == (arrays is None):
+            raise MalformedGraphError("a snapshot takes exactly one of edges and arrays")
         if arrays is None:
             try:
                 ids = np.array(nodes, dtype=np.intp)
             except OverflowError:
                 raise MalformedGraphError("node ids must fit in 64 bits") from None
             arrays = (ids, *_edge_columns(edges, len(edges)))
+        elif arrays[0].tolist() != list(nodes):
+            raise MalformedGraphError("the node ids of arrays differ from nodes")
         ids, u, v, w = arrays
         rows, cols = _edge_positions(index, ids, u, v, w)
         for arr in (ids, rows, cols, w):
@@ -116,7 +121,10 @@ class SnapshotGraph:
             raise MalformedGraphError("cannot normalize an empty snapshot")
         rows, cols, weights = self.edge_arrays
         lists = NeighbourLists.symmetric(self.n, rows, cols, weights, np.arange(self.n))
-        a_hat = lists.matrix(_normalized(self.n, lists.rows, lists.cols, lists.weights))
+        inv_root = 1.0 / np.sqrt(np.bincount(lists.rows, lists.weights, minlength=self.n))
+        # The product of the two factors is the same in either order, so the
+        # result is bitwise symmetric.
+        a_hat = lists.matrix(lists.weights * (inv_root[lists.rows] * inv_root[lists.cols]))
         a_hat.data.flags.writeable = False
         return a_hat
 
@@ -128,12 +136,8 @@ class SnapshotGraph:
             return self.normalized_adjacency
         blocks = self._propagations
         if copies not in blocks:
-            a = self.normalized_adjacency
-            lists = NeighbourLists(indptr=a.indptr.astype(np.intp),
-                                   rows=np.repeat(np.arange(self.n), np.diff(a.indptr)),
-                                   cols=a.indices.astype(np.intp), weights=a.data)
-            tiled = lists.tile(copies)
-            blocks[copies] = tiled.matrix(tiled.weights)
+            blocks[copies] = block_diag([self.normalized_adjacency] * copies, format="csr")
+            blocks[copies].data.flags.writeable = False
         return blocks[copies]
 
     @cached_property
@@ -417,38 +421,15 @@ def normalize_edges(name: str, sizes: list[int], edges: Iterable[Edge] | Array) 
                          registry=registry, weight_scale=scale)
 
 
-def _normalized(n: int, rows: Array, cols: Array, weights: Array) -> Array:
-    """``D^(-1/2) (A + I) D^(-1/2)`` at the given entries of ``A + I``,
-    where ``D`` holds the row sums of ``A + I``."""
-    inv_root = 1.0 / np.sqrt(np.bincount(rows, weights, minlength=n))
-    # The product of the two factors is the same in either order, so the
-    # result is bitwise symmetric.
-    return weights * (inv_root[rows] * inv_root[cols])
+def normalize_adjacency(g: SnapshotGraph) -> Array:
+    """Symmetrically normalized adjacency of snapshot ``g`` with self-loops,
+    dense: ``g.normalized_adjacency`` as an array.
 
-
-def normalize_adjacency(g: SnapshotGraph | Array) -> Array:
-    """Symmetrically normalized adjacency with self-loops, dense.
-
-    ``g`` is a snapshot or its dense adjacency, ``g.adjacency()``. Returns
-    ``D^(-1/2) (A + I) D^(-1/2)`` where ``D`` holds the row sums of
+    Returns ``D^(-1/2) (A + I) D^(-1/2)`` where ``D`` holds the row sums of
     ``A + I``. The result is exactly symmetric and every entry lies in
     ``[0, 1]``; an isolated node gets a 1 on the diagonal.
     """
-    if isinstance(g, SnapshotGraph):
-        return g.normalized_adjacency.toarray()
-    a = np.asarray(g, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MalformedGraphError(f"adjacency must be a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n < 1:
-        raise MalformedGraphError("cannot normalize an empty snapshot")
-    a_tilde = a + np.eye(n)
-    if not np.all(np.isfinite(a_tilde)):
-        raise MalformedGraphError("non-finite adjacency entries")
-    rows, cols = np.nonzero(a_tilde)
-    out = np.zeros((n, n), dtype=np.float64)
-    out[rows, cols] = _normalized(n, rows, cols, a_tilde[rows, cols])
-    return out
+    return g.normalized_adjacency.toarray()
 
 
 def build_window(event: EventSequence, k: int, length: int) -> list[SnapshotGraph]:

@@ -157,6 +157,15 @@ def test_truncation_detected_everywhere():
             load_checkpoint(data[:cut])
 
 
+def test_a_stacked_chain_is_refused():
+    """A checkpoint holds one model; a stack's leaves carry a model axis
+    that no config describes, so saving one would write a file that the
+    reader refuses."""
+    stack = GcnChain.stack([GcnChain.init(small_config(), 3)] * 2)
+    with pytest.raises(ShapeError, match="got a stack of 2"):
+        save_checkpoint(stack)
+
+
 def test_trailing_bytes_rejected():
     data = save_checkpoint(GcnChain.init(small_config(), 3))
     with pytest.raises(CheckpointError, match="trailing"):

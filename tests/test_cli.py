@@ -1,13 +1,16 @@
 """End-to-end command tests, driven in-process through cli.main."""
 import json
+from fractions import Fraction
 
 import pytest
 
-from evolink import evaluation
+from evolink import cli, evaluation
 from evolink.checkpoint import read_checkpoint
 from evolink.cli import main
-from evolink.eventio import load_event
-from evolink.training import train_teacher
+from evolink.evaluation import EvalReport, GammaSweepRow, HparamSweepRow, TrialRecord
+from evolink.eventio import load_event, write_report, write_trace
+from evolink.model import ModelConfig
+from evolink.training import TrainingTrace, train_teacher
 
 
 def write_config(tmp_path, **extra):
@@ -198,6 +201,69 @@ def test_sweep_hparam_single_axis(tmp_path, capsys):
     lines = (tmp_path / "out" / "hparam_sweep_l.csv").read_text().splitlines()
     # k defaults to 2 on a 4-snapshot event, so only windows 1 and 2 fit
     assert [l.split(",")[1] for l in lines[1:]] == ["1", "2"]
+
+
+# Floats whose repr another formatting would change: a long mantissa, an
+# exponent, a trailing ".0".
+AWKWARD = (0.1, 1 / 3, 1e-05, 0.30000000000000004, 1e16, 2.0)
+
+
+def fixed_report() -> EvalReport:
+    fixed = dict(teacher_seed=1, student_seed=2, split_seed=3, baseline_rmse=0.5,
+                 n_validation=2, n_test=8)
+    trials = (TrialRecord(0, teacher_rmse=0.1, teacher_mae=1 / 3, student_rmse=1e-05,
+                          student_mae=2.0, **fixed),
+              TrialRecord(1, teacher_rmse=0.30000000000000004, teacher_mae=1e16,
+                          student_rmse=0.25, student_mae=123.456, **fixed))
+    stats = {f"{model}_{metric}_{kind}": 0.0 for model in ("teacher", "student")
+             for metric in ("rmse", "mae") for kind in ("mean", "std")}
+    return EvalReport(event="e", k=1, scorer="dot", teacher_config=ModelConfig(role="teacher"),
+                      student_config=ModelConfig(role="student"), trials=trials, **stats,
+                      baseline_rmse_mean=0.5, param_count_teacher=400, param_count_student=100,
+                      compression_ratio=Fraction(1, 4), compression="25:100",
+                      n_links_total=10, n_links_scoreable=10, split_seeds=(3, 3))
+
+
+def test_writers_emit_these_bytes(tmp_path, monkeypatch, capsys):
+    """The trace, report and sweep CSVs, byte for byte: every float as its
+    repr, seconds to six places, CRLF line ends."""
+    trace = TrainingTrace(losses=[0.5, 1 / 3, 1e-20], seconds=[0.01, 1.5, 1234.5678901])
+    assert write_trace(trace, tmp_path / "trace.csv").read_bytes() == (
+        b"epoch,loss,seconds\r\n0,0.5,0.010000\r\n"
+        b"1,0.3333333333333333,1.500000\r\n2,1e-20,1234.567890\r\n")
+    _, report_csv = write_report(fixed_report(), tmp_path / "report")
+    assert report_csv.read_bytes() == (
+        b"trial,model,metric,value\r\n"
+        b"0,teacher,rmse,0.1\r\n0,teacher,mae,0.3333333333333333\r\n"
+        b"0,student,rmse,1e-05\r\n0,student,mae,2.0\r\n"
+        b"1,teacher,rmse,0.30000000000000004\r\n1,teacher,mae,1e+16\r\n"
+        b"1,student,rmse,0.25\r\n1,student,mae,123.456\r\n")
+
+    def fake_gamma(event, k, teacher, student, *, trials, seed):
+        return [GammaSweepRow(0.1, *AWKWARD[1:]), GammaSweepRow(0.9, 0.25, 0.0, 0.5, 2.0, 1e16)]
+
+    def fake_hparam(event, k, teacher, student, axis, *, trials, seed):
+        row = HparamSweepRow(axis, 16, *AWKWARD[:4], 1234, 56)
+        return {"d": [row], "l": [], "h": [row, HparamSweepRow(axis, 2, *AWKWARD[2:], 7, 8)]}[axis]
+
+    monkeypatch.setattr(cli, "sweep_gamma", fake_gamma)
+    monkeypatch.setattr(cli, "sweep_hparam", fake_hparam)
+    cfg = write_config(tmp_path)
+    assert main(["sweep-gamma", str(cfg)]) == 0
+    assert main(["sweep-hparam", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert (out / "gamma_sweep.csv").read_bytes() == (
+        b"gamma,student_rmse_mean,student_rmse_std,student_mae_mean,student_mae_std,"
+        b"teacher_rmse_mean\r\n"
+        b"0.1,0.3333333333333333,1e-05,0.30000000000000004,1e+16,2.0\r\n"
+        b"0.9,0.25,0.0,0.5,2.0,1e+16\r\n")
+    header = (b"axis,value,teacher_rmse_mean,teacher_rmse_std,student_rmse_mean,"
+              b"student_rmse_std,param_count_teacher,param_count_student\r\n")
+    row = b"16,0.1,0.3333333333333333,1e-05,0.30000000000000004,1234,56\r\n"
+    assert (out / "hparam_sweep_d.csv").read_bytes() == header + b"d," + row
+    assert (out / "hparam_sweep_l.csv").read_bytes() == header
+    assert (out / "hparam_sweep_h.csv").read_bytes() == (
+        header + b"h," + row + b"h,2,1e-05,0.30000000000000004,1e+16,2.0,7,8\r\n")
 
 
 def test_errors_exit_one_with_message(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Every evolink import in the demos and the README resolves, and so does
-every README code span that names a submodule's attribute.
+every README code span that names a submodule's attribute; the demos run.
 
-The sources are parsed with ``ast`` and never run, so this stays fast;
-it catches a rename or a deletion that orphans a documented import or
-leaves stale prose such as ``model.SomethingDeleted``.
+The imports and spans are checked by parsing the sources with ``ast``,
+which catches a rename or a deletion that orphans a documented import or
+leaves stale prose such as ``model.SomethingDeleted``. The demos then run
+as scripts, which catches a call whose signature or behaviour changed.
 """
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,6 +87,20 @@ def test_the_sources_are_found():
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_imports_resolve(path):
     assert unresolved(path.read_text()) == []
+
+
+# 05_gamma_sweep.py takes several seconds, and the gamma-sweep acceptance
+# gate already runs its code path.
+RUN_DEMOS = [p for p in DEMOS if not p.name.startswith("05_")]
+
+
+@pytest.mark.parametrize("path", RUN_DEMOS, ids=[p.name for p in RUN_DEMOS])
+def test_demo_runs(path, tmp_path):
+    """A demo runs to exit 0; it writes its files into its working directory."""
+    env = {**os.environ, "PYTHONPATH": str(Path(evolink.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_imports_resolve():

@@ -538,6 +538,28 @@ def test_sweep_gamma_rows_are_the_one_at_a_time_rows(monkeypatch):
     assert sweep_gamma(event, 1, tiny_teacher(), tiny_student(), **kwargs) == stacked
 
 
+@pytest.mark.parametrize("trials", [2.5, True, "2"])
+@pytest.mark.parametrize("call", [
+    lambda event, trials: run_evaluation(event, 1, tiny_teacher(), tiny_student(),
+                                         trials=trials),
+    lambda event, trials: evaluate_scorers(event, 1, tiny_teacher(), tiny_student(),
+                                           scorers=("dot",), trials=trials),
+    lambda event, trials: sweep_gamma(event, 1, tiny_teacher(), tiny_student(),
+                                      trials=trials),
+    lambda event, trials: sweep_hparam(event, 1, tiny_teacher(), tiny_student(), "l",
+                                       trials=trials),
+], ids=["run_evaluation", "evaluate_scorers", "sweep_gamma", "sweep_hparam"])
+def test_a_trial_count_that_is_not_an_integer_is_refused(call, trials, monkeypatch):
+    from evolink import evaluation
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(evaluation, "train_teacher", no_training)
+    with pytest.raises(ConfigError, match=f"trials must be an integer, got {trials!r}"):
+        call(make_event(), trials)
+
+
 def test_sweep_gamma_rejects_no_trials():
     with pytest.raises(ConfigError, match="trials must be >= 1"):
         sweep_gamma(make_event(), 1, tiny_teacher(), tiny_student(), trials=0)

@@ -63,6 +63,21 @@ class TestSnapshotGraph:
         with pytest.raises(MalformedGraphError):
             snap(0, nodes, edges)
 
+    def test_takes_its_edges_from_one_source(self):
+        """A snapshot is built from ``edges`` or from ``arrays``, never
+        both, and the node ids of ``arrays`` are ``nodes``."""
+        ids, u, v, w = (np.array([0, 1]), np.array([0]), np.array([1]), np.array([0.5]))
+        g = SnapshotGraph(0, (0, 1), arrays=(ids, u, v, w))
+        assert g == snap(0, [0, 1], [(0, 1, 0.5)])
+        with pytest.raises(MalformedGraphError, match="exactly one of edges and arrays"):
+            SnapshotGraph(0, (0, 1), edges=((0, 1, 0.25),), arrays=(ids, u, v, w))
+        with pytest.raises(MalformedGraphError, match="exactly one of edges and arrays"):
+            SnapshotGraph(0, (0, 1))
+        with pytest.raises(MalformedGraphError, match="node ids of arrays differ"):
+            SnapshotGraph(0, (0, 5), arrays=(ids, u, v, w))
+        with pytest.raises(MalformedGraphError, match="node ids of arrays differ"):
+            SnapshotGraph(0, (0, 1, 2), arrays=(ids, u, v, w))
+
 
 class TestWeightScale:
     def test_endpoints_map_exactly(self):
@@ -256,14 +271,6 @@ class TestNormalizeAdjacency:
     def test_single_node(self):
         assert np.array_equal(normalize_adjacency(snap(0, [0], [])), np.eye(1))
 
-    def test_takes_the_dense_adjacency(self):
-        g = snap(0, [0, 1, 2], [(0, 1, 0.5), (1, 2, 0.25)])
-        dense = g.adjacency()
-        assert np.array_equal(normalize_adjacency(dense), normalize_adjacency(g))
-        assert np.array_equal(dense, g.adjacency())  # the input is not modified
-        with pytest.raises(MalformedGraphError):
-            normalize_adjacency(np.zeros((2, 3)))
-
 
 def small_event(num_snapshots=6) -> EventSequence:
     rng = np.random.default_rng(3)
@@ -348,7 +355,6 @@ def test_normalized_adjacency_is_exactly_symmetric(windows):
             assert np.array_equal(a @ grad, a.T @ grad)
             dense = normalize_adjacency(g)
             assert np.array_equal(dense, dense.T)
-            assert np.array_equal(normalize_adjacency(g.adjacency()), dense)
 
 
 def test_neighbour_lists_hold_read_only_intp_indices(windows):
