@@ -10,7 +10,7 @@ MAE/RMSE averaged over independently seeded trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -296,8 +296,6 @@ class EvalReport:
 
     def to_payload(self) -> dict:
         """JSON-ready dict of every numeric result (no timestamps)."""
-        from dataclasses import asdict
-
         return {
             "event": self.event,
             "k": self.k,
@@ -401,67 +399,89 @@ def evaluate_scorers(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     in ``scorers``; the result holds one report per scorer. Trials draw
     their model and split seeds from ``seed`` and the trial index.
     """
+    return _evaluate(event, k, teacher_cfg, [student_cfg], scorers, trials, seed)[0]
+
+
+def _evaluate(event: EventSequence, k: int, teacher_cfg: ModelConfig,
+              student_cfgs: list[ModelConfig], scorers: tuple[str, ...], trials: int,
+              seed: int) -> list[dict[str, EvalReport]]:
+    """The protocol's trial loop, for one or more student configs.
+
+    Per trial it trains one teacher and distills every student config
+    from it with the trial's student seed, then scores the teacher and
+    each student on the trial's one test split. One config goes through
+    :func:`distill_student`; several, which may differ in ``gamma`` only,
+    train as one :func:`distill_students` stack. Returns, per student
+    config, one report per scorer.
+    """
     _check_distinct("scorers", scorers)
     for scorer in scorers:
         if scorer not in SCORERS:
             raise ConfigError(f"unknown scorer {scorer!r}")
     _check_trials(trials)
-    if teacher_cfg.window != student_cfg.window:
+    if any(cfg.window != teacher_cfg.window for cfg in student_cfgs):
         raise ConfigError("teacher and student must span the same window")
 
     window, links, scoreable, baseline = _prepare(event, k, teacher_cfg.window)
     n_global = event.n_global
-    records: dict[str, list[TrialRecord]] = {scorer: [] for scorer in scorers}
+    records = [{scorer: [] for scorer in scorers} for _ in student_cfgs]
     for t in range(trials):
         t_seed, s_seed, split_seed = _seeds_of(seed, t)
         teacher, _, t_emb = train_teacher(window, replace(teacher_cfg, seed=t_seed),
                                           n_global, event.registry)
-        bundle = DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
-                                    student_config=replace(student_cfg, seed=s_seed))
-        student, _ = distill_student(bundle, window, n_global, event.registry)
-        s_emb = student.embeddings(window)
+        bundles = [DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
+                                      student_config=replace(cfg, seed=s_seed))
+                   for cfg in student_cfgs]
+        if len(bundles) == 1:
+            students = [distill_student(bundles[0], window, n_global, event.registry)]
+        else:
+            students = distill_students(bundles, window, n_global, event.registry)
+        s_embs = [student.embeddings(window) for student, _ in students]
 
         _, test = split_links(scoreable, split_seed)
         for scorer in scorers:
-            t_scorer = s_scorer = None
-            samples = {}
-            if scorer == "mlp":
-                t_scorer = train_mlp_scorer(t_emb, window, derive_seed(seed, t, 3))
-                s_scorer = train_mlp_scorer(s_emb, window, derive_seed(seed, t, 4))
+            mlp = scorer == "mlp"
+            t_scorer = train_mlp_scorer(t_emb, window, derive_seed(seed, t, 3)) if mlp else None
+            t_preds, truths = _score_links(t_emb, test, t_scorer)
+            t_rmse, t_mae = metrics(t_preds, truths)
+            b_rmse, _ = metrics([baseline] * len(truths), truths)
+            for s_emb, recs in zip(s_embs, records):
+                s_scorer = (train_mlp_scorer(s_emb, window, derive_seed(seed, t, 4))
+                            if mlp else None)
                 samples = dict(mlp_positives=t_scorer.n_positives,
                                teacher_mlp_negatives=t_scorer.n_negatives,
-                               student_mlp_negatives=s_scorer.n_negatives)
-            t_preds, truths = _score_links(t_emb, test, t_scorer)
-            s_preds, _ = _score_links(s_emb, test, s_scorer)
-            t_rmse, t_mae = metrics(t_preds, truths)
-            s_rmse, s_mae = metrics(s_preds, truths)
-            b_rmse, _ = metrics([baseline] * len(truths), truths)
-            records[scorer].append(TrialRecord(
-                index=t, teacher_seed=t_seed, student_seed=s_seed, split_seed=split_seed,
-                teacher_rmse=t_rmse, teacher_mae=t_mae,
-                student_rmse=s_rmse, student_mae=s_mae,
-                baseline_rmse=b_rmse,
-                n_validation=len(scoreable) - len(test), n_test=len(test), **samples))
+                               student_mlp_negatives=s_scorer.n_negatives) if mlp else {}
+                s_preds, _ = _score_links(s_emb, test, s_scorer)
+                s_rmse, s_mae = metrics(s_preds, truths)
+                recs[scorer].append(TrialRecord(
+                    index=t, teacher_seed=t_seed, student_seed=s_seed, split_seed=split_seed,
+                    teacher_rmse=t_rmse, teacher_mae=t_mae,
+                    student_rmse=s_rmse, student_mae=s_mae,
+                    baseline_rmse=b_rmse,
+                    n_validation=len(scoreable) - len(test), n_test=len(test), **samples))
 
     n_teacher = count_params(teacher_cfg, n_global)
-    n_student = count_params(student_cfg, n_global)
-    ratio = Fraction(n_student, n_teacher)
-    reports = {}
-    for scorer, recs in records.items():
-        stats = {}
-        for key in ("teacher_rmse", "teacher_mae", "student_rmse", "student_mae"):
-            values = [getattr(r, key) for r in recs]
-            stats[f"{key}_mean"], stats[f"{key}_std"] = _mean_std(values)
-        reports[scorer] = EvalReport(
-            event=event.name, k=k, scorer=scorer,
-            teacher_config=teacher_cfg, student_config=student_cfg,
-            trials=tuple(recs), **stats,
-            baseline_rmse_mean=float(np.mean([r.baseline_rmse for r in recs])),
-            param_count_teacher=n_teacher, param_count_student=n_student,
-            compression_ratio=ratio, compression=compression_label(ratio),
-            n_links_total=len(links), n_links_scoreable=len(scoreable),
-            split_seeds=tuple(r.split_seed for r in recs),
-        )
+    reports = []
+    for student_cfg, by_scorer in zip(student_cfgs, records):
+        n_student = count_params(student_cfg, n_global)
+        ratio = Fraction(n_student, n_teacher)
+        by_report = {}
+        for scorer, recs in by_scorer.items():
+            stats = {}
+            for key in ("teacher_rmse", "teacher_mae", "student_rmse", "student_mae"):
+                values = [getattr(r, key) for r in recs]
+                stats[f"{key}_mean"], stats[f"{key}_std"] = _mean_std(values)
+            by_report[scorer] = EvalReport(
+                event=event.name, k=k, scorer=scorer,
+                teacher_config=teacher_cfg, student_config=student_cfg,
+                trials=tuple(recs), **stats,
+                baseline_rmse_mean=float(np.mean([r.baseline_rmse for r in recs])),
+                param_count_teacher=n_teacher, param_count_student=n_student,
+                compression_ratio=ratio, compression=compression_label(ratio),
+                n_links_total=len(links), n_links_scoreable=len(scoreable),
+                split_seeds=tuple(r.split_seed for r in recs),
+            )
+        reports.append(by_report)
     return reports
 
 
@@ -480,43 +500,21 @@ def sweep_gamma(event: EventSequence, k: int, teacher_cfg: ModelConfig,
                 gammas: tuple[float, ...] = GAMMA_GRID) -> list[GammaSweepRow]:
     """Student test RMSE per blend weight, trial-averaged.
 
-    Each trial trains one teacher and reuses it (same soft targets, same
-    student init, same test split) across every gamma, so the sweep
-    isolates the blend weight. A trial's students train as one stacked
-    fit. Scoring uses the dot scorer.
+    The protocol of :func:`evaluate_scorers` with the dot scorer, run once
+    for every gamma: each trial trains one teacher and reuses it (same soft
+    targets, same student init, same test split) across every gamma, so
+    the sweep isolates the blend weight. A trial's students train as one
+    stacked fit.
     """
-    _check_trials(trials)
     _check_distinct("gammas", gammas)
-    window, _, scoreable, _ = _prepare(event, k, teacher_cfg.window)
-    n_global = event.n_global
-
-    per_gamma: dict[float, list[tuple[float, float]]] = {g: [] for g in gammas}
-    teacher_rmses: list[float] = []
-    for t in range(trials):
-        t_seed, s_seed, split_seed = _seeds_of(seed, t)
-        teacher, _, t_emb = train_teacher(window, replace(teacher_cfg, seed=t_seed),
-                                          n_global, event.registry)
-        _, test = split_links(scoreable, split_seed)
-        t_preds, truths = _score_links(t_emb, test, None)
-        teacher_rmses.append(metrics(t_preds, truths)[0])
-        bundles = [DistillationBundle(teacher=teacher, teacher_embeddings=t_emb,
-                                      student_config=replace(student_cfg, gamma=gamma,
-                                                             seed=s_seed))
-                   for gamma in gammas]
-        students = distill_students(bundles, window, n_global, event.registry)
-        for gamma, (student, _) in zip(gammas, students):
-            s_preds, _ = _score_links(student.embeddings(window), test, None)
-            per_gamma[gamma].append(metrics(s_preds, truths))
-
-    teacher_mean = float(np.mean(teacher_rmses))
-    rows = []
-    for gamma in gammas:
-        rmse_mean, rmse_std = _mean_std([r for r, _ in per_gamma[gamma]])
-        mae_mean, mae_std = _mean_std([m for _, m in per_gamma[gamma]])
-        rows.append(GammaSweepRow(gamma=gamma, student_rmse_mean=rmse_mean,
-                                  student_rmse_std=rmse_std, student_mae_mean=mae_mean,
-                                  student_mae_std=mae_std, teacher_rmse_mean=teacher_mean))
-    return rows
+    student_cfgs = [replace(student_cfg, gamma=gamma) for gamma in gammas]
+    reports = _evaluate(event, k, teacher_cfg, student_cfgs, ("dot",), trials, seed)
+    return [GammaSweepRow(gamma=gamma, student_rmse_mean=r["dot"].student_rmse_mean,
+                          student_rmse_std=r["dot"].student_rmse_std,
+                          student_mae_mean=r["dot"].student_mae_mean,
+                          student_mae_std=r["dot"].student_mae_std,
+                          teacher_rmse_mean=r["dot"].teacher_rmse_mean)
+            for gamma, r in zip(gammas, reports)]
 
 
 @dataclass(frozen=True)

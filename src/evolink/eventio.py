@@ -24,11 +24,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, EventFormatError, EvolinkError
+from .errors import ConfigError, EventFormatError, EvolinkError, check_numbers
 from .evaluation import SCORERS, EvalReport
 from .graphs import EventSequence, RawEvent, normalize_edges, normalize_weights
 from .model import ModelConfig, student_defaults
-from .simulate import SimConfig
+from .simulate import SimConfig, simulate_event
 from .training import TrainingTrace
 
 SNAPSHOT_SECONDS = 600
@@ -208,6 +208,7 @@ class RunConfig:
         if self.scorer not in (*SCORERS, "both"):
             raise ConfigError(f"scorer must be {', '.join(SCORERS)}, or both, "
                               f"got {self.scorer!r}")
+        check_numbers(self, ("trials", "seed") + (("k",) if self.k is not None else ()), ())
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -293,8 +294,6 @@ def resolve_event(cfg: RunConfig) -> EventSequence:
     """The run's dataset: loaded from disk or synthesized in memory."""
     if cfg.manifest is not None:
         return load_event(cfg.manifest)
-    from .simulate import simulate_event
-
     return normalize_weights(simulate_event(cfg.sim))
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
-from scipy.sparse import block_diag, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .errors import (
     EmptyEventError,
@@ -127,22 +127,6 @@ class SnapshotGraph:
         a_hat = lists.matrix(lists.weights * (inv_root[lists.rows] * inv_root[lists.cols]))
         a_hat.data.flags.writeable = False
         return a_hat
-
-    def propagation(self, copies: int = 1) -> csr_matrix:
-        """``normalized_adjacency`` of ``copies`` disjoint copies of the
-        snapshot, block diagonal over ``copies * n`` rows: the propagation
-        matrix of that many models trained at once. Built once per count."""
-        if copies == 1:
-            return self.normalized_adjacency
-        blocks = self._propagations
-        if copies not in blocks:
-            blocks[copies] = block_diag([self.normalized_adjacency] * copies, format="csr")
-            blocks[copies].data.flags.writeable = False
-        return blocks[copies]
-
-    @cached_property
-    def _propagations(self) -> dict[int, csr_matrix]:
-        return {}
 
     def adjacency(self) -> Array:
         """Dense symmetric weight matrix with a zero diagonal."""

@@ -199,7 +199,7 @@ class GcnChain:
 
     def forward(self, window: list[SnapshotGraph]) -> list[Tensor]:
         """Embeddings for every window snapshot, recorded on the tape."""
-        return [gcn_forward(g.propagation(self.models), g.node_ids, w1, w2)
+        return [gcn_forward(g.normalized_adjacency, g.node_ids, w1, w2)
                 for g, w1, w2 in zip(window, self._first_layers(window), self.w2)]
 
     def final(self, window: list[SnapshotGraph]) -> Tensor:
@@ -207,7 +207,7 @@ class GcnChain:
         encoding the earlier snapshots, whose outputs no loss reads."""
         w1 = self._first_layers(window)[-1]
         g = window[-1]
-        return gcn_forward(g.propagation(self.models), g.node_ids, w1, self.w2[-1])
+        return gcn_forward(g.normalized_adjacency, g.node_ids, w1, self.w2[-1])
 
     def embeddings(self, window: list[SnapshotGraph]) -> Embeddings:
         """Inference-only final-snapshot embeddings.

@@ -13,24 +13,25 @@ reached ``param`` leaves only. All storage is float64.
 Several same-shape models can be recorded as one. A weight of shape
 (G, r, c) stacks the (r, c) weights of G models; an array indexed by nodes
 then stacks the models' rows, (G * n, d), as G disjoint copies of the
-graph. Only the ops that meet a weight handle this model axis:
-:func:`matmul`, :func:`rows`, :func:`with_rows`, :func:`edge_attention`
-and :func:`rmse_sigmoid_gram`. Each forms, for every model, the same
-operations in the same order as its one-model call, so each model's values
-and gradients have the bits they would have alone. The other ops are
-elementwise, reductions, or products with a constant, which the caller
-makes block diagonal.
+graph. The ops that meet a weight or the graph handle this model axis:
+:func:`matmul`, :func:`rows`, :func:`with_rows`, :func:`constant_matmul`,
+:func:`edge_attention` and :func:`rmse_sigmoid_gram`. Each forms, for
+every model, the same operations in the same order as its one-model call,
+so each model's values and gradients have the bits they would have alone.
+The other ops are elementwise or reductions.
 
 :func:`edge_attention` also takes a second axis, the H heads of an
 attention transition, each its own leaf. It evaluates them as one op on
 H copies of the neighbour pattern, sharing the input rows, and forms for
 every head the operations of its one-head call; the heads' results and
 their gradients with respect to the shared input are added in head order,
-as :func:`add` would add H one-head ops.
+as H one-head ops would be added one after another.
 
 :func:`mlp_mse` is the MLP link scorer's whole decoder and squared error
 as one op. Its value and weight gradients have the bits of the composed
-elementwise, product and reduction ops, which stay here as its oracle.
+elementwise, product and reduction ops. The tape holds only the ops a fit
+runs; the composed ops its fused ones are checked against live in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -147,29 +148,10 @@ def _accumulate(t: Tensor, g: Array, fresh: bool = False) -> None:
         t.grad += g
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _broadcastable(a: Tensor, b: Tensor, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-
 def constant_matmul(a, x) -> Tensor:
     """``a @ x`` for a constant symmetric (n, n) matrix ``a``, dense or
-    scipy.sparse.
+    scipy.sparse. An ``x`` of G stacked (n, d) blocks, (G * n, d), gives
+    each block's product with ``a``, stacked the same way.
 
     Only ``x`` is recorded. Its gradient ``a.T @ g`` is taken as ``a @ g``,
     which is the same only because ``a`` is symmetric: the caller must
@@ -178,13 +160,28 @@ def constant_matmul(a, x) -> Tensor:
     call.
     """
     x = as_tensor(x)
-    if a.ndim != 2 or x.value.ndim != 2 or a.shape[1] != x.shape[0]:
+    n = a.shape[-1]
+    models = x.shape[0] // n if a.ndim == 2 and x.value.ndim == 2 and n else 0
+    if models < 1 or a.shape != (n, n) or x.shape[0] != models * n:
         raise ShapeError(f"constant_matmul: shapes {a.shape} and {x.shape} do not chain")
 
-    def bw(g: Array) -> None:
-        _accumulate(x, a @ g, fresh=True)
+    def product(v: Array) -> Array:
+        blocks = v.reshape(models, n, -1)
+        if isinstance(a, np.ndarray):
+            # A dense product's bits depend on its width; a stacked matmul
+            # runs each block's own (n, n) @ (n, d) product.
+            return (a @ blocks).reshape(v.shape)
+        # scipy sums each output entry over its row's stored entries in
+        # their order, whatever the column count, so the blocks laid side
+        # by side as (n, G * d) columns keep their bits. One block's
+        # reshapes are views.
+        side = (a @ blocks.swapaxes(0, 1).reshape(n, -1)).reshape(n, models, -1)
+        return side.swapaxes(0, 1).reshape(v.shape)
 
-    return Tensor(a @ x.value, _parents=(x,), _backward=bw)
+    def bw(g: Array) -> None:
+        _accumulate(x, product(g), fresh=True)
+
+    return Tensor(product(x.value), _parents=(x,), _backward=bw)
 
 
 def _stack(w: Array) -> Array:
@@ -222,68 +219,6 @@ def matmul(a, b) -> Tensor:
             _accumulate(b, (a3.swapaxes(1, 2) @ g3).reshape(b.shape), fresh=True)
 
     return Tensor((a3 @ bs).reshape(-1, out), _parents=(a, b), _backward=bw)
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcastable(a, b, "add")
-
-    def bw(g: Array) -> None:
-        for t in (a, b):
-            if t.requires_grad:
-                gt = _unbroadcast(g, t.shape)
-                _accumulate(t, gt, fresh=gt is not g)
-
-    return Tensor(a.value + b.value, _parents=(a, b), _backward=bw)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcastable(a, b, "sub")
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            _accumulate(a, ga, fresh=ga is not g)
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.shape), fresh=True)
-
-    return Tensor(a.value - b.value, _parents=(a, b), _backward=bw)
-
-
-def mul(a, b) -> Tensor:
-    """Hadamard (elementwise) product with numpy broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcastable(a, b, "mul")
-
-    def bw(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.value, a.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.value, b.shape), fresh=True)
-
-    return Tensor(a.value * b.value, _parents=(a, b), _backward=bw)
-
-
-def scale(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-
-    def bw(g: Array) -> None:
-        _accumulate(a, g * c, fresh=True)
-
-    return Tensor(a.value * c, _parents=(a,), _backward=bw)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d operand, got {a.shape}")
-
-    def bw(g: Array) -> None:
-        _accumulate(a, g.T)
-
-    return Tensor(a.value.T, _parents=(a,), _backward=bw)
 
 
 def rows(a, idx) -> Tensor:
@@ -371,16 +306,6 @@ def elu(a) -> Tensor:
     return Tensor(value, _parents=(a,), _backward=bw)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    s = expit(a.value)
-
-    def bw(g: Array) -> None:
-        _accumulate(a, g * s * (1.0 - s), fresh=True)
-
-    return Tensor(s, _parents=(a,), _backward=bw)
-
-
 def tsum(a) -> Tensor:
     """Reduce to a scalar by summing every entry."""
     a = as_tensor(a)
@@ -389,41 +314,6 @@ def tsum(a) -> Tensor:
         _accumulate(a, g)
 
     return Tensor(a.value.sum(), _parents=(a,), _backward=bw)
-
-
-def mean(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.value.size
-    if n == 0:
-        raise ShapeError("mean of an empty tensor")
-
-    def bw(g: Array) -> None:
-        _accumulate(a, g / n)
-
-    return Tensor(a.value.mean(), _parents=(a,), _backward=bw)
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g: Array) -> None:
-        _accumulate(a, 2.0 * a.value * g, fresh=True)
-
-    return Tensor(a.value * a.value, _parents=(a,), _backward=bw)
-
-
-def sqrt(a) -> Tensor:
-    """Elementwise square root; the derivative at exactly zero is taken as 0."""
-    a = as_tensor(a)
-    if np.any(a.value < 0.0):
-        raise NumericError("sqrt of a negative value")
-    root = np.sqrt(a.value)
-
-    def bw(g: Array) -> None:
-        safe = np.where(root > 0.0, root, 1.0)
-        _accumulate(a, g * np.where(root > 0.0, 0.5 / safe, 0.0), fresh=True)
-
-    return Tensor(root, _parents=(a,), _backward=bw)
 
 
 # Entries whose (entries, d) row gathers the backward of
@@ -532,7 +422,7 @@ def edge_attention(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
     The backward is derived by hand, so the tape holds per-entry vectors
     and (n, d) matrices, never an (n, n) one. A head's value and gradients
     have the bits of the one-head call, and the sum and scaling those of
-    :func:`add` and :func:`scale`.
+    the ``add`` and ``scale`` ops of ``tests/oracles.py``.
     """
     x = as_tensor(x)
     transforms = [as_tensor(t) for t in transforms]
@@ -760,12 +650,13 @@ def mlp_mse(x, w_hidden, b_hidden, w_out, b_out, y) -> Tensor:
     ``x`` is a constant (N, d) feature matrix and ``y`` the constant (N, 1)
     targets; ``w_hidden`` is (d, k), ``b_hidden`` (1, k), ``w_out`` (k, 1)
     and ``b_out`` (1, 1). The value and each weight's gradient have the bits
-    of the composed chain :func:`matmul`, :func:`add`, :func:`relu`,
-    :func:`matmul`, :func:`add`, :func:`sigmoid`, :func:`sub`,
-    :func:`square`, :func:`mean`: the same 2-d products, the bias gradients
-    as the same column sums, and the hidden gradient of the one-column
-    output product as the broadcast product that the k = 1 ``matmul`` of
-    that chain equals. Only the activations are held for the backward pass.
+    of the composed chain :func:`matmul`, ``add``, :func:`relu`,
+    :func:`matmul`, ``add``, ``sigmoid``, ``sub``, ``square``, ``mean``,
+    whose other ops live in ``tests/oracles.py``: the same 2-d products,
+    the bias gradients as the same column sums, and the hidden gradient of
+    the one-column output product as the broadcast product that the k = 1
+    ``matmul`` of that chain equals. Only the activations are held for the
+    backward pass.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     w_hidden, b_hidden, w_out, b_out = leaves = [as_tensor(t) for t in

@@ -5,6 +5,12 @@ full-length eligibility masks, O(v) per pick; ``check_snapshot`` and
 ``check_event`` are the per-edge validation loops of ``SnapshotGraph``
 and ``EventSequence``. Each is kept as it was written, so the faster
 versions can be compared draw for draw and input for input.
+
+The tape ops ``add``, ``sub``, ``mul``, ``scale``, ``transpose``,
+``sigmoid``, ``mean``, ``square`` and ``sqrt`` are recorded ops that no
+fit needs: the fused ops of :mod:`evolink.tape` (the attention heads'
+mean, the MLP scorer's squared error, the sigmoid-Gram loss) are checked
+against chains of them, and tests use ``mul`` for weighted readouts.
 """
 from __future__ import annotations
 
@@ -12,9 +18,12 @@ import math
 
 import numpy as np
 
-from evolink.errors import MalformedGraphError
+from evolink.errors import MalformedGraphError, NumericError, ShapeError
 from evolink.graphs import WEIGHT_EPS, RawEvent
 from evolink.simulate import MIN_RAW_WEIGHT, SimConfig, arrival_counts
+from evolink.tape import Tensor, _accumulate, as_tensor, expit
+
+Array = np.ndarray
 
 
 def simulate_event_masks(cfg: SimConfig) -> RawEvent:
@@ -173,3 +182,132 @@ def check_event(snapshots, registry) -> None:
             if not WEIGHT_EPS <= w <= 1.0 - WEIGHT_EPS:
                 raise MalformedGraphError(
                     f"normalized weight {w} outside [{WEIGHT_EPS}, {1.0 - WEIGHT_EPS}]")
+
+
+# -- tape ops that only the tests compose ------------------------------------
+
+def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def _broadcastable(a: Tensor, b: Tensor, opname: str) -> None:
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    _broadcastable(a, b, "add")
+
+    def bw(g: Array) -> None:
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.shape)
+                _accumulate(t, gt, fresh=gt is not g)
+
+    return Tensor(a.value + b.value, _parents=(a, b), _backward=bw)
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    _broadcastable(a, b, "sub")
+
+    def bw(g: Array) -> None:
+        if a.requires_grad:
+            ga = _unbroadcast(g, a.shape)
+            _accumulate(a, ga, fresh=ga is not g)
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(g, b.shape), fresh=True)
+
+    return Tensor(a.value - b.value, _parents=(a, b), _backward=bw)
+
+
+def mul(a, b) -> Tensor:
+    """Hadamard (elementwise) product with numpy broadcasting."""
+    a, b = as_tensor(a), as_tensor(b)
+    _broadcastable(a, b, "mul")
+
+    def bw(g: Array) -> None:
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.value, a.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.value, b.shape), fresh=True)
+
+    return Tensor(a.value * b.value, _parents=(a, b), _backward=bw)
+
+
+def scale(a, c: float) -> Tensor:
+    a = as_tensor(a)
+    c = float(c)
+
+    def bw(g: Array) -> None:
+        _accumulate(a, g * c, fresh=True)
+
+    return Tensor(a.value * c, _parents=(a,), _backward=bw)
+
+
+def transpose(a) -> Tensor:
+    a = as_tensor(a)
+    if a.value.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-d operand, got {a.shape}")
+
+    def bw(g: Array) -> None:
+        _accumulate(a, g.T)
+
+    return Tensor(a.value.T, _parents=(a,), _backward=bw)
+
+
+def sigmoid(a) -> Tensor:
+    a = as_tensor(a)
+    s = expit(a.value)
+
+    def bw(g: Array) -> None:
+        _accumulate(a, g * s * (1.0 - s), fresh=True)
+
+    return Tensor(s, _parents=(a,), _backward=bw)
+
+
+def mean(a) -> Tensor:
+    a = as_tensor(a)
+    n = a.value.size
+    if n == 0:
+        raise ShapeError("mean of an empty tensor")
+
+    def bw(g: Array) -> None:
+        _accumulate(a, g / n)
+
+    return Tensor(a.value.mean(), _parents=(a,), _backward=bw)
+
+
+def square(a) -> Tensor:
+    a = as_tensor(a)
+
+    def bw(g: Array) -> None:
+        _accumulate(a, 2.0 * a.value * g, fresh=True)
+
+    return Tensor(a.value * a.value, _parents=(a,), _backward=bw)
+
+
+def sqrt(a) -> Tensor:
+    """Elementwise square root; the derivative at exactly zero is taken as 0."""
+    a = as_tensor(a)
+    if np.any(a.value < 0.0):
+        raise NumericError("sqrt of a negative value")
+    root = np.sqrt(a.value)
+
+    def bw(g: Array) -> None:
+        safe = np.where(root > 0.0, root, 1.0)
+        _accumulate(a, g * np.where(root > 0.0, 0.5 / safe, 0.0), fresh=True)
+
+    return Tensor(root, _parents=(a,), _backward=bw)

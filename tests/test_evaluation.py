@@ -5,6 +5,7 @@ checks, so every expected count is known in advance: snapshot 2 carries
 exactly ten links never seen in the window over snapshots 0..1.
 """
 import hashlib
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from evolink.errors import ConfigError, EvolinkError, InsufficientLinksError, ShapeError
 from evolink.evaluation import (
     GAMMA_GRID,
+    GammaSweepRow,
     MlpScorer,
     _sample_negatives,
     compression_label,
@@ -538,6 +540,21 @@ def test_sweep_gamma_rows_are_the_one_at_a_time_rows(monkeypatch):
     assert sweep_gamma(event, 1, tiny_teacher(), tiny_student(), **kwargs) == stacked
 
 
+def test_sweep_gamma_rows_are_the_evaluation_numbers():
+    """A one-trial sweep row at gamma g holds, bit for bit, the student and
+    teacher numbers that ``run_evaluation`` reports at the same seed with
+    the student at g: the sweep runs the protocol's own trial loop."""
+    event = make_event()
+    rows = sweep_gamma(event, 1, tiny_teacher(), tiny_student(), trials=1, seed=6,
+                       gammas=(0.3, 1.0))
+    for row in rows:
+        report = run_evaluation(event, 1, tiny_teacher(), tiny_student(gamma=row.gamma),
+                                trials=1, seed=6)
+        numbers = {f.name: getattr(report, f.name) for f in fields(row) if f.name != "gamma"}
+        assert repr(row) == repr(GammaSweepRow(gamma=row.gamma, **numbers))
+    assert [row.gamma for row in rows] == [0.3, 1.0]
+
+
 @pytest.mark.parametrize("trials", [2.5, True, "2"])
 @pytest.mark.parametrize("call", [
     lambda event, trials: run_evaluation(event, 1, tiny_teacher(), tiny_student(),
@@ -574,7 +591,10 @@ def test_sweep_gamma_rejects_no_trials():
     lambda event: evaluate_scorers(event, 1, tiny_teacher(), tiny_student(),
                                    scorers=(), trials=1),
     lambda event: distill_students([], None, event.n_global),
-], ids=["no-gammas", "repeated-gamma", "repeated-scorer", "no-scorers", "no-bundles"])
+    lambda event: sweep_gamma(event, 1, tiny_teacher(window=1), tiny_student(window=2),
+                              trials=1, gammas=(0.5,)),
+], ids=["no-gammas", "repeated-gamma", "repeated-scorer", "no-scorers", "no-bundles",
+        "sweep-window-mismatch"])
 def test_empty_or_repeated_lists_are_refused_before_training(call, monkeypatch):
     from evolink import evaluation
 

@@ -368,6 +368,21 @@ def test_resolve_event_simulated():
     assert event.n_global == 12
 
 
+@pytest.mark.parametrize("name,value", [("trials", "3"), ("trials", 2.5), ("trials", True),
+                                        ("seed", 1.5), ("k", "x"), ("k", None)])
+def test_run_config_refuses_counts_that_are_not_integers(name, value):
+    """Built directly, not from a file: a mistyped count is a ConfigError
+    naming it, not a TypeError from comparing it. ``k`` may be None."""
+    def build():
+        return RunConfig(teacher=ModelConfig(role="teacher"), student=ModelConfig(role="student"),
+                         sim=SimConfig(offices=2, viewers=12, snapshots=3, seed=1), **{name: value})
+    if value is None:
+        assert build().k is None
+    else:
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+            build()
+
+
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda b: b.update(data={}), "exactly one"),
     (lambda b: b.update(data={"manifest": "m", "simulate": {}}), "both"),

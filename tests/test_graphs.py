@@ -391,21 +391,17 @@ def test_matrix_is_the_checked_csr_build_without_a_copy(windows):
 def test_tiled_lists_are_disjoint_copies(windows):
     """``tile(k)`` lays ``k`` copies of the pattern along the diagonal, and
     a block-diagonal product gives each copy the bits of its own product."""
-    g = windows[0][-1]
-    lists = g.attention_lists
+    lists = windows[0][-1].attention_lists
     assert lists.tile(1) is lists
     tiled = lists.tile(3)
     assert tiled is lists.tile(3) and tiled.n == 3 * lists.n
     data = np.random.default_rng(2).uniform(size=lists.rows.size)
     x = np.random.default_rng(3).normal(size=(3, lists.n, 4))
     got = (tiled.matrix(np.tile(data, 3)) @ x.reshape(-1, 4)).reshape(x.shape)
-    block = g.propagation(3) @ x.reshape(-1, 4)
     for k in range(3):
         assert np.array_equal(got[k], lists.matrix(data) @ x[k])
-        assert np.array_equal(block[k * g.n:(k + 1) * g.n], g.normalized_adjacency @ x[k])
         m = lists.rows.size
         assert np.array_equal(tiled.transpose[k * m:(k + 1) * m], lists.transpose + k * m)
-    assert g.propagation(1) is g.normalized_adjacency
 
 
 # -- validation against the per-edge loops ------------------------------------

@@ -5,8 +5,10 @@ inputs. The FD step is 1e-5 and the acceptance bar is a relative error
 below 1e-4 per coordinate, matched against max(|analytic|, |numeric|, 1e-8)
 to keep near-zero coordinates from blowing up the ratio.
 """
+import ast
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from scipy.special import expit
 from evolink.errors import DegenerateSoftmaxError, NumericError, ShapeError
 from evolink.graphs import NeighbourLists, SnapshotGraph, normalize_adjacency
 from evolink import tape
-from evolink.tape import (LOSS_BLOCK, SigmoidGram, Tensor, add, backward, constant_matmul,
-                          edge_attention, edge_softmax, elu, matmul, mean, mlp_mse, mul,
-                          param, relu, rmse_sigmoid_gram, rows, scale, sigmoid, sqrt,
-                          square, sub, tsum, transpose, with_rows)
+from evolink.tape import (LOSS_BLOCK, SigmoidGram, Tensor, backward, constant_matmul,
+                          edge_attention, edge_softmax, elu, matmul, mlp_mse, param, relu,
+                          rmse_sigmoid_gram, rows, tsum, with_rows)
+from oracles import add, mean, mul, scale, sigmoid, sqrt, square, sub, transpose
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -373,6 +375,32 @@ def test_constant_matmul_backward_is_the_transpose_product_bit_for_bit(rng):
             assert np.allclose(x.grad, a.T @ read, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("models", [2, 9])
+def test_stacked_constant_matmul_gives_each_block_its_own_product(rng, models):
+    """G stacked blocks of rows through one constant matrix: each block's
+    value and gradient equal those of its own one-block call bit for bit,
+    with the CSR normalized adjacency and with its dense form. A row count
+    that is not a multiple of n is refused."""
+    n, edges = hub_graph()
+    g = SnapshotGraph(index=0, nodes=tuple(range(n)), edges=tuple(sorted(edges)))
+    x0 = rng.normal(size=(models * n, 3))
+    read = rng.normal(size=(models * n, 3))
+    for a in (g.normalized_adjacency, normalize_adjacency(g)):
+        x = param(x0, "x")
+        out = constant_matmul(a, x)
+        backward(tsum(mul(out, Tensor(read))))
+        for m in range(models):
+            block = slice(m * n, (m + 1) * n)
+            alone = param(x0[block], "alone")
+            want = constant_matmul(a, alone)
+            backward(tsum(mul(want, Tensor(read[block]))))
+            assert np.array_equal(out.value[block], want.value), (type(a), m)
+            assert np.array_equal(x.grad[block], alone.grad), (type(a), m)
+    for count in (0, n - 1, n + 1, models * n - 1):
+        with pytest.raises(ShapeError):
+            constant_matmul(g.normalized_adjacency, Tensor(np.ones((count, 3))))
+
+
 def random_lists(n, rng):
     """Symmetric neighbour lists over n nodes, about three edges a node,
     without a diagonal: a reconstruction target."""
@@ -673,12 +701,11 @@ def test_stacked_ops_give_every_model_its_own_bits(rng):
 
     def build(p):
         stacked = p["w1"].value.ndim == 3
-        copies = models if stacked else 1
         x = rows(p["w1"], ids)
         mixed = elu(edge_attention(x, [p["transform"]], [p["score"]], g.attention_lists))
         w1 = with_rows(p["w1"], ids, mixed)
-        h = relu(constant_matmul(g.propagation(copies), rows(w1, g.node_ids)))
-        z = matmul(constant_matmul(g.propagation(copies), h), p["w2"])
+        h = relu(constant_matmul(g.normalized_adjacency, rows(w1, g.node_ids)))
+        z = matmul(constant_matmul(g.normalized_adjacency, h), p["w2"])
         if stacked:
             return rmse_sigmoid_gram(z, [(1.0 - gammas, teacher), (gammas, g.adjacency_lists)])
         m = build.model
@@ -771,3 +798,21 @@ def test_mlp_mse_shape_checks_and_constants(rng):
                 (x, leaves[0], leaves[2], leaves[2], leaves[3], y)):
         with pytest.raises(ShapeError):
             mlp_mse(*bad)
+
+
+def test_every_public_tape_function_is_used_by_the_package():
+    """A public function of ``evolink/tape.py`` that no other module of the
+    package imports and no tape op calls is an oracle, which belongs in
+    ``tests/oracles.py``."""
+    package = Path(tape.__file__).parent
+    public = {node.name for node in ast.parse((package / "tape.py").read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if path.name == "tape.py":
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    used.add(node.func.id)
+            elif isinstance(node, ast.ImportFrom) and node.module == "tape":
+                used |= {alias.name for alias in node.names}
+    assert public <= used, f"tape functions nothing in the package uses: {sorted(public - used)}"
