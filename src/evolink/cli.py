@@ -231,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvolinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -204,7 +204,8 @@ class RunConfig:
 
     def __post_init__(self):
         if (self.manifest is None) == (self.sim is None):
-            raise ConfigError("data must give exactly one of 'manifest' or 'simulate'")
+            raise ConfigError("data must give exactly one of 'manifest' or 'simulate', got "
+                              + ("neither" if self.sim is None else "both"))
         if self.scorer not in (*SCORERS, "both"):
             raise ConfigError(f"scorer must be {', '.join(SCORERS)}, or both, "
                               f"got {self.scorer!r}")
@@ -222,9 +223,9 @@ DATA_KEYS = ("manifest", "simulate")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    """Parse a JSON run config; unknown keys and mistyped counts are errors.
-    Omitted model keys take the teacher or student defaults; the student's
-    window defaults to the teacher's."""
+    """Parse a JSON run config, checking its keys and sections; the config
+    classes check every value, and each error names the file and section.
+    Omitted model keys take the role's defaults, the student's window the teacher's."""
     path = Path(path)
     try:
         blob = json.loads(read_file(path, "run config", ConfigError))
@@ -237,57 +238,40 @@ def load_run_config(path: str | Path) -> RunConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in {where}; "
                                   f"expected one of {', '.join(allowed)}")
 
-    def section(name) -> dict:
-        value = blob.get(name, {})
+    def section(obj: dict, name: str) -> dict:
+        value = obj.get(name, {})
         if not isinstance(value, dict):
-            raise ConfigError(f"{path}: section {name!r} must be an object")
-        return dict(value)
-
-    def integer(name, nullable=False):
-        value = blob[name]
-        if value is None and nullable:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            kind = "an integer or null" if nullable else "an integer"
-            raise ConfigError(f"{path}: {name!r} must be {kind}, got {value!r}")
+            raise ConfigError(f"must be an object, got {value!r}")
         return value
+
+    def build(where: str, make):
+        try:
+            return make()
+        except (ConfigError, TypeError) as exc:  # a section or a value that is refused
+            raise ConfigError(f"{path}: {where}{exc}") from None
 
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: a run config must be a JSON object")
     check_keys(blob, RUN_KEYS, "the run config")
-    try:
-        teacher = ModelConfig(role="teacher", **section("teacher"))
-        student_fields = section("student")
-        student_fields.setdefault("window", teacher.window)
-        student = student_defaults(**{**student_fields, "role": "student"})
-        data = section("data")
-        check_keys(data, DATA_KEYS, "data")
-        manifest = data.get("manifest")
-        sim_fields = data.get("simulate")
-        sim = None
-        if sim_fields is not None:
-            if not isinstance(sim_fields, dict):
-                raise ConfigError(f"{path}: data.simulate must be an object")
-            sim = SimConfig(**sim_fields)
-        if manifest is not None and sim is not None:
-            raise ConfigError(f"{path}: data gives both a manifest and a simulation")
-        # Only the keys the config gives: RunConfig holds the defaults.
-        given = {}
-        if "out" in blob:
-            given["out_dir"] = Path(blob["out"])
-        if "scorer" in blob:
-            given["scorer"] = str(blob["scorer"])
-        given.update((name, integer(name, nullable=name == "k"))
-                     for name in ("trials", "k", "seed") if name in blob)
-        return RunConfig(
-            teacher=teacher,
-            student=student,
-            manifest=Path(path.parent / manifest) if manifest is not None else None,
-            sim=sim,
-            **given,
-        )
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    teacher = build("teacher: ", lambda: ModelConfig(role="teacher", **section(blob, "teacher")))
+    student = build("student: ", lambda: student_defaults(
+        **{"window": teacher.window, **section(blob, "student"), "role": "student"}))
+    data = build("data: ", lambda: section(blob, "data"))
+    check_keys(data, DATA_KEYS, "data")
+    sim = None
+    if data.get("simulate") is not None:
+        sim = build("data.simulate: ", lambda: SimConfig(**section(data, "simulate")))
+    manifest = data.get("manifest")
+    if manifest is not None:
+        if not isinstance(manifest, str):
+            raise ConfigError(f"{path}: data: manifest must be a path, got {manifest!r}")
+        manifest = path.parent / manifest
+    # Only the keys the config gives: RunConfig holds the defaults.
+    given = {name: blob[name] for name in ("scorer", "trials", "k", "seed") if name in blob}
+    if "out" in blob:
+        given["out_dir"] = build("out: ", lambda: Path(blob["out"]))
+    return build("", lambda: RunConfig(teacher=teacher, student=student, manifest=manifest,
+                                       sim=sim, **given))
 
 
 def resolve_event(cfg: RunConfig) -> EventSequence:

@@ -46,15 +46,13 @@ class Embeddings:
 def gcn_forward(a_hat, ids, w1: Tensor, w2: Tensor) -> Tensor:
     """One snapshot encoder pass; returns the (n_k, embed_dim) output.
 
-    ``a_hat`` is the snapshot's normalized adjacency, a dense array such as
-    ``normalize_adjacency(g)`` or the CSR ``g.normalized_adjacency``.
+    ``a_hat`` is the snapshot's normalized adjacency, the CSR
+    ``g.normalized_adjacency``.
     ``ids`` are the snapshot's dense node ids, such as ``g.node_ids``:
     ``X W1`` with identity features is the gather of their W1 rows. Stacks
     of G models' ``w1`` and ``w2`` give the G outputs stacked by rows, each
     through the one ``a_hat``.
     """
-    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
-        raise ShapeError(f"normalized adjacency must be square, got {a_hat.shape}")
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size != a_hat.shape[0]:
         raise ShapeError(f"{ids.size} node ids for {a_hat.shape[0]} nodes")

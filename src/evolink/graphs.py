@@ -93,10 +93,6 @@ class SnapshotGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def position(self) -> dict[int, int]:
-        """Global node id -> row index in this snapshot's matrices."""
-        return {u: i for i, u in enumerate(self.nodes)}
-
     @cached_property
     def adjacency_lists(self) -> NeighbourLists:
         """The weighted adjacency, zero diagonal, as neighbour lists: the
@@ -116,7 +112,8 @@ class SnapshotGraph:
     def normalized_adjacency(self) -> csr_matrix:
         """``D^(-1/2) (A + I) D^(-1/2)`` as a CSR matrix, where
         ``D`` holds the row sums of ``A + I``: the encoder's propagation
-        matrix."""
+        matrix. It equals its transpose bit for bit, every entry lies in
+        ``[0, 1]``, and an isolated node gets a 1 on the diagonal."""
         if self.n < 1:
             raise MalformedGraphError("cannot normalize an empty snapshot")
         rows, cols, weights = self.edge_arrays
@@ -135,9 +132,6 @@ class SnapshotGraph:
         a[rows, cols] = weights
         a[cols, rows] = weights
         return a
-
-    def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges_at(slice(None)))
 
 
 _EDGE = np.dtype([("u", np.intp), ("v", np.intp), ("w", np.float64)])
@@ -403,17 +397,6 @@ def normalize_edges(name: str, sizes: list[int], edges: Iterable[Edge] | Array) 
     registry = dict(zip(raw_ids[by_appearance].tolist(), range(raw_ids.size)))
     return EventSequence(name=name, snapshots=tuple(snapshots),
                          registry=registry, weight_scale=scale)
-
-
-def normalize_adjacency(g: SnapshotGraph) -> Array:
-    """Symmetrically normalized adjacency of snapshot ``g`` with self-loops,
-    dense: ``g.normalized_adjacency`` as an array.
-
-    Returns ``D^(-1/2) (A + I) D^(-1/2)`` where ``D`` holds the row sums of
-    ``A + I``. The result is exactly symmetric and every entry lies in
-    ``[0, 1]``; an isolated node gets a 1 on the diagonal.
-    """
-    return g.normalized_adjacency.toarray()
 
 
 def build_window(event: EventSequence, k: int, length: int) -> list[SnapshotGraph]:

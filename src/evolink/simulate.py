@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_numbers
-from .graphs import EventSequence, RawEvent
+from .graphs import RawEvent
 
 Array = np.ndarray
 
@@ -310,15 +310,8 @@ def simulate_event(cfg: SimConfig) -> RawEvent:
     return RawEvent(name=name, snapshots=tuple(snapshots))
 
 
-def describe_event(event) -> list[tuple[int, int, int]]:
-    """Per-snapshot (index, node count, edge count) for raw or normalized events."""
-    rows: list[tuple[int, int, int]] = []
-    if isinstance(event, RawEvent):
-        for k, edges in enumerate(event.snapshots):
-            rows.append((k, event.node_count(k), len(edges)))
-    elif isinstance(event, EventSequence):
-        for g in event.snapshots:
-            rows.append((g.index, g.n, len(g.edge_arrays[2])))
-    else:
-        raise ConfigError(f"cannot describe a {type(event).__name__}")
-    return rows
+def describe_event(event: RawEvent) -> list[tuple[int, int, int]]:
+    """Per-snapshot (index, node count, edge count) of a raw event."""
+    if not isinstance(event, RawEvent):
+        raise ConfigError(f"describe_event needs a RawEvent, got {type(event).__name__}")
+    return [(k, event.node_count(k), len(edges)) for k, edges in enumerate(event.snapshots)]

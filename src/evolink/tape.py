@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DegenerateSoftmaxError, NumericError, ShapeError
 from .graphs import NeighbourLists
@@ -148,29 +149,27 @@ def _accumulate(t: Tensor, g: Array, fresh: bool = False) -> None:
         t.grad += g
 
 
-def constant_matmul(a, x) -> Tensor:
-    """``a @ x`` for a constant symmetric (n, n) matrix ``a``, dense or
-    scipy.sparse. An ``x`` of G stacked (n, d) blocks, (G * n, d), gives
+def constant_matmul(a: csr_matrix, x) -> Tensor:
+    """``a @ x`` for a constant symmetric (n, n) CSR matrix ``a``, such as
+    ``SnapshotGraph.normalized_adjacency``; any other matrix is refused
+    with ShapeError. An ``x`` of G stacked (n, d) blocks, (G * n, d), gives
     each block's product with ``a``, stacked the same way.
 
     Only ``x`` is recorded. Its gradient ``a.T @ g`` is taken as ``a @ g``,
     which is the same only because ``a`` is symmetric: the caller must
     pass a matrix equal to its transpose, as every normalized adjacency is
-    bit for bit. A sparse ``a.T`` would be rebuilt in CSC form on every
-    call.
+    bit for bit. ``a.T`` would be rebuilt in CSC form on every call.
     """
+    if not isinstance(a, csr_matrix):
+        raise ShapeError(f"constant_matmul: needs a CSR matrix, got a {type(a).__name__}")
     x = as_tensor(x)
     n = a.shape[-1]
-    models = x.shape[0] // n if a.ndim == 2 and x.value.ndim == 2 and n else 0
+    models = x.shape[0] // n if x.value.ndim == 2 and n else 0
     if models < 1 or a.shape != (n, n) or x.shape[0] != models * n:
         raise ShapeError(f"constant_matmul: shapes {a.shape} and {x.shape} do not chain")
 
     def product(v: Array) -> Array:
         blocks = v.reshape(models, n, -1)
-        if isinstance(a, np.ndarray):
-            # A dense product's bits depend on its width; a stacked matmul
-            # runs each block's own (n, n) @ (n, d) product.
-            return (a @ blocks).reshape(v.shape)
         # scipy sums each output entry over its row's stored entries in
         # their order, whatever the column count, so the blocks laid side
         # by side as (n, G * d) columns keep their bits. One block's

@@ -26,8 +26,7 @@ from evolink.evaluation import (GAMMA_GRID, VALIDATION_SHARE, compression_label,
                                 derive_seed, run_evaluation, split_links, sweep_gamma)
 from evolink.eventio import export_event, load_raw_event
 from evolink.gcn import count_params, gcn_forward
-from evolink.graphs import (SnapshotGraph, build_window, normalize_adjacency,
-                            normalize_weights, unobserved_links)
+from evolink.graphs import SnapshotGraph, build_window, normalize_weights, unobserved_links
 from evolink.model import (GcnChain, ModelConfig, distillation_loss, reconstruction_loss,
                            student_defaults, teacher_defaults)
 from evolink.simulate import SimConfig, simulate_event
@@ -52,9 +51,14 @@ def random_graph(rng, n, p):
 # Independent scalar re-implementations of every forward equation. Pure
 # python loops, no shared code with the library beyond numpy primitives.
 
+def positions(g):
+    """Node id -> row in the snapshot's matrices, which follow the sorted nodes."""
+    return {u: i for i, u in enumerate(g.nodes)}
+
+
 def oracle_norm(g):
     n = g.n
-    pos = g.position()
+    pos = positions(g)
     a = [[0.0] * n for _ in range(n)]
     for u, v, w in g.edges:
         a[pos[u]][pos[v]] = w
@@ -85,7 +89,7 @@ def oracle_gcn(a_hat, x, w1, w2):
 
 def oracle_coefficients(g, head, w_prev):
     n = g.n
-    pos = g.position()
+    pos = positions(g)
     t = head.transform.value
     a_vec = head.score_vec.value[:, 0]
     d1 = t.shape[0]
@@ -114,7 +118,7 @@ def oracle_coefficients(g, head, w_prev):
 
 def oracle_evolved(g, transition, w_prev):
     out = w_prev.copy()
-    pos = g.position()
+    pos = positions(g)
     accum = np.zeros((g.n, w_prev.shape[1]))
     for head in transition.heads:
         alpha = oracle_coefficients(g, head, w_prev)
@@ -129,7 +133,7 @@ def oracle_evolved(g, transition, w_prev):
 
 def oracle_recon(z, g):
     n = g.n
-    pos = g.position()
+    pos = positions(g)
     target = [[0.0] * n for _ in range(n)]
     for u, v, w in g.edges:
         target[pos[u]][pos[v]] = w
@@ -167,7 +171,7 @@ class OracleSweep:
 
     def __init__(self):
         rng = np.random.default_rng(2026)
-        self.deltas = {"normalize_adjacency": 0.0, "gcn_forward": 0.0,
+        self.deltas = {"normalized_adjacency": 0.0, "gcn_forward": 0.0,
                        "attention_coefficients": 0.0, "evolve_weights": 0.0,
                        "reconstruction_loss": 0.0}
         self.rowsum_err = 0.0
@@ -182,12 +186,12 @@ class OracleSweep:
             d1 = int(rng.integers(2, 7))
             d2 = int(rng.integers(1, d1 + 1))
 
-            a_hat = normalize_adjacency(g)
-            self._track("normalize_adjacency", a_hat, oracle_norm(g))
+            a_hat = g.normalized_adjacency.toarray()
+            self._track("normalized_adjacency", a_hat, oracle_norm(g))
 
             w1 = rng.normal(size=(n_global, d1))
             w2 = rng.normal(size=(d1, d2))
-            z = gcn_forward(a_hat, g.node_ids, Tensor(w1), Tensor(w2)).value
+            z = gcn_forward(g.normalized_adjacency, g.node_ids, Tensor(w1), Tensor(w2)).value
             x_onehot = [[1.0 if c == u else 0.0 for c in range(n_global)]
                         for u in g.nodes]
             self._track("gcn_forward", z,
@@ -225,7 +229,7 @@ class OracleSweep:
         for u, v, _ in g.edges:
             degree[u] += 1
             degree[v] += 1
-        pos = g.position()
+        pos = positions(g)
         adj = {u: [] for u in g.nodes}
         for u, v, _ in g.edges:
             adj[u].append(v)

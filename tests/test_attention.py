@@ -26,10 +26,15 @@ def random_graph(rng, n, p=0.5):
     return SnapshotGraph(index=0, nodes=tuple(range(n)), edges=tuple(edges))
 
 
+def positions(g):
+    """Node id -> row in the snapshot's matrices, which follow the sorted nodes."""
+    return {u: i for i, u in enumerate(g.nodes)}
+
+
 def oracle_coefficients(g, head, w_prev):
     """Score-then-softmax with independent scalar arithmetic."""
     n = g.n
-    pos = g.position()
+    pos = positions(g)
     t = head.transform.value
     a_vec = head.score_vec.value[:, 0]
     d1 = t.shape[0]
@@ -59,7 +64,7 @@ def oracle_coefficients(g, head, w_prev):
 def oracle_evolved(g, transition, w_prev):
     """Per-node head mixture, ELU, scatter into the carried-forward matrix."""
     out = w_prev.copy()
-    pos = g.position()
+    pos = positions(g)
     accum = np.zeros((g.n, w_prev.shape[1]))
     for head in transition.heads:
         alpha = oracle_coefficients(g, head, w_prev)

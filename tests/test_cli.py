@@ -280,6 +280,20 @@ def test_errors_exit_one_with_message(tmp_path, capsys):
     assert "data.simulate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "train-teacher", "evaluate"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_unwritable_out_exits_one_naming_it(tmp_path, capsys, command, under):
+    """An ``--out`` that is a file, or lies under one, is one ``error:``
+    line naming the path, not a traceback."""
+    cfg = write_config(tmp_path)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert main([command, str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+
+
 def test_non_integer_model_field_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, teacher={"window": 1, "heads": 2.5, "hidden_dim": 6,
                                           "embed_dim": 3, "epochs": 6, "lr": 0.01})

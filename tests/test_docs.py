@@ -25,7 +25,7 @@ FENCE = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
 ANY_FENCE = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
 SPAN = re.compile(r"`([^`\n]+)`")
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(evolink.__path__))
-# "graphs.SnapshotGraph", "evolink.tape.expit" or "graphs.normalize_adjacency(g)".
+# "graphs.SnapshotGraph", "evolink.tape.expit" or "graphs.normalize_weights(raw)".
 QUALIFIED = re.compile(rf"(?:evolink\.)?({'|'.join(SUBMODULES)})\.([A-Za-z_][\w.]*)(?:\(.*\))?")
 
 
@@ -119,5 +119,5 @@ def test_a_missing_name_is_reported():
     assert unresolved(source) == ["evolink.model.no_such_name", "evolink.no_such_module",
                                   "evolink.nowhere"]
     prose = ("`model.GcnChain.final`, `model.GcnChain.no_such_name`, `evolink.tape.expit`, "
-             "`graphs.normalize_adjacency(g)`, `graphs.no_such_name(g)`, `report.json`")
+             "`graphs.normalize_weights(raw)`, `graphs.no_such_name(g)`, `report.json`")
     assert unresolved_spans(prose) == ["model.GcnChain.no_such_name", "graphs.no_such_name(g)"]

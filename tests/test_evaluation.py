@@ -273,7 +273,7 @@ def test_batched_negative_draws_match_one_draw_per_attempt(case, monkeypatch):
         (emb, window), seed = pinned_window(8), 2
     else:
         (emb, window), seed, make = dense_window(), 3, Confined
-        assert (emb.ids[0], emb.ids[1]) in window[0].edge_pairs()
+        assert (emb.ids[0], emb.ids[1]) in {(u, v) for u, v, _ in window[0].edges}
     links = {(u, v): w for g in window for u, v, w in g.edges}
     n, positives = len(emb.ids), len(links)
     wanted = min(positives, n * (n - 1) // 2 - positives)

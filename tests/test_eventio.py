@@ -393,18 +393,30 @@ def test_run_config_refuses_counts_that_are_not_integers(name, value):
     (lambda b: b["student"].update(window=3), "same window"),
     (lambda b: b.update(trails=3), "unknown key 'trails' in the run config"),
     (lambda b: b["data"].update(path="ev"), "unknown key 'path' in data"),
-    (lambda b: b.update(k="six"), "'k' must be an integer or null, got 'six'"),
-    (lambda b: b.update(k=True), "'k' must be an integer or null, got True"),
-    (lambda b: b.update(trials="3"), "'trials' must be an integer, got '3'"),
-    (lambda b: b.update(trials=2.0), "'trials' must be an integer, got 2.0"),
-    (lambda b: b.update(trials=True), "'trials' must be an integer, got True"),
-    (lambda b: b.update(seed=False), "'seed' must be an integer, got False"),
+    (lambda b: b.update(k="six"), "k must be an integer, got 'six'"),
+    (lambda b: b.update(k=True), "k must be an integer, got True"),
+    (lambda b: b.update(trials="3"), "trials must be an integer, got '3'"),
+    (lambda b: b.update(trials=2.0), "trials must be an integer, got 2.0"),
+    (lambda b: b.update(trials=True), "trials must be an integer, got True"),
+    (lambda b: b.update(seed=False), "seed must be an integer, got False"),
+    (lambda b: b["teacher"].update(window="3"), "teacher: window must be an integer, got '3'"),
+    (lambda b: b["student"].update(lr=0), "student: lr must be positive"),
+    (lambda b: b["data"]["simulate"].update(seed=-1), "data.simulate: seed must be >= 0"),
+    # A top-level value has no section between the file and the message.
+    (lambda b: b.update(seed=-1), "run.json: seed must be >= 0"),
+    (lambda b: b.update(scorer=None), "or both, got None$"),
+    (lambda b: b.update(data={"manifest": 5}), "data: manifest must be a path, got 5"),
+    (lambda b: b["data"].update(simulate=[1]), "data.simulate: must be an object"),
 ])
 def test_run_config_validation(tmp_path, mutate, fragment):
+    """Every refusal is a ConfigError that starts with the config's path
+    and names the section at fault."""
     blob = make_config_blob()
     mutate(blob)
-    with pytest.raises(ConfigError, match=fragment):
-        load_run_config(write_config(tmp_path, blob))
+    path = write_config(tmp_path, blob)
+    with pytest.raises(ConfigError, match=fragment) as info:
+        load_run_config(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_omitted_student_keys_take_student_defaults(tmp_path):

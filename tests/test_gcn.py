@@ -1,10 +1,11 @@
 """Snapshot encoder: forward oracle, identity-feature row selection, param count."""
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from evolink.errors import ShapeError
 from evolink.gcn import Embeddings, count_params, gcn_forward
-from evolink.graphs import SnapshotGraph, normalize_adjacency
+from evolink.graphs import SnapshotGraph
 from evolink.model import ModelConfig
 from evolink.tape import backward, param, tsum
 
@@ -52,19 +53,19 @@ def test_forward_matches_scalar_oracle():
         g = random_graph(rng, n)
         g = SnapshotGraph(index=0, nodes=ids,
                           edges=tuple((ids[u], ids[v], w) for u, v, w in g.edges))
-        a_hat = normalize_adjacency(g)
+        a_hat = g.normalized_adjacency
         w1 = rng.normal(size=(n_global, 5))
         w2 = rng.normal(size=(5, 3))
         got = gcn_forward(a_hat, g.node_ids, param(w1), param(w2)).value
-        expect = scalar_oracle(a_hat, one_hot(ids, n_global), w1, w2)
+        expect = scalar_oracle(a_hat.toarray(), one_hot(ids, n_global), w1, w2)
         assert np.max(np.abs(got - expect)) < 1e-10
 
 
 def test_single_isolated_node():
     # A_hat = [[1]], W1 row [2], W2 [[3]] -> relu(2) * 3 = 6.
     g = SnapshotGraph(index=0, nodes=(0,), edges=())
-    a_hat = normalize_adjacency(g)
-    out = gcn_forward(a_hat, g.node_ids, param(np.array([[2.0]])), param(np.array([[3.0]])))
+    out = gcn_forward(g.normalized_adjacency, g.node_ids, param(np.array([[2.0]])),
+                      param(np.array([[3.0]])))
     assert out.value.shape == (1, 1)
     assert out.value[0, 0] == 6.0
 
@@ -72,19 +73,20 @@ def test_single_isolated_node():
 def test_identity_features_select_rows():
     # With X = I restricted to the snapshot nodes, X W1 is a row gather of
     # the global W1; explicit one-hot matmul must agree exactly. An identity
-    # A_hat and W2 and a non-negative W1 leave the gather as the output.
+    # A_hat (a snapshot of isolated nodes) and W2 and a non-negative W1 leave
+    # the gather as the output.
     rng = np.random.default_rng(7)
     w1_val = np.abs(rng.normal(size=(10, 4)))
     ids = (1, 4, 9)
-    gathered = gcn_forward(np.eye(3), ids, param(w1_val), param(np.eye(4)))
+    a_hat = SnapshotGraph(index=0, nodes=ids, edges=()).normalized_adjacency
+    gathered = gcn_forward(a_hat, ids, param(w1_val), param(np.eye(4)))
     assert np.array_equal(gathered.value, one_hot(ids, 10) @ w1_val)
 
 
 def test_identity_gradient_reaches_only_selected_rows():
     w1 = param(np.random.default_rng(0).normal(size=(6, 3)), "w1")
     g = SnapshotGraph(index=0, nodes=(0, 5), edges=((0, 5, 0.5),))
-    a_hat = normalize_adjacency(g)
-    out = gcn_forward(a_hat, g.node_ids, w1, param(np.ones((3, 2))))
+    out = gcn_forward(g.normalized_adjacency, g.node_ids, w1, param(np.ones((3, 2))))
     backward(tsum(out))
     touched = np.abs(w1.grad).sum(axis=1) > 0
     assert touched[0] and touched[5]
@@ -94,11 +96,13 @@ def test_identity_gradient_reaches_only_selected_rows():
 def test_forward_shape_checks():
     w1, w2 = param(np.ones((4, 2))), param(np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        gcn_forward(np.ones((2, 3)), (0, 1), w1, w2)
+        gcn_forward(csr_matrix(np.ones((2, 3))), (0, 1), w1, w2)
     with pytest.raises(ShapeError):
-        gcn_forward(np.eye(3), (0, 1), w1, w2)  # row mismatch
+        gcn_forward(csr_matrix(np.eye(3)), (0, 1), w1, w2)  # row mismatch
     with pytest.raises(ShapeError, match="node id 5 outside the 4 W1 rows"):
-        gcn_forward(np.eye(1), (5,), w1, w2)
+        gcn_forward(csr_matrix(np.eye(1)), (5,), w1, w2)
+    with pytest.raises(ShapeError, match="needs a CSR matrix"):
+        gcn_forward(np.eye(2), (0, 1), w1, w2)
 
 
 def test_embeddings_lookup():

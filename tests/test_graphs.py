@@ -11,8 +11,8 @@ from oracles import check_event, check_snapshot
 from evolink.errors import (EmptyEventError, MalformedGraphError,
                             OutOfRangeError, ShapeError, WindowUnderflowError)
 from evolink.graphs import (WEIGHT_EPS, EventSequence, RawEvent, SnapshotGraph,
-                            WeightScale, build_window, normalize_adjacency,
-                            normalize_weights, unobserved_links)
+                            WeightScale, build_window, normalize_weights,
+                            unobserved_links)
 from evolink.eventio import export_event, load_event
 from evolink.simulate import SimConfig, simulate_event
 
@@ -46,8 +46,9 @@ class TestSnapshotGraph:
 
     def test_position_follows_sorted_node_order(self):
         g = snap(0, [2, 5, 9], [(2, 9, 0.3)])
-        assert g.position() == {2: 0, 5: 1, 9: 2}
+        assert g.node_ids.tolist() == [2, 5, 9]
         assert g.adjacency()[0, 2] == 0.3
+        assert g.normalized_adjacency[1, 1] == 1.0  # node 5 is isolated
 
     @pytest.mark.parametrize("nodes,edges", [
         ([1, 0], []),                       # unsorted
@@ -247,7 +248,7 @@ class TestNormalizeAdjacency:
                     if rng.random() < 0.3:
                         edges.append((u, v, float(rng.uniform(0.05, 0.95))))
             g = snap(0, nodes, edges)
-            got = normalize_adjacency(g)
+            got = g.normalized_adjacency.toarray()
             # Independent dense recomputation, scalar loops only.
             at = g.adjacency() + np.eye(n)
             expect = np.zeros((n, n))
@@ -259,17 +260,17 @@ class TestNormalizeAdjacency:
 
     def test_exactly_symmetric(self):
         g = snap(0, [0, 1, 2, 3], [(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.7)])
-        a = normalize_adjacency(g)
+        a = g.normalized_adjacency.toarray()
         assert np.array_equal(a, a.T)  # bitwise, not just approximately
 
     def test_isolated_node_row(self):
         g = snap(0, [0, 1, 2], [(0, 1, 0.5)])
-        a = normalize_adjacency(g)
+        a = g.normalized_adjacency.toarray()
         assert a[2, 2] == 1.0
         assert np.all(a[2, :2] == 0.0) and np.all(a[:2, 2] == 0.0)
 
     def test_single_node(self):
-        assert np.array_equal(normalize_adjacency(snap(0, [0], [])), np.eye(1))
+        assert np.array_equal(snap(0, [0], []).normalized_adjacency.toarray(), np.eye(1))
 
 
 def small_event(num_snapshots=6) -> EventSequence:
@@ -298,7 +299,7 @@ class TestWindows:
         got = unobserved_links(event, k, length).pairs()
         window_pairs = set()
         for g in event.snapshots[k - length:k + 1]:
-            window_pairs |= set(g.edge_pairs())
+            window_pairs |= {(u, v) for u, v, _ in g.edges}
         expect = {(u, v) for u, v, _ in event.snapshots[k + 1].edges
                   if (u, v) not in window_pairs}
         assert got == expect
@@ -343,8 +344,8 @@ def windows():
 
 def test_normalized_adjacency_is_exactly_symmetric(windows):
     """``constant_matmul`` takes ``a @ g`` for the gradient ``a.T @ g``:
-    the CSR and the dense normalized adjacency equal their transposes bit
-    for bit on every snapshot of both windows, and so do the two CSR
+    the CSR normalized adjacency and its dense form equal their transposes
+    bit for bit on every snapshot of both windows, and so do the two CSR
     products."""
     rng = np.random.default_rng(0)
     for window in windows:
@@ -353,7 +354,7 @@ def test_normalized_adjacency_is_exactly_symmetric(windows):
             assert (a != a.T).nnz == 0
             grad = rng.normal(size=(g.n, 8))
             assert np.array_equal(a @ grad, a.T @ grad)
-            dense = normalize_adjacency(g)
+            dense = a.toarray()
             assert np.array_equal(dense, dense.T)
 
 

@@ -205,9 +205,8 @@ def test_simulated_event_normalizes_cleanly():
     event = normalize_weights(simulate_event(cfg))
     assert event.n_global == 40
     assert len(event.snapshots) == 6
-    rows = describe_event(event)
-    assert [r[0] for r in rows] == list(range(6))
-    assert rows[-1][1] == 40
+    assert [g.index for g in event.snapshots] == list(range(6))
+    assert event.snapshots[-1].n == 40
 
 
 def test_event_name_encodes_shape():
@@ -217,11 +216,16 @@ def test_event_name_encodes_shape():
 
 
 def test_describe_event_raw_and_rejects_junk():
+    """A raw event is described; anything else, a normalized event
+    included, is refused."""
     raw = simulate_event(SimConfig(viewers=12, snapshots=3, offices=2))
     rows = describe_event(raw)
+    assert rows == [(k, raw.node_count(k), len(edges)) for k, edges in enumerate(raw.snapshots)]
     assert len(rows) == 3
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="needs a RawEvent, got list"):
         describe_event([("not", "an", "event")])
+    with pytest.raises(ConfigError, match="needs a RawEvent, got EventSequence"):
+        describe_event(normalize_weights(raw))
 
 
 # -- golden output -----------------------------------------------------------
