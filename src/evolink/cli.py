@@ -47,46 +47,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolving-graph embeddings with teacher/student distillation "
                     "for next-snapshot link-weight prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The config overrides that several commands take, each defined once.
+    overrides = {
+        "--seed": dict(type=int, help="override the run seed"),
+        "--out": dict(dest="out_dir", metavar="OUT", type=Path,
+                      help="override the output directory"),
+        "--k": dict(type=int, help="final window snapshot "
+                                   "(default: next-to-last usable snapshot)"),
+        "--trials": dict(type=int, help="override the number of trials"),
+    }
 
-    def common(p):
+    def command(name: str, text: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
         p.add_argument("config", help="path to a JSON run config")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, default=None,
-                       help="override the output directory")
+        for flag in flags:
+            p.add_argument(flag, default=None, **overrides[flag])
+        return p
 
-    p = sub.add_parser("simulate", help="synthesize an event and write it to disk")
-    common(p)
+    command("simulate", "synthesize an event and write it to disk", "--out")
+    run = ("--seed", "--out", "--k")  # what every command but simulate takes
 
-    p = sub.add_parser("train-teacher", help="fit the full-size model on one window")
-    common(p)
-    p.add_argument("--k", type=int, default=None, help="final window snapshot "
-                   "(default: next-to-last usable snapshot)")
+    p = command("train-teacher", "fit the full-size model on one window", *run)
     p.add_argument("--init-checkpoint", default=None,
                    help="warm-start from a previous teacher checkpoint")
 
-    p = sub.add_parser("distill", help="train a compressed student from a teacher")
-    common(p)
-    p.add_argument("--k", type=int, default=None)
+    p = command("distill", "train a compressed student from a teacher", *run)
     p.add_argument("--gamma", type=float, default=None,
                    help="override the student's loss blend weight")
     p.add_argument("--teacher", default=None,
                    help="teacher checkpoint path (default: <out>/teacher.ckpt)")
 
-    p = sub.add_parser("evaluate", help="run the trial-averaged prediction protocol")
-    common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p = command("evaluate", "run the trial-averaged prediction protocol", *run, "--trials")
     p.add_argument("--scorer", choices=[*SCORERS, "both"], default=None)
 
-    p = sub.add_parser("sweep-gamma", help="student error across blend weights")
-    common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    command("sweep-gamma", "student error across blend weights", *run, "--trials")
 
-    p = sub.add_parser("sweep-hparam", help="teacher error across capacity axes")
-    common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p = command("sweep-hparam", "teacher error across capacity axes", *run, "--trials")
     p.add_argument("--axis", choices=[*SWEEP_AXES, "all"], default="all")
     return parser
 
@@ -116,6 +112,17 @@ def _write_sweep(path: Path, row_type: type, rows: list) -> Path:
     return write_rows_csv(path, [f.name for f in fields(row_type)], [astuple(r) for r in rows])
 
 
+def _write_fit(out_dir: Path, role: str, chain, trace, summary: str) -> None:
+    """Write a fit's chain and trace as ``<role>.ckpt`` and ``<role>_trace.csv``
+    under ``out_dir``, then print ``summary`` and the lines that name them."""
+    ckpt = write_checkpoint(chain, Path(out_dir) / f"{role}.ckpt")
+    trace_path = write_trace(trace, Path(out_dir) / f"{role}_trace.csv")
+    print(summary)
+    print(f"  final loss {trace.losses[-1]:.6f} after {len(trace.losses)} epochs")
+    print(f"  checkpoint {ckpt}")
+    print(f"  trace      {trace_path}")
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     if cfg.sim is None:
@@ -137,12 +144,8 @@ def _cmd_train_teacher(args) -> int:
         init_from = read_checkpoint(args.init_checkpoint)
     model, trace, _ = train_teacher(window, teacher_cfg, event.n_global,
                                     event.registry, init_from=init_from)
-    ckpt = write_checkpoint(model, Path(cfg.out_dir) / "teacher.ckpt")
-    trace_path = write_trace(trace, Path(cfg.out_dir) / "teacher_trace.csv")
-    print(f"trained teacher on window {k - cfg.teacher.window}..{k} of {event.name!r}")
-    print(f"  final loss {trace.losses[-1]:.6f} after {len(trace.losses)} epochs")
-    print(f"  checkpoint {ckpt}")
-    print(f"  trace      {trace_path}")
+    _write_fit(cfg.out_dir, "teacher", model, trace,
+               f"trained teacher on window {k - cfg.teacher.window}..{k} of {event.name!r}")
     return 0
 
 
@@ -159,12 +162,8 @@ def _cmd_distill(args) -> int:
                                 teacher_embeddings=teacher.embeddings(window),
                                 student_config=student_cfg)
     student, trace = distill_student(bundle, window, event.n_global, event.registry)
-    ckpt = write_checkpoint(student, Path(cfg.out_dir) / "student.ckpt")
-    trace_path = write_trace(trace, Path(cfg.out_dir) / "student_trace.csv")
-    print(f"distilled student (gamma={student_cfg.gamma}) from {teacher_path}")
-    print(f"  final loss {trace.losses[-1]:.6f} after {len(trace.losses)} epochs")
-    print(f"  checkpoint {ckpt}")
-    print(f"  trace      {trace_path}")
+    _write_fit(cfg.out_dir, "student", student, trace,
+               f"distilled student (gamma={student_cfg.gamma}) from {teacher_path}")
     return 0
 
 

@@ -2,9 +2,10 @@
 
 Everything raised on purpose derives from EvolinkError so callers (and the
 command line front end) can catch one base class and still tell failure
-modes apart. :func:`check_numbers` is the type check every config class
-runs on its numeric fields.
+modes apart. :func:`check_numbers` is the type and range check every
+config class and protocol entry point runs on its numeric fields.
 """
+import math
 import numbers
 
 
@@ -68,12 +69,26 @@ class EventFormatError(EvolinkError):
     """An event directory or snapshot file cannot be parsed."""
 
 
-def check_numbers(config, integers: tuple[str, ...], reals: tuple[str, ...]) -> None:
-    """Raise ConfigError unless every ``integers`` field of ``config`` holds
-    an integer and every ``reals`` field a real number; a bool is neither."""
-    for names, kind, cls in ((integers, "an integer", numbers.Integral),
-                             (reals, "a real number", numbers.Real)):
-        for name in names:
-            value = getattr(config, name)
-            if not isinstance(value, cls) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be {kind}, got {value!r}")
+# Each kind of real field: the words of its range and the test of it.
+_REAL_KINDS = {"unit": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+               "positive": ("positive and finite", lambda x: 0.0 < x < math.inf)}
+
+
+def check_numbers(config, integers: dict[str, int | None], reals: dict[str, str | None]) -> None:
+    """Raise ConfigError unless every ``integers`` field of ``config`` holds an
+    integer of at least its bound (None: any) and every ``reals`` field a real
+    number of its kind: ``"unit"`` for [0, 1], ``"positive"`` for positive and
+    finite, None for any. A bool is neither. The package words these rules
+    only here."""
+    for name, bound in integers.items():
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if bound is not None and value < bound:
+            raise ConfigError(f"{name} must be >= {bound}, got {value}")
+    for name, kind in reals.items():
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if kind is not None and not _REAL_KINDS[kind][1](value):
+            raise ConfigError(f"{name} must be {_REAL_KINDS[kind][0]}, got {value}")

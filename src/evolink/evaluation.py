@@ -145,11 +145,7 @@ def train_mlp_scorer(emb: Embeddings, window: list[SnapshotGraph], seed: int,
     scorer then trains on all of them and records how many. Each epoch's
     loss is one :func:`~evolink.tape.mlp_mse` op.
     """
-    check_numbers(SimpleNamespace(epochs=epochs, lr=lr), ("epochs",), ("lr",))
-    if epochs < 0:
-        raise ConfigError(f"train_mlp_scorer: epochs must be >= 0, got {epochs}")
-    if not (lr > 0 and math.isfinite(lr)):
-        raise ConfigError(f"train_mlp_scorer: lr must be positive and finite, got {lr}")
+    check_numbers(SimpleNamespace(epochs=epochs, lr=lr), {"epochs": 0}, {"lr": "positive"})
     pos_weight: dict[tuple[int, int], float] = {}
     for g in window:
         rows, cols, w = g.edge_arrays
@@ -365,10 +361,9 @@ def _prepare(event: EventSequence, k: int, window_len: int
     return window, links, scoreable, constant_baseline(window)
 
 
-def _check_trials(trials: int) -> None:
-    check_numbers(SimpleNamespace(trials=trials), ("trials",), ())
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+def _check_protocol(trials: int, seed: int) -> None:
+    """Refuse a trial count that is not an integer >= 1 or a seed not >= 0."""
+    check_numbers(SimpleNamespace(trials=trials, seed=seed), {"trials": 1, "seed": 0}, {})
 
 
 def _check_distinct(what: str, values) -> None:
@@ -418,7 +413,7 @@ def _evaluate(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     for scorer in scorers:
         if scorer not in SCORERS:
             raise ConfigError(f"unknown scorer {scorer!r}")
-    _check_trials(trials)
+    _check_protocol(trials, seed)
     if any(cfg.window != teacher_cfg.window for cfg in student_cfgs):
         raise ConfigError("teacher and student must span the same window")
 
@@ -550,7 +545,7 @@ def sweep_hparam(event: EventSequence, k: int, teacher_cfg: ModelConfig,
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    _check_trials(trials)
+    _check_protocol(trials, seed)
     values, make = SWEEP_AXES[axis]
     axis_ord = list(SWEEP_AXES).index(axis)
     rows = []

@@ -209,11 +209,8 @@ class RunConfig:
         if self.scorer not in (*SCORERS, "both"):
             raise ConfigError(f"scorer must be {', '.join(SCORERS)}, or both, "
                               f"got {self.scorer!r}")
-        check_numbers(self, ("trials", "seed") + (("k",) if self.k is not None else ()), ())
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_numbers(self, {"trials": 1, "seed": 0, **({} if self.k is None else {"k": None})},
+                      {})
         if self.teacher.window != self.student.window:
             raise ConfigError("teacher and student must span the same window")
 

@@ -11,7 +11,6 @@ once per snapshot (see :class:`~evolink.graphs.SnapshotGraph`).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,23 +47,12 @@ class ModelConfig:
     role: str = "teacher"
 
     def __post_init__(self):
-        check_numbers(self, ("window", "heads", "hidden_dim", "embed_dim", "epochs", "seed"),
-                      ("lr", "gamma"))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.window < 0:
-            raise ConfigError(f"window must be >= 0, got {self.window}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        check_numbers(self, {"window": 0, "heads": 1, "hidden_dim": None, "embed_dim": None,
+                             "epochs": 1, "seed": 0},
+                      {"lr": "positive", "gamma": "unit"})
         if not 0 < self.embed_dim <= self.hidden_dim:
             raise ConfigError(f"need 0 < embed_dim <= hidden_dim, got "
                               f"{self.embed_dim} and {self.hidden_dim}")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.role not in ROLES:
             raise ConfigError(f"role must be one of {ROLES}, got {self.role!r}")
 
@@ -139,6 +127,8 @@ class GcnChain:
         """One chain of ``len(chains)`` models: each leaf stacks the chains'
         leaves on a leading model axis. The chains' configs may differ in
         ``gamma`` only, which no forward pass reads."""
+        if not chains:
+            raise ConfigError("a stack needs at least one model")
         first = chains[0]
         for chain in chains[1:]:
             if (replace(chain.config, gamma=first.config.gamma) != first.config

@@ -2,13 +2,12 @@
 
 :class:`Adam` keeps the first and second moments of every leaf in two
 flat buffers, in the order of its leaf dict; ``m[name]`` and ``v[name]``
-are views of a leaf's slice. A leaf whose ``.grad`` is ``None`` (it did
-not reach the loss) is skipped, moments included, as ``torch.optim.Adam``
-skips it. A step takes each maximal run of consecutive reached leaves as
-one vector: it concatenates their gradients, updates the run's moments
-in place and forms its update with one elementwise pass, and subtracts
-each leaf's slice from that leaf's value in place. The arithmetic is
-elementwise, so every entry gets the bits of a leaf-by-leaf update.
+are views of a leaf's slice. A step concatenates every leaf's gradient,
+zeros for a leaf whose ``.grad`` is ``None`` (it did not reach the loss),
+updates both moment buffers in place, forms the update in one elementwise
+pass and subtracts each leaf's slice from its value in place. Each entry
+gets the bits of a leaf-by-leaf update; a never-reached leaf has zero
+moments and an update of exactly 0.0, so it keeps its value bit for bit.
 Gradients are checked before any leaf moves: a wrong shape raises
 ShapeError and a non-finite entry raises TrainingDivergedError naming its
 leaf, leaving every leaf and moment as it was.
@@ -42,47 +41,35 @@ class Adam:
         self.v = {k: self._v[a:b].reshape(params[k].shape) for k, (a, b) in self._slices.items()}
         self.t = 0
 
-    def _runs(self) -> list[list[tuple[str, Tensor, int, int]]]:
-        """The maximal runs of consecutive reached leaves, each a list of
-        ``(name, leaf, lo, hi)`` with the leaf's slice of the moment
-        buffers. Checks each gradient's shape."""
-        runs: list[list[tuple[str, Tensor, int, int]]] = []
-        for name, leaf in self.params.items():
-            if leaf.grad is None:
-                continue
-            if leaf.grad.shape != leaf.value.shape:
-                raise ShapeError(f"Adam: gradient shape {leaf.grad.shape} for {name!r} "
-                                 f"does not match parameter shape {leaf.value.shape}")
-            lo, hi = self._slices[name]
-            if runs and runs[-1][-1][3] == lo:
-                runs[-1].append((name, leaf, lo, hi))
-            else:
-                runs.append([(name, leaf, lo, hi)])
-        return runs
-
     def step(self) -> None:
         """Apply one update using the ``.grad`` currently on each leaf."""
-        runs = self._runs()
-        grads = [np.concatenate([leaf.grad.ravel() for _, leaf, _, _ in run]) for run in runs]
-        for run, g in zip(runs, grads):
-            if not np.isfinite(g).all():
-                name = next(name for name, leaf, _, _ in run if not np.isfinite(leaf.grad).all())
-                raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
+        grads = []
+        for name, leaf in self.params.items():
+            if leaf.grad is None:
+                grads.append(np.zeros(leaf.value.size))
+            elif leaf.grad.shape != leaf.value.shape:
+                raise ShapeError(f"Adam: gradient shape {leaf.grad.shape} for {name!r} "
+                                 f"does not match parameter shape {leaf.value.shape}")
+            else:
+                grads.append(leaf.grad.ravel())
+        g = np.concatenate(grads)
+        if not np.isfinite(g).all():
+            name = next(name for name, grad in zip(self.params, grads)
+                        if not np.isfinite(grad).all())
+            raise TrainingDivergedError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bias1, bias2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
-        for run, g in zip(runs, grads):
-            lo, hi = run[0][2], run[-1][3]
-            m, v = self._m[lo:hi], self._v[lo:hi]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            # value -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            denom = v / bias2
-            np.sqrt(denom, out=denom)
-            denom += EPS
-            update = m / bias1
-            update *= self.lr
-            update /= denom
-            for _, leaf, a, b in run:
-                leaf.value -= update[a - lo:b - lo].reshape(leaf.value.shape)
+        self._m *= BETA1
+        self._m += (1.0 - BETA1) * g
+        self._v *= BETA2
+        self._v += (1.0 - BETA2) * (g * g)
+        # value -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        denom = self._v / bias2
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        update = self._m / bias1
+        update *= self.lr
+        update /= denom
+        for name, leaf in self.params.items():
+            lo, hi = self._slices[name]
+            leaf.value -= update[lo:hi].reshape(leaf.value.shape)

@@ -47,17 +47,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_numbers(self, ("offices", "viewers", "snapshots", "degree_cap", "growth_rate", "seed"),
-                      ("rewire_prob", "departure_prob", "same_office_bias"))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.offices < 1:
-            raise ConfigError(f"offices must be >= 1, got {self.offices}")
+        check_numbers(self, {"offices": 1, "viewers": None, "snapshots": 2, "degree_cap": 1,
+                             "growth_rate": 1, "seed": 0},
+                      {"rewire_prob": "unit", "departure_prob": "unit",
+                       "same_office_bias": "unit"})
         if self.viewers < self.offices:
             raise ConfigError(f"need at least one viewer per office, got "
                               f"{self.viewers} viewers for {self.offices} offices")
-        if self.snapshots < 2:
-            raise ConfigError(f"snapshots must be >= 2, got {self.snapshots}")
         if self.arrival not in ARRIVALS:
             raise ConfigError(f"arrival must be one of {ARRIVALS}, got {self.arrival!r}")
         for name in ("intra_bw", "inter_bw"):
@@ -68,17 +64,6 @@ class SimConfig:
             if not (numeric and 0 < pair[0] < math.inf and 0 <= pair[1] < math.inf):
                 raise ConfigError(f"{name} needs a positive finite mean and a non-negative "
                                   f"finite spread, got {pair!r}")
-        if self.degree_cap < 1:
-            raise ConfigError(f"degree_cap must be >= 1, got {self.degree_cap}")
-        if self.growth_rate < 1:
-            raise ConfigError(f"growth_rate must be >= 1, got {self.growth_rate}")
-        if not 0.0 <= self.rewire_prob <= 1.0:
-            raise ConfigError(f"rewire_prob must be in [0, 1], got {self.rewire_prob}")
-        if not 0.0 <= self.departure_prob <= 1.0:
-            raise ConfigError(f"departure_prob must be in [0, 1], got {self.departure_prob}")
-        if not 0.0 <= self.same_office_bias <= 1.0:
-            raise ConfigError(f"same_office_bias must be in [0, 1], got "
-                              f"{self.same_office_bias}")
 
 
 def _spread(total: int, slots: int) -> list[int]:

@@ -31,7 +31,6 @@ class TrainingTrace:
 
     losses: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
-    param_digest: str = ""
 
 
 @dataclass
@@ -70,8 +69,8 @@ def _fit_stack(chains: list[GcnChain], window: list[SnapshotGraph],
 
     ``loss_fn(z, g)`` takes the stacked final-snapshot embeddings and
     returns one loss per model (a scalar for a single chain). Each chain
-    gets its own trace, divergence check and digest; an epoch's seconds
-    are shared equally among the models.
+    gets its own trace and divergence check; an epoch's seconds are
+    shared equally among the models.
     """
     stack = chains[0] if len(chains) == 1 else GcnChain.stack(chains)
     opt = Adam(stack.trainable(), lr=stack.config.lr)
@@ -99,8 +98,6 @@ def _fit_stack(chains: list[GcnChain], window: list[SnapshotGraph],
         for k, chain in enumerate(chains):
             for name, leaf in chain.trainable().items():
                 leaf.value = stacked[name].value[k].copy()
-    for trace, chain in zip(traces, chains):
-        trace.param_digest = chain.param_digest()
     return traces
 
 
@@ -166,8 +163,8 @@ def distill_students(bundles: list[DistillationBundle], window: list[SnapshotGra
 
     The bundles share one teacher and its embeddings, and their student
     configs differ in ``gamma`` only, so the students share every shape
-    and the teacher's soft scores. Each student gets the parameters,
-    losses and digest that :func:`distill_student` would give it.
+    and the teacher's soft scores. Each student gets the parameters and
+    losses that :func:`distill_student` would give it.
     """
     if not bundles:
         raise ConfigError("distill_students needs at least one bundle")

@@ -294,6 +294,25 @@ def test_an_unwritable_out_exits_one_naming_it(tmp_path, capsys, command, under)
     assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
 
 
+def test_simulate_refuses_a_seed_it_would_ignore(tmp_path, capsys):
+    """The simulator reads ``data.simulate.seed``, so ``simulate`` takes no
+    ``--seed``: argparse refuses it with exit 2, as any flag a command lacks."""
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", str(cfg), "--seed", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill", "evaluate", "sweep-gamma",
+                                     "sweep-hparam"])
+def test_every_command_that_takes_k_says_what_it_is(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "final window snapshot" in capsys.readouterr().out
+
+
 def test_non_integer_model_field_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, teacher={"window": 1, "heads": 2.5, "hidden_dim": 6,
                                           "embed_dim": 3, "epochs": 6, "lr": 0.01})

@@ -555,26 +555,29 @@ def test_sweep_gamma_rows_are_the_evaluation_numbers():
     assert [row.gamma for row in rows] == [0.3, 1.0]
 
 
-@pytest.mark.parametrize("trials", [2.5, True, "2"])
+@pytest.mark.parametrize("name,value", [("trials", 2.5), ("trials", True), ("trials", "2"),
+                                        ("seed", -1), ("seed", 1.5), ("seed", True)],
+                         ids=["2.5", "True", "2", "seed=-1", "seed=1.5", "seed=True"])
 @pytest.mark.parametrize("call", [
-    lambda event, trials: run_evaluation(event, 1, tiny_teacher(), tiny_student(),
-                                         trials=trials),
-    lambda event, trials: evaluate_scorers(event, 1, tiny_teacher(), tiny_student(),
-                                           scorers=("dot",), trials=trials),
-    lambda event, trials: sweep_gamma(event, 1, tiny_teacher(), tiny_student(),
-                                      trials=trials),
-    lambda event, trials: sweep_hparam(event, 1, tiny_teacher(), tiny_student(), "l",
-                                       trials=trials),
+    lambda event, kw: run_evaluation(event, 1, tiny_teacher(), tiny_student(), **kw),
+    lambda event, kw: evaluate_scorers(event, 1, tiny_teacher(), tiny_student(),
+                                       scorers=("dot",), **kw),
+    lambda event, kw: sweep_gamma(event, 1, tiny_teacher(), tiny_student(), **kw),
+    lambda event, kw: sweep_hparam(event, 1, tiny_teacher(), tiny_student(), "l", **kw),
 ], ids=["run_evaluation", "evaluate_scorers", "sweep_gamma", "sweep_hparam"])
-def test_a_trial_count_that_is_not_an_integer_is_refused(call, trials, monkeypatch):
+def test_a_trial_count_that_is_not_an_integer_is_refused(call, name, value, monkeypatch):
+    """A trial count that is not an integer, or a seed that is not a
+    non-negative integer, is a ConfigError naming it before any training."""
     from evolink import evaluation
 
     def no_training(*args, **kwargs):
         raise AssertionError("a model was trained")
 
     monkeypatch.setattr(evaluation, "train_teacher", no_training)
-    with pytest.raises(ConfigError, match=f"trials must be an integer, got {trials!r}"):
-        call(make_event(), trials)
+    with pytest.raises(ConfigError, match=f"^{name} must be ") as info:
+        call(make_event(), {name: value})
+    if name == "trials":
+        assert str(info.value) == f"trials must be an integer, got {value!r}"
 
 
 def test_sweep_gamma_rejects_no_trials():

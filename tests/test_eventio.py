@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,19 @@ def test_run_config_refuses_counts_that_are_not_integers(name, value):
     else:
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
             build()
+
+
+@pytest.mark.parametrize("cls,name,kind", [
+    pytest.param(cls, f.name, "a real number" if f.type == "float" else "an integer",
+                 id=f"{cls.__name__}-{f.name}")
+    for cls in (ModelConfig, SimConfig, RunConfig) for f in fields(cls)
+    if f.type in ("int", "int | None", "float")])
+def test_every_numeric_config_field_refuses_a_bool(cls, name, kind):
+    """``True`` is an int to Python, but no config takes it for a number."""
+    base = {"teacher": ModelConfig(), "student": ModelConfig(role="student"),
+            "sim": SimConfig()} if cls is RunConfig else {}
+    with pytest.raises(ConfigError, match=f"^{name} must be {kind}, got True$"):
+        cls(**base, **{name: True})
 
 
 @pytest.mark.parametrize("mutate,fragment", [

@@ -119,20 +119,22 @@ def test_wrapper_is_deterministic():
 
 
 def test_wrapper_leaves_unreached_params_untouched():
-    # A leaf that never enters the loss keeps grad None; the step skips it,
-    # moments included, rather than failing.
+    # A leaf that never enters the loss keeps grad None; it takes a zero
+    # gradient, whose moments stay 0 and whose update is exactly 0.0.
     w = param(np.array([1.0]), "w")
-    dead = param(np.array([7.0]), "dead")
+    dead = param(np.array([7.0, -0.0]), "dead")
     opt = Adam({"w": w, "dead": dead}, lr=0.1)
-    backward(tsum(square(w)))
-    opt.step()
-    assert dead.value[0] == 7.0
-    assert np.array_equal(opt.m["dead"], [0.0])
+    for _ in range(60):
+        backward(tsum(square(w)))
+        opt.step()
+    assert dead.grad is None and opt.t == 60
+    assert dead.value.tobytes() == np.array([7.0, -0.0]).tobytes()
+    assert opt.m["dead"].tobytes() == opt.v["dead"].tobytes() == np.zeros(2).tobytes()
     assert w.value[0] != 1.0
 
 
 def test_runs_of_reached_leaves_skip_the_leaf_between_them():
-    # Two runs, "a" and "c"-"d", around an unreached "b": each reached leaf
+    # "a" and "c"-"d" are reached around an unreached "b": each reached leaf
     # moves as it would alone, and "b" keeps its value and zero moments.
     rng = np.random.default_rng(3)
     values = {k: rng.normal(size=shape) for k, shape in
@@ -149,18 +151,21 @@ def test_runs_of_reached_leaves_skip_the_leaf_between_them():
     assert not opt.m["b"].any() and not opt.v["b"].any()
 
 
-def test_a_leaf_left_out_of_a_step_keeps_its_value_and_moments():
-    # As torch.optim.Adam skips a parameter whose grad is None.
-    a = param(np.array([1.0, 2.0]), "a")
-    b = param(np.array([[3.0]]), "b")
-    opt = Adam({"a": a, "b": b}, lr=0.1)
-    grad_step(opt, a=[0.5, -0.5], b=[[2.0]])
-    kept = (b.value.copy(), opt.m["b"].copy(), opt.v["b"].copy())
-    b.grad = None
-    grad_step(opt, a=[0.25, 0.75])
-    assert opt.t == 2
-    assert np.array_equal(b.value, kept[0])
-    assert np.array_equal(opt.m["b"], kept[1]) and np.array_equal(opt.v["b"], kept[2])
+def test_a_leaf_without_a_gradient_steps_as_with_a_zero_gradient():
+    # Once reached, a leaf whose grad is None moves on its moments, bit for
+    # bit as an explicit zero gradient moves it.
+    def run(b_grad):
+        a = param(np.array([1.0, 2.0]), "a")
+        b = param(np.array([[3.0]]), "b")
+        opt = Adam({"a": a, "b": b}, lr=0.1)
+        grad_step(opt, a=[0.5, -0.5], b=[[2.0]])
+        kept = b.value.copy()
+        b.grad = b_grad
+        grad_step(opt, a=[0.25, 0.75])
+        assert not np.array_equal(b.value, kept)
+        return [x.tobytes() for x in (a.value, b.value, opt.m["b"], opt.v["b"])]
+
+    assert run(None) == run(np.zeros((1, 1)))
 
 
 def test_non_finite_gradient_in_a_later_run_moves_nothing():
