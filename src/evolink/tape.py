@@ -25,7 +25,9 @@ attention transition, each its own leaf. It evaluates them as one op on
 H copies of the neighbour pattern, sharing the input rows, and forms for
 every head the operations of its one-head call; the heads' results and
 their gradients with respect to the shared input are added in head order,
-as H one-head ops would be added one after another.
+as H one-head ops would be added one after another. Its backward takes the
+score vectors' gradients from sparse products on the neighbour pattern,
+never from a gradient per entry.
 
 :func:`mlp_mse` is the MLP link scorer's whole decoder and squared error
 as one op. Its value and weight gradients have the bits of the composed
@@ -315,13 +317,6 @@ def tsum(a) -> Tensor:
     return Tensor(a.value.sum(), _parents=(a,), _backward=bw)
 
 
-# Entries whose (entries, d) row gathers the backward of
-# :func:`edge_attention` forms at a time. Gathering every entry at once
-# makes two arrays large enough that the allocator maps fresh pages for
-# them on every call.
-EDGE_BLOCK = 1024
-
-
 def _heads(transforms, score_vecs) -> tuple[Array, Array]:
     """A transition's H heads as (G, H, d, d) and (G, H, 2d, 1) stacks.
 
@@ -418,10 +413,16 @@ def edge_attention(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
     shapes of stacked models; the (n, d) result, (G * n, d) for a stack,
     adds the heads' mixtures in head order and multiplies the sum by
     ``1 / H``. Each head's transform and score vector stays its own leaf.
-    The backward is derived by hand, so the tape holds per-entry vectors
-    and (n, d) matrices, never an (n, n) one. A head's value and gradients
-    have the bits of the one-head call, and the sum and scaling those of
-    the ``add`` and ``scale`` ops of ``tests/oracles.py``.
+    The backward is derived by hand and forms no gradient per neighbour
+    entry: the score vectors read that gradient only through its sums
+    over each row and each column, which it takes as sparse products of
+    ``C = alpha s (1 - s) w`` and ``C^T`` on the pattern with (n, d)
+    matrices. It holds the coefficients and scores on the pattern and
+    (n, d) matrices, never an (n, n) or (entries, d) array. A head's value
+    and gradients have the bits of the one-head call, and the sum and
+    scaling those of the ``add`` and ``scale`` ops of
+    ``tests/oracles.py``; the per-entry backward there agrees with it to
+    rounding.
     """
     x = as_tensor(x)
     transforms = [as_tensor(t) for t in transforms]
@@ -437,14 +438,10 @@ def edge_attention(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
     leaves = (x, *transforms, *score_vecs)
     if not any(t.requires_grad for t in leaves):
         return Tensor(value)
-    u, v, n = lists.rows, lists.cols, lists.n
     # The transposed coefficients, on the same pattern. The closure holds
     # this matrix until the backward pass runs, after every later
     # transition's forward pass, so each call's matrix must own its data.
     alpha_t = lists.matrix(alpha[lists.transpose])
-    if heads > 1:
-        # The row of its model's g that each row of every head reads.
-        model_row = np.arange(models * edges.n).reshape(models, 1, -1).repeat(heads, 1).ravel()
 
     # One head's projection is held for the backward pass. Several heads'
     # are formed again there, with the same bits, rather than held as H
@@ -455,31 +452,28 @@ def edge_attention(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
         proj = held
         if heads > 1:
             proj = _project(x.value, t4).reshape(-1, d)
-            # Each head's share of the mean's gradient, as scale gives it.
-            g = g * (1.0 / heads)
-        # Through the softmax: a row's sum of alpha * d_alpha is g_u . z_u.
-        # Each entry's dot product is the same in any block of entries.
-        d_pair = np.empty(u.size)
-        for lo in range(0, u.size, EDGE_BLOCK):
-            hi = lo + EDGE_BLOCK
-            at = u[lo:hi] if heads == 1 else model_row[u[lo:hi]]
-            np.einsum("ij,ij->i", g[at], proj[v[lo:hi]], out=d_pair[lo:hi])
-        if heads > 1:
-            # Every head's copy of g, made after the entry blocks so that
-            # it is not held beside them.
-            g = np.broadcast_to(g.reshape(models, 1, -1, d),
+            # Every head's copy of its share of the mean's gradient, as
+            # scale gives it.
+            g = np.broadcast_to((g * (1.0 / heads)).reshape(models, 1, -1, d),
                                 (models, heads, edges.n, d)).reshape(-1, d)
-        # d_pair = alpha * (d_alpha - (g . z)[u]) * s * (1 - s) * weights,
-        # formed in place in that order.
-        d_pair -= np.einsum("ij,ij->i", g, z)[u]
-        d_pair *= alpha
-        d_pair *= s
-        d_pair *= 1.0 - s
-        d_pair *= lists.weights
-        d_src = np.bincount(u, d_pair, minlength=n).reshape(models, heads, -1, 1)
-        d_dst = np.bincount(v, d_pair, minlength=n).reshape(models, heads, -1, 1)
+        # Through the softmax and the sigmoid, entry (u, v) has the gradient
+        # c_uv (g_u . p_v - g_u . z_u), c = alpha * s * (1 - s) * weights.
+        # The score vectors read it only through its sums over each row and
+        # each column, which are products with C and C^T on the pattern.
+        c = alpha * s
+        c *= 1.0 - s
+        c *= lists.weights
+        gz = np.einsum("ij,ij->i", g, z)
+        d_src = np.einsum("ij,ij->i", g, lists.matrix(c) @ proj)
+        d_src -= gz * np.bincount(lists.rows, c, minlength=lists.n)
+        c_t = lists.matrix(c[lists.transpose])
+        d_dst = np.einsum("ij,ij->i", proj, c_t @ g)
+        d_dst -= c_t @ gz
+        del c, c_t, gz
+        d_src = d_src.reshape(models, heads, -1, 1)
+        d_dst = d_dst.reshape(models, heads, -1, 1)
         dp4 = (alpha_t @ g).reshape(models, heads, -1, d)
-        del g, d_pair  # not held beside the gradient products below
+        del g  # not held beside the gradient products below
         dp4 += d_src * a4[:, :, None, :d, 0]
         dp4 += d_dst * a4[:, :, None, d:, 0]
         if any(a.requires_grad for a in score_vecs):

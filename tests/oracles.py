@@ -11,6 +11,12 @@ The tape ops ``add``, ``sub``, ``mul``, ``scale``, ``transpose``,
 fit needs: the fused ops of :mod:`evolink.tape` (the attention heads'
 mean, the MLP scorer's squared error, the sigmoid-Gram loss) are checked
 against chains of them, and tests use ``mul`` for weighted readouts.
+
+``edge_attention_per_entry`` is :func:`evolink.tape.edge_attention` with
+the backward it had before it took the score vectors' gradient from
+products on the neighbour pattern: it forms every entry's gradient
+through row gathers, a block of entries at a time, and sums it per row
+and per column with ``bincount``.
 """
 from __future__ import annotations
 
@@ -19,9 +25,10 @@ import math
 import numpy as np
 
 from evolink.errors import MalformedGraphError, NumericError, ShapeError
-from evolink.graphs import WEIGHT_EPS, RawEvent
+from evolink.graphs import WEIGHT_EPS, NeighbourLists, RawEvent
 from evolink.simulate import MIN_RAW_WEIGHT, SimConfig, arrival_counts
-from evolink.tape import Tensor, _accumulate, as_tensor, expit
+from evolink.tape import (Tensor, _accumulate, _head_sum, _heads, _softmax, as_tensor,
+                          expit)
 
 Array = np.ndarray
 
@@ -311,3 +318,71 @@ def sqrt(a) -> Tensor:
         _accumulate(a, g * np.where(root > 0.0, 0.5 / safe, 0.0), fresh=True)
 
     return Tensor(root, _parents=(a,), _backward=bw)
+
+
+# -- the attention heads' per-entry backward ---------------------------------
+
+# Entries whose (entries, d) row gathers the backward of
+# :func:`edge_attention_per_entry` forms at a time.
+ENTRY_BLOCK = 1024
+
+
+def edge_attention_per_entry(x, transforms, score_vecs, edges: NeighbourLists) -> Tensor:
+    """:func:`evolink.tape.edge_attention`, its value bit for bit, with a
+    backward that forms every entry's gradient ``d_pair``."""
+    x = as_tensor(x)
+    transforms = [as_tensor(t) for t in transforms]
+    score_vecs = [as_tensor(a) for a in score_vecs]
+    t4, a4 = _heads([t.value for t in transforms], [a.value for a in score_vecs])
+    p, s, alpha = _softmax(x.value, t4, a4, edges)
+    models, heads, d = t4.shape[0], t4.shape[1], t4.shape[-1]
+    lists = edges.tile(models * heads)
+    z = value = lists.matrix(alpha) @ p
+    if heads > 1:
+        value = _head_sum(z.reshape(models, heads, -1, d)).reshape(-1, d)
+        value *= 1.0 / heads
+    leaves = (x, *transforms, *score_vecs)
+    u, v, n = lists.rows, lists.cols, lists.n
+    alpha_t = lists.matrix(alpha[lists.transpose])
+    # The row of its model's g that each row of every head reads.
+    model_row = np.arange(models * edges.n).reshape(models, 1, -1).repeat(heads, 1).ravel()
+
+    def bw(g: Array) -> None:
+        proj = p
+        if heads > 1:
+            # Each head's share of the mean's gradient, as scale gives it.
+            g = g * (1.0 / heads)
+        # Through the softmax: a row's sum of alpha * d_alpha is g_u . z_u.
+        # Each entry's dot product is the same in any block of entries.
+        d_pair = np.empty(u.size)
+        for lo in range(0, u.size, ENTRY_BLOCK):
+            hi = lo + ENTRY_BLOCK
+            np.einsum("ij,ij->i", g[model_row[u[lo:hi]]], proj[v[lo:hi]], out=d_pair[lo:hi])
+        if heads > 1:
+            g = np.broadcast_to(g.reshape(models, 1, -1, d),
+                                (models, heads, edges.n, d)).reshape(-1, d)
+        # d_pair = alpha * (d_alpha - (g . z)[u]) * s * (1 - s) * weights,
+        # formed in place in that order.
+        d_pair -= np.einsum("ij,ij->i", g, z)[u]
+        d_pair *= alpha
+        d_pair *= s
+        d_pair *= 1.0 - s
+        d_pair *= lists.weights
+        d_src = np.bincount(u, d_pair, minlength=n).reshape(models, heads, -1, 1)
+        d_dst = np.bincount(v, d_pair, minlength=n).reshape(models, heads, -1, 1)
+        dp4 = (alpha_t @ g).reshape(models, heads, -1, d)
+        dp4 += d_src * a4[:, :, None, :d, 0]
+        dp4 += d_dst * a4[:, :, None, d:, 0]
+        pt = proj.reshape(models, heads, -1, d).swapaxes(2, 3)
+        grad = np.concatenate([pt @ d_src, pt @ d_dst], axis=2)
+        for h, a in enumerate(score_vecs):
+            if a.requires_grad:
+                _accumulate(a, grad[:, h].reshape(a.shape), fresh=True)
+        grad = dp4.swapaxes(2, 3) @ x.value.reshape(models, 1, -1, d)
+        for h, t in enumerate(transforms):
+            if t.requires_grad:
+                _accumulate(t, grad[:, h].reshape(t.shape), fresh=True)
+        if x.requires_grad:
+            _accumulate(x, _head_sum(dp4 @ t4).reshape(x.shape), fresh=True)
+
+    return Tensor(value, _parents=leaves, _backward=bw)

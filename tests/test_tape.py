@@ -20,7 +20,8 @@ from evolink import tape
 from evolink.tape import (LOSS_BLOCK, SigmoidGram, Tensor, backward, constant_matmul,
                           edge_attention, edge_softmax, elu, matmul, mlp_mse, param, relu,
                           rmse_sigmoid_gram, rows, tsum, with_rows)
-from oracles import add, mean, mul, scale, sigmoid, sqrt, square, sub, transpose
+from oracles import (add, edge_attention_per_entry, mean, mul, scale, sigmoid, sqrt,
+                     square, sub, transpose)
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -200,31 +201,6 @@ def test_edge_attention_gradients_and_structure(rng):
     assert dense[19, 19] == 1.0 and np.count_nonzero(dense[19]) == 1
 
 
-def test_edge_attention_backward_in_entry_blocks(rng, monkeypatch):
-    """The backward forms its per-entry products a block of entries at a
-    time: finite differences hold across block edges, and every gradient
-    has the bits of the one-block pass."""
-    n, edges = hub_graph()
-    lists = neighbour_lists(n, edges)
-    leaves = [param(rng.normal(0, 1.5, size=shape), name)
-              for name, shape in (("x", (n, 3)), ("transform", (3, 3)), ("score_vec", (6, 1)))]
-    read = Tensor(rng.normal(size=(n, 3)))
-
-    def loss():
-        return tsum(mul(edge_attention(leaves[0], [leaves[1]], [leaves[2]], lists), read))
-
-    grads = []
-    for block in (tape.EDGE_BLOCK, 7, 1):
-        monkeypatch.setattr(tape, "EDGE_BLOCK", block)
-        backward(loss())
-        grads.append([leaf.grad for leaf in leaves])
-    for blocked in grads[1:]:
-        for got, want in zip(blocked, grads[0]):
-            assert np.array_equal(got, want)
-    monkeypatch.setattr(tape, "EDGE_BLOCK", 7)
-    fd_check(loss, leaves)
-
-
 def test_edge_attention_matches_the_dense_formula(rng):
     for trial in range(20):
         n = int(rng.integers(2, 30))
@@ -293,10 +269,10 @@ def one_head_calls(x, transforms, score_vecs, lists):
 
 
 @pytest.mark.parametrize("models", [1, 2])
-def test_heads_as_one_op_keep_the_bits_of_one_head_calls(rng, monkeypatch, models):
+def test_heads_as_one_op_keep_the_bits_of_one_head_calls(rng, models):
     """Three heads as one op give the value and every gradient (x, each
     transform, each score vector) of three one-head calls combined with
-    add and scale, bit for bit, in any block of entries."""
+    add and scale, bit for bit."""
     n, edges = hub_graph()
     lists = neighbour_lists(n, edges)
     x, transforms, score_vecs = head_leaves(rng, n, 3, models)
@@ -309,12 +285,54 @@ def test_heads_as_one_op_keep_the_bits_of_one_head_calls(rng, monkeypatch, model
         return out.value, [leaf.grad for leaf in leaves]
 
     want, want_grads = run(one_head_calls)
-    for block in (1024, 7, 1):
-        monkeypatch.setattr(tape, "EDGE_BLOCK", block)
+    got, got_grads = run(edge_attention)
+    assert got.shape == (models * n, 3) and np.array_equal(got, want)
+    for leaf, grad, expected in zip(leaves, got_grads, want_grads):
+        assert np.array_equal(grad, expected), leaf.name
+
+
+def hub_like_graph(rng):
+    """A random graph over 20 to 40 nodes: a hub linked to 16 of them
+    (degree 16), two nodes linked only to each other (single neighbours),
+    an isolated node, and random links among the rest."""
+    n = int(rng.integers(20, 41))
+    hub, single_a, single_b, _isolated, *rest = rng.permutation(n).tolist()
+    links = {(min(hub, v), max(hub, v)) for v in rng.choice(rest, 16, replace=False).tolist()}
+    links.add((min(single_a, single_b), max(single_a, single_b)))
+    links |= {(min(u, v), max(u, v)) for u in rest for v in rest
+              if u < v and rng.random() < 0.1}
+    return n, [(u, v, float(rng.uniform(0.05, 0.95))) for u, v in sorted(links)]
+
+
+@pytest.mark.parametrize("heads, models", [(1, 1), (1, 2), (3, 1), (3, 2)])
+def test_edge_attention_backward_matches_the_per_entry_oracle(rng, heads, models):
+    """On 100 random graphs with a degree-16 hub, single-neighbour rows and
+    an isolated node, the backward's pattern products give every gradient
+    (x, each transform, each score vector) of the per-entry backward of
+    ``tests/oracles.py`` to within 1e-12 of the trial's largest gradient
+    entry, and the same value bit for bit. Finite differences hold on the
+    first graph."""
+    for trial in range(100):
+        n, edges = hub_like_graph(rng)
+        lists = neighbour_lists(n, edges)
+        x, transforms, score_vecs = head_leaves(rng, n, heads, models)
+        leaves = [x, *transforms, *score_vecs]
+        read = Tensor(rng.normal(size=(models * n, 3)))
+
+        def run(op):
+            out = op(x, transforms, score_vecs, lists)
+            backward(tsum(mul(out, read)))
+            return out.value, [leaf.grad for leaf in leaves]
+
+        want, want_grads = run(edge_attention_per_entry)
         got, got_grads = run(edge_attention)
-        assert got.shape == (models * n, 3) and np.array_equal(got, want), block
+        assert np.array_equal(got, want), trial
+        largest = max(np.abs(grad).max() for grad in want_grads)
         for leaf, grad, expected in zip(leaves, got_grads, want_grads):
-            assert np.array_equal(grad, expected), (block, leaf.name)
+            assert np.abs(grad - expected).max() <= 1e-12 * largest, (trial, leaf.name)
+        if trial == 0:
+            fd_check(lambda: tsum(mul(edge_attention(x, transforms, score_vecs, lists), read)),
+                     leaves)
 
 
 def test_stacked_heads_gradients(rng):
